@@ -27,6 +27,7 @@ from .errors import (
     MeanBisectionFailure,
     MonotonicityViolated,
     NoSignChange,
+    NotCommonZero,
     NotInVerticalSubgroup,
     OrderingViolation,
     WindowExit,
@@ -41,7 +42,6 @@ from .flowtrace import (
     coverage_gap,
     extremal_solutions,
     funnel_section,
-    integrate,
     integrate_through,
     level_trace,
     monotone_root,
@@ -70,9 +70,7 @@ from .hsurface import (
     GraphPatch,
     PolySurface,
     SurfaceHandle,
-    graph_map,
     horiz_grad_poly,
-    solve_graph_scalar,
     y_derivatives,
 )
 from .intersect import (
@@ -85,9 +83,8 @@ from .intersect import (
     cone_property_check,
     cone_width_for,
     curve_cloud_agreement,
-    directed_hausdorff,
     gradient_margin,
-    hausdorff,
+    graph_field,
     intersect_surfaces,
     pair_lipschitz_bound,
     polyline_hausdorff,

@@ -68,7 +68,7 @@ class CharField:
     def graph_point(self, eta: float, tau: float) -> Point:
         n = self._clamp(eta, tau)
         s = self._solve(eta, tau)
-        return self.patch._graph_line_point(n, s)
+        return self.patch.line_point(n, s)
 
     def source(self, eta: float, tau: float) -> float:
         x = self.graph_point(eta, tau)
@@ -218,7 +218,7 @@ class TaylorBasePoint:
     @classmethod
     def from_patch(cls, patch: GraphPatch, n_bar: VerticalCoords) -> "TaylorBasePoint":
         eta1 = patch.solve_scalar(n_bar)
-        x_bar = patch._graph_line_point(n_bar, eta1)
+        x_bar = patch.line_point(n_bar, eta1)
         tau_bar = n_bar.tau - eta1 * n_bar.eta * patch.frame.detC
         return cls(n_bar=n_bar, x_bar=x_bar, eta1_bar=eta1, tau_bar=tau_bar)
 

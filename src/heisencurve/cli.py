@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from . import verify as verify_suites
-from .characteristics import CharField, characteristic
+from .characteristics import characteristic
 from .errors import (
     ConfigError,
     DependentNormals,
@@ -20,12 +20,13 @@ from .errors import (
     MeanBisectionFailure,
     MonotonicityViolated,
     NoSignChange,
+    NotCommonZero,
     WindowExit,
 )
-from .flowtrace import Rect, TraceParams, level_trace
+from .flowtrace import TraceParams
 from .hgroup import Point
-from .hsurface import GraphPatch, PolySurface, SurfaceHandle
-from .intersect import IntersectionProblem, choose_frame, intersect_surfaces
+from .hsurface import PolySurface, SurfaceHandle
+from .intersect import IntersectionProblem, graph_field, intersect_surfaces
 
 COMMANDS = ("intersect", "characteristics", "trace", "verify")
 
@@ -35,6 +36,8 @@ _KNOWN_KEYS = {
 }
 
 _FAILURE_HINTS = {
+    NotCommonZero: "the construction starts from a common zero of both "
+                   "surfaces; move base_point onto both of them",
     DependentNormals: "the construction requires linearly independent "
                       "horizontal normals at the base point",
     MarginViolated: "the construction requires the graph-direction derivative "
@@ -66,9 +69,13 @@ class RunConfig:
     out: str | None = None
     suite: str | None = None
 
-    def trace_params(self) -> TraceParams:
-        return TraceParams(step=self.step, depth=self.depth,
-                           root_tol=self.tolerance)
+    def problem(self) -> IntersectionProblem:
+        """surfaces[0] is f1, whose zero set is traced; surfaces[1] is f2, the graph."""
+        f1, f2 = (SurfaceHandle.from_polynomial(p) for p in self.surfaces[:2])
+        return IntersectionProblem(
+            f1, f2, p=self.base_point, window_half=self.window, bracket=self.bracket,
+            trace=TraceParams(step=self.step, depth=self.depth, root_tol=self.tolerance),
+            zero_tol=self.tolerance)
 
 
 def _fail(path: str, message: str):
@@ -175,11 +182,7 @@ def _write_rows(path: str, header: list[str], rows) -> None:
 
 
 def _run_intersect(cfg: RunConfig) -> None:
-    handles = [SurfaceHandle.from_polynomial(p) for p in cfg.surfaces]
-    prob = IntersectionProblem(handles[0], handles[1], p=cfg.base_point,
-                               window_half=cfg.window, bracket=cfg.bracket,
-                               trace=cfg.trace_params(), zero_tol=cfg.tolerance)
-    curve = intersect_surfaces(prob)
+    curve = intersect_surfaces(cfg.problem())
     rows = [
         (xi, n.eta, n.tau, q.x11, q.x12, q.t)
         for xi, n, q in zip(curve.params, curve.planar, curve.points)
@@ -191,16 +194,9 @@ def _run_intersect(cfg: RunConfig) -> None:
           f"{curve.meta['residual_f2']:.2e})")
 
 
-def _build_field(cfg: RunConfig) -> CharField:
-    f2 = SurfaceHandle.from_polynomial(cfg.surfaces[0]).translated(cfg.base_point)
-    frame = choose_frame(f2, Point(0.0, 0.0, 0.0))
-    w = cfg.window
-    patch = GraphPatch(frame, f2, window=((-w, w), (-w, w)), bracket=cfg.bracket)
-    return CharField(patch)
-
-
 def _run_characteristics(cfg: RunConfig) -> None:
-    cf = _build_field(cfg)
+    cf = graph_field(SurfaceHandle.from_polynomial(cfg.surfaces[0]), cfg.base_point,
+                     cfg.window, cfg.bracket)
     rows = []
     for tau0 in cfg.tau0:
         path = characteristic(cf, tau0, step=cfg.step)
@@ -212,15 +208,8 @@ def _run_characteristics(cfg: RunConfig) -> None:
 
 
 def _run_trace(cfg: RunConfig) -> None:
-    f1 = SurfaceHandle.from_polynomial(cfg.surfaces[1]).translated(cfg.base_point)
-    cf = _build_field(cfg)
-
-    def F(eta: float, tau: float) -> float:
-        return f1.eval(cf.graph_point(eta, tau))
-
-    res = level_trace(cf.rhs, F, Rect.centered(cfg.window, cfg.window),
-                      cfg.trace_params())
-    rows = [(xi, e, t) for xi, (e, t) in zip(res.xi, res.zeta)]
+    curve = intersect_surfaces(cfg.problem())
+    rows = [(xi, n.eta, n.tau) for xi, n in zip(curve.meta["raw_xi"], curve.planar)]
     out = cfg.out or "trace.csv"
     _write_rows(out, ["xi", "eta", "tau"], rows)
     print(f"wrote {len(rows)} planar trace samples to {out}")

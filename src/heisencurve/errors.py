@@ -17,6 +17,10 @@ class MonotonicityViolated(HeisencurveError):
     """Sampled increments of a function that must be strictly monotone changed sign."""
 
 
+class NotCommonZero(HeisencurveError):
+    """The base point does not lie on both surfaces to within the zero tolerance."""
+
+
 class DependentNormals(HeisencurveError):
     """The two horizontal gradients are linearly dependent at the base point."""
 

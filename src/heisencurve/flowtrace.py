@@ -36,7 +36,6 @@ __all__ = [
     "FlowFamily",
     "TraceParams",
     "TraceResult",
-    "integrate",
     "integrate_through",
     "solution_residual",
     "pointwise_max",
@@ -158,34 +157,6 @@ def _heun_march(h, eta_a: float, tau_a: float, direction: int, n_steps: int,
         tau = tau_next
         vals.append(tau)
     return np.array(vals)
-
-
-def integrate(h, eta_a: float, tau_a: float, direction: int, window: Rect,
-              step: float) -> PathSample:
-    """Heun solution of dtau/deta = h from (eta_a, tau_a) toward a window edge.
-
-    The trajectory is clipped to the window: marching stops when tau would
-    leave the tau-range, and the returned path covers only the reached
-    portion.  Raises WindowExit if not even one step fits.
-    """
-    if direction not in (-1, 1):
-        raise ValueError("direction must be +1 or -1")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if not window.contains(eta_a, tau_a):
-        raise WindowExit(f"start ({eta_a!r}, {tau_a!r}) outside the window")
-    span = (window.eta[1] - eta_a) if direction == 1 else (eta_a - window.eta[0])
-    n_steps = int(math.floor(span / step + 1e-9))
-    if n_steps < 1:
-        raise WindowExit("window leaves no room to take a single step")
-    vals = _heun_march(h, eta_a, tau_a, direction, n_steps, step, *window.tau)
-    if len(vals) < 2:
-        raise WindowExit(
-            f"trajectory leaves the tau-range {window.tau} on the first step"
-        )
-    if direction == 1:
-        return PathSample(eta_a, step, vals)
-    return PathSample(eta_a - (len(vals) - 1) * step, step, vals[::-1])
 
 
 def integrate_through(h, eta_c: float, tau_c: float, grid: tuple[float, float, int],
@@ -497,17 +468,13 @@ def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int,
 # ---------------------------------------------------------------------------
 
 def monotone_root(F, path: PathSample, root_tol: float = 1e-10):
-    """The unique zero of eta -> F(eta, tau(eta)) along the path, or None.
+    """The unique zero of eta -> F(eta, tau(eta)) along the path, with F's samples.
 
     The sampled values must be strictly monotone (up to rounding); mixed
-    increment signs raise MonotonicityViolated.  Returns (eta, tau) or None
-    when F keeps one sign over the whole path.
+    increment signs raise MonotonicityViolated.  Returns (root, values):
+    root is (eta, tau), or None when F keeps one sign over the whole path,
+    and values holds F at the path's nodes.
     """
-    root, _ = _root_and_values(F, path, root_tol)
-    return root
-
-
-def _root_and_values(F, path: PathSample, root_tol: float):
     vals = np.array([F(e, t) for e, t in zip(path.etas, path.values)])
     if len(vals) < 2:
         return None, vals
@@ -614,7 +581,7 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None) -> TraceR
 
     def harvest(family: FlowFamily):
         for mu, path in family.members:
-            root, vals = _root_and_values(F, path, params.root_tol)
+            root, vals = monotone_root(F, path, params.root_tol)
             if root is None:
                 continue
             d = np.diff(vals)

@@ -33,8 +33,6 @@ __all__ = [
     "GraphPatch",
     "horiz_grad_poly",
     "y_derivatives",
-    "solve_graph_scalar",
-    "graph_map",
 ]
 
 MAX_TOTAL_DEGREE = 16
@@ -185,20 +183,6 @@ class SurfaceHandle:
             check_gradient(handle)
         return handle
 
-    @classmethod
-    def from_callable(cls, f: Callable[[Point], float], grad_h=None,
-                      fd_step: float = 1e-6) -> "SurfaceHandle":
-        if grad_h is not None:
-            return cls(eval=f, grad_h=grad_h, provenance="user-supplied")
-
-        def grad(x: Point) -> tuple[float, float]:
-            return (
-                horizontal_derivative(f, x, (1.0, 0.0), fd_step),
-                horizontal_derivative(f, x, (0.0, 1.0), fd_step),
-            )
-
-        return cls(eval=f, grad_h=grad, provenance="finite-difference")
-
     def translated(self, p: Point) -> "SurfaceHandle":
         """The handle of x -> f(p * x); gradients translate along for free."""
         def ev(x: Point) -> float:
@@ -297,7 +281,7 @@ class GraphPatch:
     # -- margin certificate --------------------------------------------------
 
     def _y1f2_at(self, n: VerticalCoords, s: float) -> float:
-        x = self._graph_line_point(n, s)
+        x = self.line_point(n, s)
         g1, g2 = self.f2.grad_h(x)
         return g1 * self.frame.b1[0] + g2 * self.frame.b1[1]
 
@@ -331,12 +315,13 @@ class GraphPatch:
 
     # -- graph solves ----------------------------------------------------------
 
-    def _graph_line_point(self, n: VerticalCoords, s: float) -> Point:
+    def line_point(self, n: VerticalCoords, s: float) -> Point:
+        """The point n * (s b1) of the graph line through n."""
         b1 = self.frame.b1
         return mul(embed_N(n, self.frame), Point(s * b1[0], s * b1[1], 0.0))
 
     def _g(self, n: VerticalCoords, s: float) -> float:
-        return self.f2.eval(self._graph_line_point(n, s)) - self.level
+        return self.f2.eval(self.line_point(n, s)) - self.level
 
     def contains(self, n: VerticalCoords, slack: float = 1e-9) -> bool:
         (emin, emax), (tmin, tmax) = self.window
@@ -427,18 +412,8 @@ class GraphPatch:
     def graph_point(self, n: VerticalCoords, hint: float | None = None) -> Point:
         """Phi2(n) = n * (phi2hat(n) * b1); satisfies f2 = level to solver tolerance."""
         s = self.solve_scalar(n, hint=hint)
-        return self._graph_line_point(n, s)
+        return self.line_point(n, s)
 
     @property
     def base_coordinate(self) -> float:
         return self._s_base
-
-
-def solve_graph_scalar(patch: GraphPatch, n: VerticalCoords) -> float:
-    """Scalar graph coordinate phi2hat(n) over the patch."""
-    return patch.solve_scalar(n)
-
-
-def graph_map(patch: GraphPatch, n: VerticalCoords) -> Point:
-    """Graph point Phi2(n) over the patch."""
-    return patch.graph_point(n)

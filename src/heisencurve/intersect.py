@@ -5,7 +5,7 @@ from the horizontal gradient of f2, build the intrinsic graph patch, push f1
 through the graph map to a planar function F, trace the zero set of F along
 the characteristic flow, and lift the traced curve back through the graph
 map and the translation.  Independent cross-checks (grid zero cloud,
-Hausdorff comparison, cone property) live alongside.
+curve-cloud agreement, cone property) live alongside.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .characteristics import CharField
-from .errors import DependentNormals
+from .errors import DependentNormals, MarginViolated, NotCommonZero
 from .flowtrace import Rect, TraceParams, level_trace
 from .hgroup import (
     ORIGIN,
@@ -35,10 +35,9 @@ __all__ = [
     "Curve",
     "ConeParams",
     "choose_frame",
+    "graph_field",
     "intersect_surfaces",
     "brute_force_zero_cloud",
-    "hausdorff",
-    "directed_hausdorff",
     "polyline_hausdorff",
     "curve_cloud_agreement",
     "cone_contains",
@@ -66,7 +65,7 @@ class IntersectionProblem:
         v1 = self.f1.eval(self.p)
         v2 = self.f2.eval(self.p)
         if abs(v1) > self.zero_tol or abs(v2) > self.zero_tol:
-            raise ValueError(
+            raise NotCommonZero(
                 f"base point is not a common zero: f1 = {v1:.3e}, f2 = {v2:.3e}"
             )
         g1 = self.f1.grad_h(self.p)
@@ -119,13 +118,29 @@ def choose_frame(f2: SurfaceHandle, p: Point) -> Frame:
     """Frame with b1 along the horizontal gradient of f2 at p.
 
     This maximizes the graph-direction derivative Y1 f2(p) = |grad_H f2(p)|,
-    which gives the root solver the largest possible margin.
+    which gives the root solver the largest possible margin.  A vanishing
+    gradient leaves Y1 f2(p) = 0 in every frame, below any graph margin.
     """
     g = f2.grad_h(p)
     n = math.hypot(*g)
     if n < 1e-12:
-        raise ValueError("horizontal gradient of f2 vanishes at the base point")
+        raise MarginViolated("horizontal gradient of f2 vanishes at the base point")
     return make_frame((g[0] / n, g[1] / n))
+
+
+def graph_field(f2: SurfaceHandle, p: Point, window_half: float,
+                bracket: tuple[float, float]) -> CharField:
+    """The characteristic field of the intrinsic graph of f2 around p.
+
+    f2 is translated so that p sits at the origin, the graph direction
+    follows its horizontal gradient there, and the graph patch covers the
+    square window of half-width window_half in vertical-plane coordinates.
+    """
+    f2t = f2.translated(p)
+    w = window_half
+    patch = GraphPatch(choose_frame(f2t, ORIGIN), f2t, window=((-w, w), (-w, w)),
+                       bracket=bracket, level=0.0)
+    return CharField(patch)
 
 
 def intersect_surfaces(prob: IntersectionProblem) -> Curve:
@@ -138,16 +153,12 @@ def intersect_surfaces(prob: IntersectionProblem) -> Curve:
     """
     prob.validate()
     f1t = prob.f1.translated(prob.p)
-    f2t = prob.f2.translated(prob.p)
-    frame = choose_frame(f2t, ORIGIN)
-    w = prob.window_half
-    patch = GraphPatch(frame, f2t, window=((-w, w), (-w, w)),
-                       bracket=prob.bracket, level=0.0)
-    cf = CharField(patch)
+    cf = graph_field(prob.f2, prob.p, prob.window_half, prob.bracket)
 
     def F(eta: float, tau: float) -> float:
         return f1t.eval(cf.graph_point(eta, tau))
 
+    w = prob.window_half
     res = level_trace(cf.rhs, F, Rect.centered(w, w), prob.trace)
 
     planar = [VerticalCoords(e, t) for e, t in res.zeta]
@@ -176,7 +187,7 @@ def intersect_surfaces(prob: IntersectionProblem) -> Curve:
         "residual_f1": res1,
         "residual_f2": res2,
         "empirical_modulus": modulus,
-        "frame": frame,
+        "frame": cf.patch.frame,
         "neighborhood": res.neighborhood,
     }
     return Curve(params=params, points=points, planar=planar, meta=meta)
@@ -231,41 +242,13 @@ def _coord_array(points) -> np.ndarray:
     return np.array([(q.x11, q.x12, q.t) for q in points])
 
 
-def _directed(a: np.ndarray, b: np.ndarray, metric: str) -> float:
+def _directed(a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean sup over the rows of a of the distance to the rows of b."""
     worst = 0.0
     for row in a:
-        if metric == "euclidean":
-            d = np.sqrt(np.sum((b - row) ** 2, axis=1))
-        else:
-            dx = b[:, 0] - row[0]
-            dy = b[:, 1] - row[1]
-            tw = b[:, 2] - row[2] + row[0] * b[:, 1] - b[:, 0] * row[1]
-            d = np.maximum(np.hypot(dx, dy), np.sqrt(np.abs(tw)))
+        d = np.sqrt(np.sum((b - row) ** 2, axis=1))
         worst = max(worst, float(np.min(d)))
     return worst
-
-
-def hausdorff(A, B, metric: str = "homogeneous") -> float:
-    """Symmetrized Hausdorff distance between two finite point sets.
-
-    metric "homogeneous" uses the group distance; "euclidean" the flat one
-    (useful when comparing against axis-aligned grid clouds, whose vertical
-    spacing the homogeneous metric would square-root).
-    """
-    if not len(A) or not len(B):
-        raise ValueError("hausdorff needs nonempty point sets")
-    if metric not in ("homogeneous", "euclidean"):
-        raise ValueError(f"unknown metric {metric!r}")
-    a = _coord_array(A)
-    b = _coord_array(B)
-    return max(_directed(a, b, metric), _directed(b, a, metric))
-
-
-def directed_hausdorff(A, B, metric: str = "homogeneous") -> float:
-    """One-sided Hausdorff distance: sup over A of the distance to B."""
-    if not len(A) or not len(B):
-        raise ValueError("directed_hausdorff needs nonempty point sets")
-    return _directed(_coord_array(A), _coord_array(B), metric)
 
 
 def _point_segment_dist(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -313,7 +296,7 @@ def curve_cloud_agreement(curve_points, cloud, box) -> float:
     strict = np.array([row for row in arr if in_box(row, 0.0)])
     if len(poly) < 2 or not len(strict):
         raise ValueError("curve does not reach the oracle box")
-    return max(_points_to_polyline(cld, poly), _directed(strict, cld, "euclidean"))
+    return max(_points_to_polyline(cld, poly), _directed(strict, cld))
 
 
 # ---------------------------------------------------------------------------

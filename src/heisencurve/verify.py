@@ -155,7 +155,7 @@ def suite_graph(seed: int, grid_n: int) -> list[dict]:
             n = VerticalCoords(float(eta), float(tau))
             for patch, exact in ((flat, 0.0), (affine, -tau / (1.0 - eta))):
                 s = patch.solve_scalar(n)
-                res = max(res, abs(patch.f2.eval(patch._graph_line_point(n, s))))
+                res = max(res, abs(patch.f2.eval(patch.line_point(n, s))))
                 closed = max(closed, abs(s - exact))
     section = 0.0
     for eta in np.linspace(-0.4, 0.4, 9):

@@ -1,6 +1,8 @@
 """Acceptance criteria: one test per criterion, each printing PASS/FAIL.
 
-Tolerances are pinned here and nowhere else; run with -s to see the lines.
+Tolerances are pinned here; run with -s to see the lines.  The verification
+suites behind `heisencurve verify` (heisencurve.verify) run smaller versions
+of the same criteria with the same tolerances.
 """
 
 import math
@@ -141,7 +143,7 @@ def test_criterion_03_implicit_graph():
             n = VerticalCoords(float(eta), float(tau))
             for patch, exact in ((flat, 0.0), (affine, -tau / (1.0 - eta))):
                 s = patch.solve_scalar(n)
-                q = patch._graph_line_point(n, s)
+                q = patch.line_point(n, s)
                 worst_res = max(worst_res, abs(patch.f2.eval(q) - patch.level))
                 worst_closed = max(worst_closed, abs(s - exact))
     passed = worst_res <= 1e-10 and worst_closed <= 1e-10

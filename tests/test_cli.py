@@ -92,6 +92,16 @@ def outputs(tmp_path_factory):
     return code1, code2, out1, out2
 
 
+@pytest.fixture(scope="module")
+def trace_output(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("trace")
+    cfg_path = tmp / "trace.json"
+    cfg_path.write_text(intersect_config(command="trace"))
+    out = tmp / "trace.csv"
+    code = cli.main(["trace", "--config", str(cfg_path), "--out", str(out)])
+    return code, out
+
+
 class TestRunIntersect:
     def test_exit_zero(self, outputs):
         code1, code2, *_ = outputs
@@ -152,19 +162,40 @@ class TestOtherCommands:
             if eta >= 0.0:
                 assert abs(tau - 0.2 * (1.0 - eta) ** 2) <= 1e-4
 
-    def test_trace_csv(self, tmp_path):
-        cfg = tmp_path / "trace.json"
-        cfg.write_text(json.dumps({
-            "command": "trace",
-            "surfaces": [SURF_AFFINE, SURF_X12],
-            "depth": 4,
-            "step": 2e-3,
-        }))
-        out = tmp_path / "trace.csv"
-        assert cli.main(["trace", "--config", str(cfg), "--out", str(out)]) == 0
+    def test_trace_csv(self, trace_output):
+        code, out = trace_output
+        assert code == 0
         header, rows = read_csv(out)
         assert header == ["xi", "eta", "tau"]
         assert all(abs(r[1]) <= 1e-9 for r in rows)  # zeros of F sit at eta = 0
+
+    def test_trace_is_planar_preimage_of_intersect(self, trace_output, outputs):
+        # the same config as intersect: trace writes intersect's (eta, tau) columns
+        code, out = trace_output
+        *_, curve_csv, _ = outputs
+        assert code == 0
+        _, trace_rows = read_csv(out)
+        _, curve_rows = read_csv(curve_csv)
+        assert [r[1:3] for r in trace_rows] == [r[1:3] for r in curve_rows]
+
+    @pytest.mark.parametrize("command", ["intersect", "trace"])
+    def test_base_point_off_surfaces_exit_one(self, tmp_path, capsys, command):
+        cfg = tmp_path / "off.json"
+        cfg.write_text(json.dumps({"command": command, "surfaces": [SURF_X11, SURF_X12],
+                                   "base_point": [0.3, 0.0, 0.0]}))
+        code = cli.main([command, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "NotCommonZero" in err
+
+    def test_vanishing_gradient_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "flat.json"
+        cfg.write_text(json.dumps({"command": "characteristics",
+                                   "surfaces": [[[0, 0, 1, 1.0]]]}))  # f = t
+        code = cli.main(["characteristics", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "MarginViolated" in err
 
     def test_verify_single_suite(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -9,7 +9,6 @@ from heisencurve.errors import (
     GridMismatch,
     MonotonicityViolated,
     OrderingViolation,
-    WindowExit,
 )
 from heisencurve.flowtrace import (
     PathSample,
@@ -19,7 +18,6 @@ from heisencurve.flowtrace import (
     coverage_gap,
     extremal_solutions,
     funnel_section,
-    integrate,
     integrate_through,
     level_trace,
     monotone_root,
@@ -40,15 +38,16 @@ def path_on(eta0, step, n, fn):
 
 
 class TestIntegrate:
+    # grids are (eta0, step, n); each march is anchored at eta = 0
     def test_tau_independent_field(self):
         # h = 2 eta integrates exactly to tau0 + eta^2 under the trapezoid rule
         for tau0 in (-0.3, 0.0, 0.5):
-            p = integrate(lambda e, t: 2.0 * e, 0.0, tau0, 1, Rect((0.0, 1.0)), 1e-2)
+            p = integrate_through(lambda e, t: 2.0 * e, 0.0, tau0, (0.0, 1e-2, 101))
             err = np.max(np.abs(p.values - (tau0 + p.etas**2)))
             assert err <= 1e-12
 
     def test_zero_field_constant(self):
-        p = integrate(lambda e, t: 0.0, 0.0, 0.7, 1, Rect((0.0, 2.0)), 0.05)
+        p = integrate_through(lambda e, t: 0.0, 0.0, 0.7, (0.0, 0.05, 41))
         assert np.all(p.values == 0.7)
 
     def test_separable_field_second_order(self):
@@ -57,43 +56,31 @@ class TestIntegrate:
 
         errs = []
         for step in (1e-2, 5e-3, 2.5e-3):
-            p = integrate(h, 0.0, 0.4, 1, Rect((0.0, 0.5)), step)
+            p = integrate_through(h, 0.0, 0.4, (0.0, step, round(0.5 / step) + 1))
             errs.append(np.max(np.abs(p.values - 0.4 * (1.0 - p.etas) ** 2)))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 1.9
 
     def test_backward_direction(self):
-        p = integrate(lambda e, t: 2.0 * e, 0.0, 0.0, -1, Rect((-1.0, 0.0)), 1e-2)
+        p = integrate_through(lambda e, t: 2.0 * e, 0.0, 0.0, (-1.0, 1e-2, 101))
         assert p.eta0 == pytest.approx(-1.0)
         assert np.max(np.abs(p.values - p.etas**2)) <= 1e-12
-
-    def test_window_clipping(self):
-        # steep growth leaves tau in (-1, 1) quickly; path is truncated
-        p = integrate(lambda e, t: 10.0, 0.0, 0.0, 1, Rect((0.0, 10.0), (-1.0, 1.0)), 0.05)
-        assert p.eta_end < 10.0
-        assert np.all(p.values <= 1.0)
-
-    def test_immediate_exit(self):
-        with pytest.raises(WindowExit):
-            integrate(lambda e, t: 100.0, 0.0, 0.999, 1, Rect((0.0, 1.0), (-1.0, 1.0)), 0.1)
-        with pytest.raises(WindowExit):
-            integrate(lambda e, t: 0.0, 5.0, 0.0, 1, Rect((0.0, 1.0)), 0.1)
 
     def test_residual_bound(self):
         def h(e, t):
             return -2.0 * t / (1.0 - e)
 
         step = 1e-3
-        p = integrate(h, 0.0, 0.3, 1, Rect((0.0, 0.5)), step)
+        p = integrate_through(h, 0.0, 0.3, (0.0, step, 501))
         assert solution_residual(p, h) <= 10.0 * step
 
     def test_lipschitz_bound(self):
         # increments stay within (max |h| + slack) * step for solutions and splices
         step = 5e-3
-        window = Rect((0.0, 0.5), (-2.0, 2.0))
+        grid, tau_range = (0.0, step, 101), (-2.0, 2.0)
         M = 3.0 * 2.0 ** (2.0 / 3.0)  # max of the cubic field over the window
-        p = integrate(cubic_field, 0.0, 0.2, 1, window, step)
-        q = integrate(cubic_field, 0.0, -0.2, 1, window, step)
+        p = integrate_through(cubic_field, 0.0, 0.2, grid, tau_range)
+        q = integrate_through(cubic_field, 0.0, -0.2, grid, tau_range)
         glued = pointwise_max(p, q)
         for path in (p, q, glued):
             assert path.max_increment() <= (M + 10.0 * step) * step
@@ -245,7 +232,8 @@ class TestBuildFamily:
 class TestMonotoneRoot:
     def test_f_eta(self):
         p = path_on(-0.5, 0.01, 101, lambda e: 0.37)
-        root = monotone_root(lambda e, t: e, p)
+        root, vals = monotone_root(lambda e, t: e, p)
+        assert np.array_equal(vals, p.etas)
         assert root is not None
         assert abs(root[0]) <= 1e-10
         assert root[1] == pytest.approx(0.37)
@@ -253,18 +241,18 @@ class TestMonotoneRoot:
     def test_linear_combination(self):
         c = 0.21
         p = path_on(-0.5, 0.01, 101, lambda e: c)
-        root = monotone_root(lambda e, t: e + t, p)
+        root, _ = monotone_root(lambda e, t: e + t, p)
         assert root is not None
         assert abs(root[0] + c) <= 1e-10
         assert abs(root[1] - c) <= 1e-12
 
     def test_no_sign_change_returns_none(self):
         p = path_on(-0.5, 0.01, 101, lambda e: 0.0)
-        assert monotone_root(lambda e, t: e + 2.0, p) is None
+        assert monotone_root(lambda e, t: e + 2.0, p)[0] is None
 
     def test_decreasing_allowed(self):
         p = path_on(-0.5, 0.01, 101, lambda e: 0.0)
-        root = monotone_root(lambda e, t: -e + 0.25, p)
+        root, _ = monotone_root(lambda e, t: -e + 0.25, p)
         assert root is not None
         assert abs(root[0] - 0.25) <= 1e-10
 

@@ -12,9 +12,7 @@ from heisencurve.hsurface import (
     PolySurface,
     SurfaceHandle,
     check_gradient,
-    graph_map,
     horiz_grad_poly,
-    solve_graph_scalar,
     y_derivatives,
 )
 
@@ -136,14 +134,14 @@ class TestGraphSolve:
     def test_flat_patch_scalar(self):
         patch = patch_flat()
         for eta, tau in [(0.0, 0.0), (0.3, -0.2), (-0.5, 0.5)]:
-            assert abs(solve_graph_scalar(patch, VerticalCoords(eta, tau))) <= 1e-10
+            assert abs(patch.solve_scalar(VerticalCoords(eta, tau))) <= 1e-10
 
     def test_affine_patch_closed_form(self):
         patch = patch_affine()
         rng = np.random.default_rng(0)
         for _ in range(100):
             eta, tau = rng.uniform(-0.5, 0.5, size=2)
-            s = solve_graph_scalar(patch, VerticalCoords(eta, tau))
+            s = patch.solve_scalar(VerticalCoords(eta, tau))
             assert abs(s - (-tau / (1.0 - eta))) <= 1e-10
 
     def test_base_point_consistency(self):
@@ -154,14 +152,14 @@ class TestGraphSolve:
         # n = (0, xi) maps to (-xi, 0, xi)
         patch = patch_affine()
         for xi in (-0.4, -0.1, 0.2, 0.45):
-            p = graph_map(patch, VerticalCoords(0.0, xi))
+            p = patch.graph_point(VerticalCoords(0.0, xi))
             assert abs(p.x11 + xi) <= 1e-10
             assert abs(p.x12) <= 1e-12
             assert abs(p.t - xi) <= 1e-10
 
     def test_graph_map_flat(self):
         patch = patch_flat()
-        p = graph_map(patch, VerticalCoords(0.25, -0.3))
+        p = patch.graph_point(VerticalCoords(0.25, -0.3))
         # b2 = (-1, 0): the point is eta*b2 + tau*e3 with zero graph coordinate
         assert abs(p.x11 + 0.25) <= 1e-12
         assert abs(p.x12) <= 1e-10
@@ -192,7 +190,7 @@ class TestGraphSolve:
 
     def test_rejects_points_outside_window(self):
         with pytest.raises(ValueError):
-            solve_graph_scalar(patch_affine(), VerticalCoords(0.9, 0.0))
+            patch_affine().solve_scalar(VerticalCoords(0.9, 0.0))
 
     def test_no_sign_change(self):
         # the margin certificate passes (Y1 f2 = 1 - x12 > 0) but the level

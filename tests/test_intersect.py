@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import POLY_X11, POLY_X11_PLUS_T, POLY_X12
 
-from heisencurve.errors import DependentNormals
+from heisencurve.errors import DependentNormals, MarginViolated, NotCommonZero
 from heisencurve.flowtrace import TraceParams
 from heisencurve.hgroup import ORIGIN, Point, dist, mul
 from heisencurve.hsurface import GraphPatch, SurfaceHandle
@@ -19,9 +19,7 @@ from heisencurve.intersect import (
     cone_property_check,
     cone_width_for,
     curve_cloud_agreement,
-    directed_hausdorff,
     gradient_margin,
-    hausdorff,
     intersect_surfaces,
     pair_lipschitz_bound,
     polyline_hausdorff,
@@ -88,7 +86,7 @@ class TestChooseFrame:
         from heisencurve.hsurface import PolySurface
 
         f = SurfaceHandle.from_polynomial(PolySurface({(0, 0, 1): 1.0}))  # f = t
-        with pytest.raises(ValueError):
+        with pytest.raises(MarginViolated):
             choose_frame(f, ORIGIN)
 
 
@@ -108,7 +106,7 @@ class TestIntersectSurfaces:
             intersect_surfaces(IntersectionProblem(F_X12, F_X12))
 
     def test_base_point_must_be_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotCommonZero):
             intersect_surfaces(IntersectionProblem(F_X11, F_X12, p=Point(0.3, 0.0, 0.0)))
 
     def test_residuals_along_curve(self, curve_b):
@@ -183,31 +181,6 @@ class TestZeroCloud:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             brute_force_zero_cloud(F_X11, F_X12, BOX_SMALL, grid_n=1)
-
-
-class TestHausdorff:
-    def test_identical_sets(self):
-        pts = [Point(0.1, 0.2, 0.3), Point(-1.0, 0.5, 0.0)]
-        assert hausdorff(pts, list(pts)) == 0.0
-
-    def test_single_pair(self):
-        assert hausdorff([ORIGIN], [Point(3.0, 4.0, 0.0)]) == 5.0
-
-    def test_subset_directed_zero(self):
-        big = [Point(float(i), 0.0, 0.0) for i in range(5)]
-        small = big[1:3]
-        assert directed_hausdorff(small, big) == 0.0
-        assert hausdorff(small, big) > 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            hausdorff([], [ORIGIN])
-
-    def test_euclidean_metric(self):
-        a = [ORIGIN]
-        b = [Point(0.0, 0.0, 0.04)]
-        assert hausdorff(a, b, metric="euclidean") == pytest.approx(0.04)
-        assert hausdorff(a, b) == pytest.approx(0.2)  # homogeneous sqrt scale
 
 
 class TestConeProperty:
