@@ -33,6 +33,9 @@ __all__ = [
     "directional_derivative_check",
 ]
 
+# Sample points of chain_rule_check along the path.
+CHAIN_RULE_SAMPLES = 5
+
 
 class CharField:
     """The characteristic field of a graph patch in vertical-plane coordinates.
@@ -145,10 +148,6 @@ class SweepReport:
                 for i in range(len(self.h_values) - 1)
             ]
 
-    @property
-    def best_order(self) -> float:
-        return max(self.observed_orders) if self.observed_orders else math.nan
-
 
 def _advance_characteristic(cf: CharField, eta: float, tau: float, h: float,
                             n_sub: int = 8) -> float:
@@ -164,7 +163,7 @@ def _advance_characteristic(cf: CharField, eta: float, tau: float, h: float,
 
 
 def chain_rule_check(f1: SurfaceHandle, cf: CharField, path: PathSample,
-                     h_sweep=(1e-2, 1e-3, 1e-4), n_samples: int = 5) -> SweepReport:
+                     h_sweep=(1e-2, 1e-3, 1e-4)) -> SweepReport:
     """Centered differences of f1 o Phi2 along the path vs the closed form.
 
     The path is re-integrated locally (fine substeps) to land on the
@@ -175,7 +174,7 @@ def chain_rule_check(f1: SurfaceHandle, cf: CharField, path: PathSample,
     h_max = max(h_sweep)
     lo = path.eta0 + h_max * 1.01
     hi = path.eta_end - h_max * 1.01
-    etas = np.linspace(lo, hi, n_samples)
+    etas = np.linspace(lo, hi, CHAIN_RULE_SAMPLES)
     abs_errs = []
     rel_errs = []
     for h in h_sweep:

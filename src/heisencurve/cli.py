@@ -49,7 +49,8 @@ _FAILURE_HINTS = {
                   "the bracket or shrink the window",
     MeanBisectionFailure: "the flow family could not realize an intermediate "
                           "integral mean; try a finer step",
-    WindowExit: "a trajectory left the window; enlarge it or reduce the step",
+    WindowExit: "a trajectory left the window; enlarge window, or move the "
+                "characteristics' tau0 toward 0",
 }
 
 
@@ -65,7 +66,7 @@ class RunConfig:
     grid: int = 41
     tolerance: float = 1e-10
     seed: int = 0
-    tau0: tuple[float, ...] = (-0.3, -0.1, 0.1, 0.3)
+    tau0: tuple[float, ...] = (-0.2, -0.1, 0.1, 0.2)
     out: str | None = None
     suite: str | None = None
 
@@ -74,8 +75,7 @@ class RunConfig:
         f1, f2 = (SurfaceHandle.from_polynomial(p) for p in self.surfaces[:2])
         return IntersectionProblem(
             f1, f2, p=self.base_point, window_half=self.window, bracket=self.bracket,
-            trace=TraceParams(step=self.step, depth=self.depth, root_tol=self.tolerance),
-            zero_tol=self.tolerance)
+            trace=TraceParams(step=self.step, depth=self.depth, root_tol=self.tolerance))
 
 
 def _fail(path: str, message: str):

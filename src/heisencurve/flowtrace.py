@@ -48,6 +48,21 @@ __all__ = [
     "coverage_gap",
 ]
 
+# Shifts of the data and field whose shifted solutions bound the extremal ones.
+EPS_SEQUENCE = (1e-3, 1e-5, 1e-7, 1e-9)
+# Largest miss of a family member's integral mean.
+MEAN_TOL = 1e-6
+# Anchors tried per member, spread over the grid.
+MAX_ANCHORS = 41
+# Samples per axis of the field bound on the window.
+SAMPLE_GRID = 33
+# Cap on the path grid; zeros are solver-accurate anyway.
+MAX_NODES = 400
+# Consecutive zeros closer than this collapse to one sample.
+COLLAPSE_TOL = 1e-12
+# Grid points per axis in coverage_gap.
+COVERAGE_GRID = 41
+
 
 @dataclass(frozen=True)
 class Rect:
@@ -56,9 +71,8 @@ class Rect:
     eta: tuple[float, float]
     tau: tuple[float, float] = (-math.inf, math.inf)
 
-    def contains(self, eta: float, tau: float, slack: float = 0.0) -> bool:
-        return (self.eta[0] - slack <= eta <= self.eta[1] + slack
-                and self.tau[0] - slack <= tau <= self.tau[1] + slack)
+    def contains(self, eta: float, tau: float) -> bool:
+        return self.eta[0] <= eta <= self.eta[1] and self.tau[0] <= tau <= self.tau[1]
 
     @classmethod
     def centered(cls, a: float, b: float = math.inf) -> "Rect":
@@ -253,20 +267,16 @@ def _aitken(seq: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def extremal_solutions(h, eta_a: float, tau_a: float, window: Rect, step: float,
-                       eps_sequence=(1e-3, 1e-5, 1e-7, 1e-9)):
+def extremal_solutions(h, eta_a: float, tau_a: float, window: Rect, step: float):
     """Approximate minimal and maximal solutions through (eta_a, tau_a).
 
     For each eps the data and the field are shifted by -eps (minimal side)
     or +eps (maximal side); the shifted problems bound the extremal
     solutions from below/above and converge to them as eps -> 0.  Marching
     against the eta direction flips the field shift so that the bound keeps
-    its side.  The eps sequence is extrapolated pointwise; the convergence
-    gaps are reported in the returned diagnostics dict.
+    its side.  The EPS_SEQUENCE paths are extrapolated pointwise; the
+    convergence gaps are reported in the returned diagnostics dict.
     """
-    eps_sequence = tuple(eps_sequence)
-    if not eps_sequence:
-        raise ValueError("eps_sequence must be nonempty")
     grid = _anchored_grid(eta_a, window, step)
     eta0, step_g, n = grid
     k = round((eta_a - eta0) / step_g)
@@ -282,8 +292,7 @@ def extremal_solutions(h, eta_a: float, tau_a: float, window: Rect, step: float,
                            k, step_g, *window.tau)
         if len(right) != n - k or len(left) != k + 1:
             raise WindowExit(
-                "shifted trajectory leaves the tau-range; enlarge the window "
-                "or shrink eps_sequence"
+                "shifted trajectory leaves the tau-range; enlarge the window"
             )
         return np.concatenate([left[::-1], right[1:]])
 
@@ -292,10 +301,10 @@ def extremal_solutions(h, eta_a: float, tau_a: float, window: Rect, step: float,
     # gone unstable (the shift is too small for the step near a degenerate
     # zero of the field); such eps values are dropped, not extrapolated.
     wrong_side_tol = 1e-3 * (1.0 + float(np.max(np.abs(natural))))
-    diagnostics = {"eps": eps_sequence, "gap_min": [], "gap_max": [],
+    diagnostics = {"eps": EPS_SEQUENCE, "gap_min": [], "gap_max": [],
                    "dropped_min": [], "dropped_max": []}
     lows, highs = [], []
-    for eps in eps_sequence:
+    for eps in EPS_SEQUENCE:
         low = shifted_path(-1.0, eps)
         if float(np.max(low - natural)) > wrong_side_tol + eps:
             diagnostics["dropped_min"].append(eps)
@@ -339,10 +348,6 @@ class FlowFamily:
     def mus(self) -> list[float]:
         return [mu for mu, _ in self.members]
 
-    @property
-    def paths(self) -> list[PathSample]:
-        return [p for _, p in self.members]
-
     def monotonicity_violation(self) -> float:
         """Max pointwise drop between consecutive members (should be ~0)."""
         worst = 0.0
@@ -367,9 +372,8 @@ def _clamped(h, tau_lo: float, tau_hi: float):
     return hc
 
 
-def _find_member_with_mean(h, lo: PathSample, hi: PathSample, mu_t: float,
-                           mean_tol: float, max_anchors: int = 41) -> PathSample:
-    """A solution between lo and hi whose integral is mu_t within mean_tol.
+def _find_member_with_mean(h, lo: PathSample, hi: PathSample, mu_t: float) -> PathSample:
+    """A solution between lo and hi whose integral is mu_t within MEAN_TOL.
 
     Candidates are spliced solutions through anchor points between the
     envelopes; the vertical position at a fixed anchor is bisected on the
@@ -384,7 +388,7 @@ def _find_member_with_mean(h, lo: PathSample, hi: PathSample, mu_t: float,
         return funnel_section(lo, hi, raw)
 
     n = len(lo)
-    stride = max(1, n // max_anchors)
+    stride = max(1, n // MAX_ANCHORS)
     order = sorted(set(range(0, n, stride)) | {n - 1}, key=lambda k: abs(k - n // 2))
     best_gap = math.inf
     for k in order:
@@ -392,7 +396,7 @@ def _find_member_with_mean(h, lo: PathSample, hi: PathSample, mu_t: float,
         m0, m1 = c0.integral(), c1.integral()
         for c, m in ((c0, m0), (c1, m1)):
             best_gap = min(best_gap, abs(m - mu_t))
-            if abs(m - mu_t) <= mean_tol:
+            if abs(m - mu_t) <= MEAN_TOL:
                 return c
         if (m0 - mu_t) * (m1 - mu_t) > 0.0:
             continue
@@ -411,7 +415,7 @@ def _find_member_with_mean(h, lo: PathSample, hi: PathSample, mu_t: float,
             c_mid = candidate(k, s_mid)
             g_mid = c_mid.integral() - mu_t
             best_gap = min(best_gap, abs(g_mid))
-            if abs(g_mid) <= mean_tol:
+            if abs(g_mid) <= MEAN_TOL:
                 return c_mid
             if g_lo * g_mid <= 0.0:
                 s_hi, g_hi = s_mid, g_mid
@@ -428,8 +432,7 @@ def _find_member_with_mean(h, lo: PathSample, hi: PathSample, mu_t: float,
     raise MeanBisectionFailure(mu_t, best_gap)
 
 
-def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int,
-                 mean_tol: float = 1e-6) -> FlowFamily:
+def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int) -> FlowFamily:
     """Dyadic family of 2**depth + 1 ordered solutions from tau_minus to tau_plus.
 
     Each new member realizes the midpoint of its bracket's integral range and
@@ -447,11 +450,11 @@ def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int,
     def recurse(lo, mu_lo, hi, mu_hi, d) -> list[tuple[float, PathSample]]:
         if d == 0:
             return []
-        if mu_hi - mu_lo <= 2.0 * mean_tol:
+        if mu_hi - mu_lo <= 2.0 * MEAN_TOL:
             mid = funnel_section(lo, hi, lo)
             mu_mid = mid.integral()
         else:
-            mid = _find_member_with_mean(h, lo, hi, 0.5 * (mu_lo + mu_hi), mean_tol)
+            mid = _find_member_with_mean(h, lo, hi, 0.5 * (mu_lo + mu_hi))
             mu_mid = mid.integral()
         return (recurse(lo, mu_lo, mid, mu_mid, d - 1)
                 + [(mu_mid, mid)]
@@ -517,11 +520,6 @@ class TraceParams:
     step: float = 1e-3
     depth: int = 6
     root_tol: float = 1e-10
-    mean_tol: float = 1e-6
-    eps_sequence: tuple = (1e-3, 1e-5, 1e-7, 1e-9)
-    sample_grid: int = 33
-    collapse_tol: float = 1e-12
-    max_nodes: int = 400  # cap on the path grid; zeros are solver-accurate anyway
 
 
 @dataclass
@@ -553,26 +551,24 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None) -> TraceR
         raise ValueError("window must be a finite rectangle around the origin")
 
     # field bound and the safe half-width delta = min(a, b / (2 M))
-    es = np.linspace(-a, a, params.sample_grid)
-    ts = np.linspace(-b, b, params.sample_grid)
+    es = np.linspace(-a, a, SAMPLE_GRID)
+    ts = np.linspace(-b, b, SAMPLE_GRID)
     M = max(abs(h(float(e), float(t))) for e in es for t in ts)
     delta = a if M * 2.0 * a <= b else b / (2.0 * M)
     n_half = max(1, min(int(math.ceil(delta / params.step - 1e-9)),
-                        params.max_nodes // 2))
+                        MAX_NODES // 2))
     step = delta / n_half
     hc = _clamped(h, -b, b)
     # the clamped field is bounded, so trajectories stay tame without a tau cap
     ibox = Rect((-delta, delta))
     grid = (-delta, step, 2 * n_half + 1)
 
-    tau_bar, tau_hat, ext_diag = extremal_solutions(
-        hc, 0.0, 0.0, ibox, step, params.eps_sequence
-    )
+    tau_bar, tau_hat, ext_diag = extremal_solutions(hc, 0.0, 0.0, ibox, step)
     tau_plus = pointwise_max(integrate_through(hc, 0.0, b / 2.0, grid), tau_hat)
     tau_minus = pointwise_min(integrate_through(hc, 0.0, -b / 2.0, grid), tau_bar)
 
-    lower = build_family(hc, tau_minus, tau_bar, params.depth, params.mean_tol)
-    upper = build_family(hc, tau_hat, tau_plus, params.depth, params.mean_tol)
+    lower = build_family(hc, tau_minus, tau_bar, params.depth)
+    upper = build_family(hc, tau_hat, tau_plus, params.depth)
 
     raw_xi: list[float] = []
     raw_pts: list[tuple[float, float]] = []
@@ -614,7 +610,7 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None) -> TraceR
     xi_out, pts_out = [], []
     for x, p in zip(xi01, raw_pts):
         if pts_out and math.hypot(p[0] - pts_out[-1][0], p[1] - pts_out[-1][1]) \
-                <= params.collapse_tol:
+                <= COLLAPSE_TOL:
             continue
         xi_out.append(x)
         pts_out.append(p)
@@ -647,7 +643,7 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None) -> TraceR
                        diagnostics=diagnostics)
 
 
-def coverage_gap(result: TraceResult, F, grid_n: int = 41, f_eps: float = 1e-3):
+def coverage_gap(result: TraceResult, F, f_eps: float = 1e-3):
     """Largest distance from a grid zero of F inside U to the traced samples.
 
     Returns (max_gap, grid_spacing, n_grid_zeros); gaps should stay within a
@@ -657,9 +653,9 @@ def coverage_gap(result: TraceResult, F, grid_n: int = 41, f_eps: float = 1e-3):
     if not result.zeta:
         raise ValueError("empty trace")
     pts = np.array(result.zeta)
-    es = np.linspace(e_lo, e_hi, grid_n)
-    ts = np.linspace(t_lo, t_hi, grid_n)
-    spacing = max((e_hi - e_lo), (t_hi - t_lo)) / (grid_n - 1)
+    es = np.linspace(e_lo, e_hi, COVERAGE_GRID)
+    ts = np.linspace(t_lo, t_hi, COVERAGE_GRID)
+    spacing = max((e_hi - e_lo), (t_hi - t_lo)) / (COVERAGE_GRID - 1)
     worst = 0.0
     count = 0
     band_lo, band_hi = result.diagnostics.get("band", (None, None))

@@ -32,6 +32,9 @@ __all__ = [
     "horizontal_derivative",
 ]
 
+# Largest b1-coefficient, relative to 1 + |x1|, that coords_N accepts.
+VERTICAL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Point:
@@ -72,10 +75,6 @@ class Frame:
                 raise ValueError(f"Frame vector {name} must be unit length, |{name}| = {n!r}")
         if self.detC == 0.0:
             raise ValueError("Frame vectors b1, b2 must be linearly independent")
-
-    @property
-    def C(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return (self.b1, self.b2)
 
     @property
     def detC(self) -> float:
@@ -180,13 +179,13 @@ def embed_N(v: VerticalCoords, fr: Frame) -> Point:
     return Point(v.eta * fr.b2[0], v.eta * fr.b2[1], v.tau)
 
 
-def coords_N(n: Point, fr: Frame, tol: float = 1e-10) -> VerticalCoords:
+def coords_N(n: Point, fr: Frame) -> VerticalCoords:
     """Inverse of embed_N; rejects points with a nonzero b1-coefficient."""
     a, e = fr.horizontal_coeffs(n.horizontal())
     scale = 1.0 + math.hypot(n.x11, n.x12)
-    if abs(a) > tol * scale:
+    if abs(a) > VERTICAL_TOL * scale:
         raise NotInVerticalSubgroup(
-            f"point has b1-coefficient {a:.3e}, beyond tolerance {tol * scale:.3e}"
+            f"point has b1-coefficient {a:.3e}, beyond tolerance {VERTICAL_TOL * scale:.3e}"
         )
     return VerticalCoords(e, n.t)
 

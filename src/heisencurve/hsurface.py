@@ -5,7 +5,8 @@ the group with nonvanishing horizontal gradient.  Over a window of the
 vertical subgroup N the surface is the image of a graph map
 Phi2(n) = n * (phi2hat(n) * b1): for each n the scalar graph coordinate
 phi2hat(n) is the unique root of a strictly monotone one-variable function,
-found here by bracketed bisection with a Newton polish.
+found here by Newton's method from a warm start (the previous root), with
+bracketed bisection and a Newton polish as the fallback.
 """
 
 from __future__ import annotations
@@ -36,6 +37,17 @@ __all__ = [
 ]
 
 MAX_TOTAL_DEGREE = 16
+# Central-difference step and tolerance of check_gradient.
+CHECK_STEP = 1e-5
+CHECK_TOL = 1e-6
+# Required lower bound for |Y1 f2| on a graph patch.
+MARGIN = 1e-6
+# Samples per axis of the margin certificate.
+MARGIN_GRID = 7
+# Residual |f2| at which a graph solve stops.
+GTOL = 1e-13
+# How far outside its window a graph patch still accepts a point.
+WINDOW_SLACK = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -47,11 +59,10 @@ class PolySurface:
     """Trivariate polynomial p(x11, x12, t) = sum c_ijk x11^i x12^j t^k.
 
     coefficients maps exponent triples (i, j, k) to reals; zero entries are
-    dropped.  ``level`` is the level-set value the surface refers to.
+    dropped.  The surface is the zero set of p.
     """
 
     coefficients: dict[tuple[int, int, int], float] = field(default_factory=dict)
-    level: float = 0.0
 
     def __post_init__(self):
         cleaned = {}
@@ -68,7 +79,7 @@ class PolySurface:
         object.__setattr__(self, "coefficients", cleaned)
 
     @classmethod
-    def from_quadruples(cls, quads, level: float = 0.0) -> "PolySurface":
+    def from_quadruples(cls, quads) -> "PolySurface":
         """Build from [i, j, k, coefficient] rows, summing repeated exponents."""
         coeffs: dict[tuple[int, int, int], float] = {}
         for row in quads:
@@ -77,7 +88,7 @@ class PolySurface:
             i, j, k, c = row
             key = (int(i), int(j), int(k))
             coeffs[key] = coeffs.get(key, 0.0) + float(c)
-        return cls(coeffs, level=level)
+        return cls(coeffs)
 
     def __call__(self, x: Point) -> float:
         return self.eval_coords(x.x11, x.x12, x.t)
@@ -110,7 +121,7 @@ class PolySurface:
             new[var] = e - 1
             k = tuple(new)
             out[k] = out.get(k, 0.0) + c * e
-        return PolySurface(out, level=self.level)
+        return PolySurface(out)
 
     def shift(self, var: int) -> "PolySurface":
         """Multiply by the coordinate variable ``var`` (same indexing as partial)."""
@@ -119,16 +130,16 @@ class PolySurface:
             new = list(key)
             new[var] += 1
             out[tuple(new)] = c
-        return PolySurface(out, level=self.level)
+        return PolySurface(out)
 
     def __add__(self, other: "PolySurface") -> "PolySurface":
         out = dict(self.coefficients)
         for key, c in other.coefficients.items():
             out[key] = out.get(key, 0.0) + c
-        return PolySurface(out, level=self.level)
+        return PolySurface(out)
 
     def scaled(self, a: float) -> "PolySurface":
-        return PolySurface({k: a * c for k, c in self.coefficients.items()}, level=self.level)
+        return PolySurface({k: a * c for k, c in self.coefficients.items()})
 
     def max_euclidean_gradient(self, box) -> float:
         """Coarse bound for |grad p| (all three coordinate partials) over a box."""
@@ -168,7 +179,6 @@ class SurfaceHandle:
 
     eval: Callable[[Point], float]
     grad_h: Callable[[Point], tuple[float, float]]
-    provenance: str = "user-supplied"
     poly: PolySurface | None = None
 
     @classmethod
@@ -178,7 +188,7 @@ class SurfaceHandle:
         def grad(x: Point) -> tuple[float, float]:
             return (x1p(x), x2p(x))
 
-        handle = cls(eval=p, grad_h=grad, provenance="polynomial-symbolic", poly=p)
+        handle = cls(eval=p, grad_h=grad, poly=p)
         if validate:
             check_gradient(handle)
         return handle
@@ -191,7 +201,7 @@ class SurfaceHandle:
         def grad(x: Point) -> tuple[float, float]:
             return self.grad_h(mul(p, x))
 
-        return SurfaceHandle(eval=ev, grad_h=grad, provenance=self.provenance)
+        return SurfaceHandle(eval=ev, grad_h=grad)
 
 
 _CHECK_POINTS = [
@@ -203,24 +213,24 @@ _CHECK_POINTS = [
 ]
 
 
-def check_gradient(handle: SurfaceHandle, points=None, h: float = 1e-5,
-                   tol: float = 1e-6) -> float:
+def check_gradient(handle: SurfaceHandle) -> float:
     """Cross-check grad_h against central differences along group curves.
 
-    Returns the max deviation over the sample; raises if it exceeds tol.
-    Deviation scales like h**2 for smooth surfaces, so the default step
-    keeps well under the tolerance for moderate-degree polynomials.
+    Returns the max deviation over _CHECK_POINTS; raises if it exceeds
+    CHECK_TOL.  Deviation scales like CHECK_STEP**2 for smooth surfaces,
+    which keeps well under the tolerance for moderate-degree polynomials.
     """
     worst = 0.0
-    for x in points if points is not None else _CHECK_POINTS:
+    for x in _CHECK_POINTS:
         g1, g2 = handle.grad_h(x)
-        d1 = horizontal_derivative(handle.eval, x, (1.0, 0.0), h)
-        d2 = horizontal_derivative(handle.eval, x, (0.0, 1.0), h)
+        d1 = horizontal_derivative(handle.eval, x, (1.0, 0.0), CHECK_STEP)
+        d2 = horizontal_derivative(handle.eval, x, (0.0, 1.0), CHECK_STEP)
         scale = 1.0 + abs(g1) + abs(g2)
         worst = max(worst, abs(g1 - d1) / scale, abs(g2 - d2) / scale)
-    if worst > tol:
+    if worst > CHECK_TOL:
         raise ValueError(
-            f"horizontal gradient fails finite-difference cross-check: {worst:.3e} > {tol:.3e}"
+            "horizontal gradient fails finite-difference cross-check: "
+            f"{worst:.3e} > {CHECK_TOL:.3e}"
         )
     return worst
 
@@ -241,42 +251,30 @@ def y_derivatives(f: SurfaceHandle, x: Point, fr: Frame) -> tuple[float, float]:
 class GraphPatch:
     """A window of the vertical subgroup over which f2 admits an intrinsic graph.
 
-    Construction certifies, on a sample grid of window x bracket, that the
-    graph direction derivative Y1 f2 keeps one sign and stays above
-    ``margin`` in absolute value; that makes the per-point root problem
+    Construction certifies, on a MARGIN_GRID sample of window x bracket,
+    that the graph direction derivative Y1 f2 keeps one sign and stays above
+    MARGIN in absolute value; that makes the per-point root problem
     strictly monotone and bisection safe.
 
     Parameters
     ----------
     frame    : Frame with b1 the graph direction.
-    f2       : SurfaceHandle of the defining function.
-    base_n   : VerticalCoords of the base point's N-component.
+    f2       : SurfaceHandle of the defining function (the graph is f2 = 0).
     window   : ((eta_min, eta_max), (tau_min, tau_max)) in N-coordinates.
     bracket  : (s_min, s_max) allowed range of the graph coordinate.
-    level    : level-set value (f2 = level on the graph).
-    margin   : required lower bound for |Y1 f2| on the sampled region.
-    grid_n   : sample density per axis for the margin certificate.
     """
 
     def __init__(self, frame: Frame, f2: SurfaceHandle,
-                 base_n: VerticalCoords = VerticalCoords(0.0, 0.0),
                  window=((-0.5, 0.5), (-0.5, 0.5)),
-                 bracket=(-2.0, 2.0),
-                 level: float = 0.0,
-                 margin: float = 1e-6,
-                 grid_n: int = 7):
-        if margin <= 0.0:
-            raise ValueError("margin must be positive")
+                 bracket=(-2.0, 2.0)):
         self.frame = frame
         self.f2 = f2
-        self.base_n = base_n
         self.window = (tuple(window[0]), tuple(window[1]))
         self.bracket = (float(bracket[0]), float(bracket[1]))
-        self.level = float(level)
-        self.margin = float(margin)
-        self.grid_n = int(grid_n)
         self._certify_margin()
-        self._s_base = self.solve_scalar(base_n)
+        # the base solve starts at s = 0; later cold solves start from its root
+        self._s_base = 0.0
+        self._s_base = self.solve_scalar(VerticalCoords(0.0, 0.0))
 
     # -- margin certificate --------------------------------------------------
 
@@ -288,9 +286,9 @@ class GraphPatch:
     def _certify_margin(self):
         (emin, emax), (tmin, tmax) = self.window
         smin, smax = self.bracket
-        etas = np.linspace(emin, emax, self.grid_n)
-        taus = np.linspace(tmin, tmax, self.grid_n)
-        ss = np.linspace(smin, smax, max(self.grid_n, 3))
+        etas = np.linspace(emin, emax, MARGIN_GRID)
+        taus = np.linspace(tmin, tmax, MARGIN_GRID)
+        ss = np.linspace(smin, smax, MARGIN_GRID)
         sign = 0.0
         worst = math.inf
         for eta in etas:
@@ -299,9 +297,9 @@ class GraphPatch:
                 for s in ss:
                     y1 = self._y1f2_at(n, float(s))
                     worst = min(worst, abs(y1))
-                    if abs(y1) < self.margin:
+                    if abs(y1) < MARGIN:
                         raise MarginViolated(
-                            f"|Y1 f2| = {abs(y1):.3e} < margin {self.margin:.3e} "
+                            f"|Y1 f2| = {abs(y1):.3e} < margin {MARGIN:.3e} "
                             f"at n=({eta:.3g},{tau:.3g}), s={s:.3g}"
                         )
                     if sign == 0.0:
@@ -310,7 +308,6 @@ class GraphPatch:
                         raise MarginViolated(
                             "Y1 f2 changes sign on the sampled window"
                         )
-        self.y1_sign = sign
         self.y1_min_sampled = worst
 
     # -- graph solves ----------------------------------------------------------
@@ -321,38 +318,42 @@ class GraphPatch:
         return mul(embed_N(n, self.frame), Point(s * b1[0], s * b1[1], 0.0))
 
     def _g(self, n: VerticalCoords, s: float) -> float:
-        return self.f2.eval(self.line_point(n, s)) - self.level
+        return self.f2.eval(self.line_point(n, s))
 
-    def contains(self, n: VerticalCoords, slack: float = 1e-9) -> bool:
+    def contains(self, n: VerticalCoords) -> bool:
         (emin, emax), (tmin, tmax) = self.window
-        return (emin - slack <= n.eta <= emax + slack
-                and tmin - slack <= n.tau <= tmax + slack)
+        return (emin - WINDOW_SLACK <= n.eta <= emax + WINDOW_SLACK
+                and tmin - WINDOW_SLACK <= n.tau <= tmax + WINDOW_SLACK)
 
-    def solve_scalar(self, n: VerticalCoords, hint: float | None = None,
-                     gtol: float = 1e-13) -> float:
-        """The graph coordinate phi2hat(n): unique root of s -> f2(n * s b1) - level."""
+    def solve_scalar(self, n: VerticalCoords, hint: float | None = None) -> float:
+        """The graph coordinate phi2hat(n): unique root of s -> f2(n * s b1).
+
+        Newton runs from the hint; without one, or when Newton fails, the root
+        is bracketed around the hint or the base coordinate, bisected, and
+        polished by Newton.
+        """
         if not self.contains(n):
             raise ValueError(f"n = ({n.eta!r}, {n.tau!r}) outside the patch window")
 
         if hint is not None:
-            s = self._newton(n, hint, gtol)
+            s = self._newton(n, hint)
             if s is not None:
                 return s
 
-        s0 = hint if hint is not None else getattr(self, "_s_base", 0.0)
+        s0 = hint if hint is not None else self._s_base
         lo, hi = self._expand_bracket(n, s0)
-        s = self._bisect(n, lo, hi, gtol)
-        polished = self._newton(n, s, gtol)
+        s = self._bisect(n, lo, hi)
+        polished = self._newton(n, s)
         return polished if polished is not None else s
 
-    def _newton(self, n: VerticalCoords, s: float, gtol: float) -> float | None:
+    def _newton(self, n: VerticalCoords, s: float) -> float | None:
         smin, smax = self.bracket
         for _ in range(12):
             g = self._g(n, s)
-            if abs(g) <= gtol:
+            if abs(g) <= GTOL:
                 return s
             y1 = self._y1f2_at(n, s)
-            if abs(y1) < self.margin:
+            if abs(y1) < MARGIN:
                 return None
             s_next = s - g / y1
             if not (smin - 1e-9 <= s_next <= smax + 1e-9) or not math.isfinite(s_next):
@@ -389,19 +390,19 @@ class GraphPatch:
                 )
             w *= 2.0
 
-    def _bisect(self, n: VerticalCoords, lo: float, hi: float, gtol: float) -> float:
+    def _bisect(self, n: VerticalCoords, lo: float, hi: float) -> float:
         if lo == hi:
             return lo
         for s_end in (lo, hi):
-            if abs(self._y1f2_at(n, s_end)) < self.margin:
+            if abs(self._y1f2_at(n, s_end)) < MARGIN:
                 raise MarginViolated(
-                    f"|Y1 f2| below margin {self.margin:.3e} inside the solve bracket"
+                    f"|Y1 f2| below margin {MARGIN:.3e} inside the solve bracket"
                 )
         glo = self._g(n, lo)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             gm = self._g(n, mid)
-            if abs(gm) <= gtol or hi - lo < 1e-15:
+            if abs(gm) <= GTOL or hi - lo < 1e-15:
                 return mid
             if glo * gm < 0.0:
                 hi = mid
@@ -410,7 +411,7 @@ class GraphPatch:
         return 0.5 * (lo + hi)
 
     def graph_point(self, n: VerticalCoords, hint: float | None = None) -> Point:
-        """Phi2(n) = n * (phi2hat(n) * b1); satisfies f2 = level to solver tolerance."""
+        """Phi2(n) = n * (phi2hat(n) * b1); satisfies f2 = 0 to solver tolerance."""
         s = self.solve_scalar(n, hint=hint)
         return self.line_point(n, s)
 

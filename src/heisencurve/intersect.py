@@ -47,6 +47,11 @@ __all__ = [
     "pair_lipschitz_bound",
 ]
 
+# Smallest |cross product| of the horizontal normals, relative to their norms.
+INDEPENDENCE_MARGIN = 1e-6
+# Fraction of the margin-over-curvature scale taken as cone width.
+CONE_SAFETY = 0.5
+
 
 @dataclass
 class IntersectionProblem:
@@ -58,13 +63,13 @@ class IntersectionProblem:
     window_half: float = 0.5
     bracket: tuple[float, float] = (-2.0, 2.0)
     trace: TraceParams = dataclass_field(default_factory=TraceParams)
-    independence_margin: float = 1e-6
-    zero_tol: float = 1e-10
 
     def validate(self):
+        """Both surfaces vanish at p within trace.root_tol, with independent normals."""
         v1 = self.f1.eval(self.p)
         v2 = self.f2.eval(self.p)
-        if abs(v1) > self.zero_tol or abs(v2) > self.zero_tol:
+        tol = self.trace.root_tol
+        if abs(v1) > tol or abs(v2) > tol:
             raise NotCommonZero(
                 f"base point is not a common zero: f1 = {v1:.3e}, f2 = {v2:.3e}"
             )
@@ -73,11 +78,11 @@ class IntersectionProblem:
         n1 = math.hypot(*g1)
         n2 = math.hypot(*g2)
         cross = g1[0] * g2[1] - g1[1] * g2[0]
-        if abs(cross) < self.independence_margin * n1 * n2 or n1 == 0.0 or n2 == 0.0:
+        if abs(cross) < INDEPENDENCE_MARGIN * n1 * n2 or n1 == 0.0 or n2 == 0.0:
             raise DependentNormals(
                 "horizontal gradients are linearly dependent at the base point "
                 f"(|cross| = {abs(cross):.3e} vs margin "
-                f"{self.independence_margin * n1 * n2:.3e}); the construction "
+                f"{INDEPENDENCE_MARGIN * n1 * n2:.3e}); the construction "
                 "needs linearly independent horizontal normals"
             )
 
@@ -139,7 +144,7 @@ def graph_field(f2: SurfaceHandle, p: Point, window_half: float,
     f2t = f2.translated(p)
     w = window_half
     patch = GraphPatch(choose_frame(f2t, ORIGIN), f2t, window=((-w, w), (-w, w)),
-                       bracket=bracket, level=0.0)
+                       bracket=bracket)
     return CharField(patch)
 
 
@@ -202,40 +207,30 @@ def _axes(box, grid_n):
 
 
 def brute_force_zero_cloud(f1: SurfaceHandle, f2: SurfaceHandle, box,
-                           grid_n: int, eps: float | None = None) -> list[Point]:
+                           grid_n: int) -> list[Point]:
     """All grid points of the box with |f1| + |f2| < eps.
 
-    box is ((x11_lo, x11_hi), (x12_lo, x12_hi), (t_lo, t_hi)).  When eps is
-    omitted it defaults to (grid spacing) * (max gradient bound) * 2, a
-    first-order band around the common zero set.  Polynomial surfaces are
-    evaluated vectorized; plain handles fall back to a point loop.
+    box is ((x11_lo, x11_hi), (x12_lo, x12_hi), (t_lo, t_hi)), and eps is
+    (grid spacing) * (max gradient bound) * 2, a first-order band around the
+    common zero set.  Both surfaces must be polynomial; they are evaluated
+    vectorized over the grid.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2 per axis")
     xs, ys, ts = _axes(box, grid_n)
     spacing = max((hi - lo) / (grid_n - 1) for lo, hi in box)
-    if eps is None:
-        bound = 0.0
-        for f in (f1, f2):
-            if f.poly is None:
-                raise ValueError("default eps needs polynomial surfaces")
-            bound = max(bound, f.poly.max_euclidean_gradient(box))
-        eps = 2.0 * spacing * bound
-    if f1.poly is not None and f2.poly is not None:
-        X = xs[:, None, None]
-        Y = ys[None, :, None]
-        T = ts[None, None, :]
-        total = np.abs(f1.poly.eval_coords(X, Y, T)) + np.abs(f2.poly.eval_coords(X, Y, T))
-        idx = np.argwhere(total < eps)
-        return [Point(float(xs[i]), float(ys[j]), float(ts[k])) for i, j, k in idx]
-    out = []
-    for x in xs:
-        for y in ys:
-            for t in ts:
-                q = Point(float(x), float(y), float(t))
-                if abs(f1.eval(q)) + abs(f2.eval(q)) < eps:
-                    out.append(q)
-    return out
+    bound = 0.0
+    for f in (f1, f2):
+        if f.poly is None:
+            raise ValueError("brute_force_zero_cloud needs polynomial surfaces")
+        bound = max(bound, f.poly.max_euclidean_gradient(box))
+    eps = 2.0 * spacing * bound
+    X = xs[:, None, None]
+    Y = ys[None, :, None]
+    T = ts[None, None, :]
+    total = np.abs(f1.poly.eval_coords(X, Y, T)) + np.abs(f2.poly.eval_coords(X, Y, T))
+    idx = np.argwhere(total < eps)
+    return [Point(float(xs[i]), float(ys[j]), float(ts[k])) for i, j, k in idx]
 
 
 def _coord_array(points) -> np.ndarray:
@@ -379,8 +374,7 @@ def pair_lipschitz_bound(handles, box) -> float:
     return worst
 
 
-def cone_width_for(alpha: float, lam: float, lip: float, r_max: float,
-                   safety: float = 0.5) -> float:
+def cone_width_for(alpha: float, lam: float, lip: float, r_max: float) -> float:
     """A cone width small enough that margin lam beats curvature lip.
 
     Mirrors the scale at which the gradient margin separates points of the
@@ -390,4 +384,4 @@ def cone_width_for(alpha: float, lam: float, lip: float, r_max: float,
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     lip = max(lip, 1e-9)
-    return min(r_max, safety * lam / ((alpha + 1.0) * lip * max(1.0, alpha)))
+    return min(r_max, CONE_SAFETY * lam / ((alpha + 1.0) * lip * max(1.0, alpha)))

@@ -269,7 +269,7 @@ def suite_flow(seed: int, grid_n: int) -> list[dict]:
     fam = build_family(lambda e, t: -t, fam_lo, fam_hi, depth=4)
     res = level_trace(_cubic, lambda e, t: e, Rect.centered(0.5, 1.0),
                       TraceParams(depth=6))
-    gap, spacing, nzeros = coverage_gap(res, lambda e, t: e, grid_n=41,
+    gap, spacing, nzeros = coverage_gap(res, lambda e, t: e,
                                         f_eps=2 * (res.neighborhood.eta[1]
                                                    - res.neighborhood.eta[0]) / 40)
     return [

@@ -144,7 +144,7 @@ def test_criterion_03_implicit_graph():
             for patch, exact in ((flat, 0.0), (affine, -tau / (1.0 - eta))):
                 s = patch.solve_scalar(n)
                 q = patch.line_point(n, s)
-                worst_res = max(worst_res, abs(patch.f2.eval(q) - patch.level))
+                worst_res = max(worst_res, abs(patch.f2.eval(q)))
                 worst_closed = max(worst_closed, abs(s - exact))
     passed = worst_res <= 1e-10 and worst_closed <= 1e-10
     report(3, "implicit-graph", passed,
@@ -243,14 +243,13 @@ def test_criterion_08_flow_selection(funnel_trace):
                            np.array([-max(r3 - e, 0.0) ** 3 for e in etas]))
     branch_hi = PathSample(-0.5, step,
                            np.array([max(e + r3, 0.0) ** 3 for e in etas]))
-    fam = build_family(cubic_field, branch_lo, branch_hi, depth=5, mean_tol=1e-6)
+    fam = build_family(cubic_field, branch_lo, branch_hi, depth=5)
     mono = fam.monotonicity_violation()
     mean_res = max(fam.mean_residuals())
 
     u = funnel_trace.neighborhood
     gap, spacing, nzeros = coverage_gap(
-        funnel_trace, lambda e, t: e, grid_n=41,
-        f_eps=2.0 * (u.eta[1] - u.eta[0]) / 40)
+        funnel_trace, lambda e, t: e, f_eps=2.0 * (u.eta[1] - u.eta[0]) / 40)
     passed = (ext_err <= 1e-3 and mono <= 1e-9 and mean_res <= 1e-6
               and nzeros > 0 and gap <= 2.0 * spacing)
     report(8, "flow-selection", passed,

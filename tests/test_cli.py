@@ -162,6 +162,25 @@ class TestOtherCommands:
             if eta >= 0.0:
                 assert abs(tau - 0.2 * (1.0 - eta) ** 2) <= 1e-4
 
+    def test_characteristics_defaults_exit_zero(self, tmp_path):
+        # the default tau0 keep every characteristic of x11 + t inside the window
+        cfg = tmp_path / "char.json"
+        cfg.write_text(json.dumps({"command": "characteristics", "surfaces": [SURF_AFFINE]}))
+        out = tmp_path / "char.csv"
+        assert cli.main(["characteristics", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert sorted({r[0] for r in rows}) == list(cli.RunConfig.tau0)
+
+    def test_window_exit_note(self, tmp_path, capsys):
+        # tau0 (1 - eta)^2 reaches 0.675 at eta = -0.5, past the window edge 0.5
+        cfg = tmp_path / "char.json"
+        cfg.write_text(json.dumps({"command": "characteristics", "surfaces": [SURF_AFFINE],
+                                   "tau0": [0.3]}))
+        code = cli.main(["characteristics", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "WindowExit" in err and "tau0 toward 0" in err
+
     def test_trace_csv(self, trace_output):
         code, out = trace_output
         assert code == 0

@@ -206,7 +206,7 @@ class TestBuildFamily:
         hi = path_on(-0.5, step, n, lambda e: max(e + r, 0.0) ** 3)
         assert solution_residual(lo, cubic_field) <= 10.0 * step
         assert solution_residual(hi, cubic_field) <= 10.0 * step
-        fam = build_family(cubic_field, lo, hi, depth=4, mean_tol=1e-6)
+        fam = build_family(cubic_field, lo, hi, depth=4)
         assert fam.monotonicity_violation() <= 1e-9
         assert max(fam.mean_residuals()) <= 1e-6
         # the dyadic targets are hit: adjacent means differ by ~range/2^depth
@@ -277,8 +277,7 @@ class TestLevelTrace:
                           Rect.centered(0.5, 1.0), TraceParams(depth=5))
         pts = np.array(res.zeta)
         assert np.max(np.abs(pts[:, 0] + pts[:, 1])) <= 1e-10
-        gap, spacing, nzeros = coverage_gap(res, lambda e, t: e + t,
-                                            grid_n=41, f_eps=2 * 1.0 / 40)
+        gap, spacing, nzeros = coverage_gap(res, lambda e, t: e + t, f_eps=2 * 1.0 / 40)
         assert nzeros > 0
         assert gap <= 2.0 * spacing
 
@@ -288,7 +287,7 @@ class TestLevelTrace:
         pts = np.array(res.zeta)
         assert np.max(np.abs(pts[:, 0])) <= 1e-9
         u = res.neighborhood
-        gap, spacing, nzeros = coverage_gap(res, lambda e, t: e, grid_n=41,
+        gap, spacing, nzeros = coverage_gap(res, lambda e, t: e,
                                             f_eps=2 * (u.eta[1] - u.eta[0]) / 40)
         assert nzeros > 0
         assert gap <= 2.0 * spacing

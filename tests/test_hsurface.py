@@ -75,7 +75,7 @@ class TestHorizontalGradient:
     def test_finite_difference_cross_check(self):
         p = PolySurface({(2, 1, 0): 1.5, (0, 1, 1): -2.0, (1, 0, 2): 0.25})
         handle = SurfaceHandle.from_polynomial(p)
-        assert check_gradient(handle, tol=1e-6) <= 1e-6
+        assert check_gradient(handle) <= 1e-6
 
     def test_cross_check_convergence_order(self):
         p = PolySurface({(3, 0, 0): 1.0, (0, 2, 1): -1.0})
@@ -173,7 +173,7 @@ class TestGraphSolve:
             for eta in etas:
                 for tau in taus:
                     p = patch.graph_point(VerticalCoords(eta, tau))
-                    worst = max(worst, abs(patch.f2.eval(p) - patch.level))
+                    worst = max(worst, abs(patch.f2.eval(p)))
             assert worst <= 1e-10
 
     def test_section_property(self):
@@ -193,28 +193,17 @@ class TestGraphSolve:
             patch_affine().solve_scalar(VerticalCoords(0.9, 0.0))
 
     def test_no_sign_change(self):
-        # the margin certificate passes (Y1 f2 = 1 - x12 > 0) but the level
-        # value is unreachable anywhere inside the bracket
-        p = PolySurface({(0, 0, 0): 2.9, (1, 0, 0): 1.0, (0, 0, 1): 1.0})
+        # the margin certificate passes (Y1 f2 = 1 - x12 > 0) but the zero
+        # set is unreachable anywhere inside the bracket
+        p = PolySurface({(0, 0, 0): 2.9 - 10.0, (1, 0, 0): 1.0, (0, 0, 1): 1.0})
         with pytest.raises(NoSignChange):
-            GraphPatch(make_frame((1.0, 0.0)), SurfaceHandle.from_polynomial(p), level=10.0)
+            GraphPatch(make_frame((1.0, 0.0)), SurfaceHandle.from_polynomial(p))
 
     def test_margin_violation_detected(self):
-        # Y1 f2 = 1 - x12 vanishes inside a window reaching x12 = 1
-        patch_kwargs = dict(window=((-1.5, 1.5), (-0.5, 0.5)))
+        # Y1 f2 = 1 - eta vanishes at the sample node eta = 1 of a window reaching it
         with pytest.raises(MarginViolated):
             GraphPatch(
                 make_frame((1.0, 0.0)),
                 SurfaceHandle.from_polynomial(X11_PLUS_T),
-                margin=0.05,
-                **patch_kwargs,
+                window=((-1.5, 1.5), (-0.5, 0.5)),
             )
-
-    def test_general_level(self):
-        patch = GraphPatch(
-            make_frame((1.0, 0.0)),
-            SurfaceHandle.from_polynomial(X11_PLUS_T),
-            level=0.25,
-        )
-        n = VerticalCoords(0.2, -0.1)
-        assert abs(patch.f2.eval(patch.graph_point(n)) - 0.25) <= 1e-10

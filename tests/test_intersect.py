@@ -141,12 +141,10 @@ class TestIntersectSurfaces:
         f1 = SurfaceHandle(
             eval=lambda x: F_X12.eval(mul(p, x)),
             grad_h=lambda x: F_X12.grad_h(mul(p, x)),
-            provenance="user-supplied",
         )
         f2 = SurfaceHandle(
             eval=lambda x: F_X11_T.eval(mul(p, x)),
             grad_h=lambda x: F_X11_T.grad_h(mul(p, x)),
-            provenance="user-supplied",
         )
         curve = intersect_surfaces(IntersectionProblem(f1, f2, p=q,
                                                        trace=TraceParams(depth=4)))
@@ -181,6 +179,18 @@ class TestZeroCloud:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             brute_force_zero_cloud(F_X11, F_X12, BOX_SMALL, grid_n=1)
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda f: brute_force_zero_cloud(F_X11, f, BOX_SMALL, grid_n=11),
+    lambda f: pair_lipschitz_bound((F_X11, f), BOX_SMALL),
+], ids=["zero_cloud", "lipschitz_bound"])
+def test_oracle_needs_polynomial_handles(oracle):
+    # a translated handle keeps its evaluator but not its polynomial
+    plain = F_X12.translated(Point(0.1, 0.0, 0.0))
+    assert plain.poly is None
+    with pytest.raises(ValueError, match="polynomial surfaces"):
+        oracle(plain)
 
 
 class TestConeProperty:
