@@ -68,10 +68,13 @@ class CharField:
     def rhs(self, eta: float, tau: float) -> float:
         return self.beta * self._solve(eta, tau)
 
-    def graph_point(self, eta: float, tau: float) -> Point:
+    def graph_coords(self, eta: float, tau: float) -> tuple[float, float, float]:
+        """Coordinates of the graph point above the clamped (eta, tau)."""
         n = self._clamp(eta, tau)
-        s = self._solve(eta, tau)
-        return self.patch.line_point(n, s)
+        return self.patch.line_coords(n.eta, n.tau, self._solve(eta, tau))
+
+    def graph_point(self, eta: float, tau: float) -> Point:
+        return Point(*self.graph_coords(eta, tau))
 
     def source(self, eta: float, tau: float) -> float:
         x = self.graph_point(eta, tau)
@@ -217,9 +220,8 @@ class TaylorBasePoint:
     @classmethod
     def from_patch(cls, patch: GraphPatch, n_bar: VerticalCoords) -> "TaylorBasePoint":
         eta1 = patch.solve_scalar(n_bar)
-        x_bar = patch.line_point(n_bar, eta1)
-        tau_bar = n_bar.tau - eta1 * n_bar.eta * patch.frame.detC
-        return cls(n_bar=n_bar, x_bar=x_bar, eta1_bar=eta1, tau_bar=tau_bar)
+        coords = patch.line_coords(n_bar.eta, n_bar.tau, eta1)
+        return cls(n_bar=n_bar, x_bar=Point(*coords), eta1_bar=eta1, tau_bar=coords[2])
 
 
 def taylor_remainder(f1: SurfaceHandle, cf: CharField, base: TaylorBasePoint,

@@ -7,6 +7,11 @@ Phi2(n) = n * (phi2hat(n) * b1): for each n the scalar graph coordinate
 phi2hat(n) is the unique root of a strictly monotone one-variable function,
 found here by Newton's method from a warm start (the previous root), with
 bracketed bisection and a Newton polish as the fallback.
+
+The solve runs on plain floats: the graph line n * (s b1) has a closed form
+in coordinates, and a polynomial handle evaluates f and (X1 f, X2 f) from
+term lists compiled once.  Left translation of a polynomial is again a
+polynomial, so translated handles keep that fast path.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from .hgroup import (
     Frame,
     Point,
     VerticalCoords,
-    embed_N,
     horizontal_derivative,
     mul,
 )
@@ -110,6 +114,27 @@ class PolySurface:
             acc = acc + term
         return acc
 
+    def translated(self, p: Point) -> "PolySurface":
+        """The polynomial x -> self(p * x), by substituting the coordinates of p * x.
+
+        p * x = (p11 + x11, p12 + x12, pt + t + p11 x12 - p12 x11) is affine
+        in x, so the substitution stays in the polynomial ring.
+        """
+        subs = [
+            _affine({(0, 0, 0): p.x11, (1, 0, 0): 1.0}),
+            _affine({(0, 0, 0): p.x12, (0, 1, 0): 1.0}),
+            _affine({(0, 0, 0): p.t, (0, 0, 1): 1.0, (0, 1, 0): p.x11, (1, 0, 0): -p.x12}),
+        ]
+        out: dict[tuple[int, int, int], float] = {}
+        for exps, c in self.coefficients.items():
+            term = {(0, 0, 0): c}
+            for sub, e in zip(subs, exps):
+                for _ in range(e):
+                    term = _poly_mul(term, sub)
+            for key, v in term.items():
+                out[key] = out.get(key, 0.0) + v
+        return PolySurface(out)
+
     def partial(self, var: int) -> "PolySurface":
         """Coordinate partial derivative; var is 0 for x11, 1 for x12, 2 for t."""
         out: dict[tuple[int, int, int], float] = {}
@@ -156,6 +181,32 @@ def _any_array(*xs) -> bool:
     return any(isinstance(x, np.ndarray) for x in xs)
 
 
+def _affine(coeffs: dict) -> dict:
+    # zero terms dropped, so translating by the origin reproduces the input
+    return {k: c for k, c in coeffs.items() if c != 0.0}
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out: dict[tuple[int, int, int], float] = {}
+    for (i, j, k), c in a.items():
+        for (u, v, w), d in b.items():
+            key = (i + u, j + v, k + w)
+            out[key] = out.get(key, 0.0) + c * d
+    return out
+
+
+def _terms(p: PolySurface) -> tuple[tuple[float, int, int, int], ...]:
+    return tuple((c, i, j, k) for (i, j, k), c in p.coefficients.items())
+
+
+def _sum_terms(terms, x11: float, x12: float, t: float) -> float:
+    # the same products and sum order as PolySurface.eval_coords
+    acc = 0.0
+    for c, i, j, k in terms:
+        acc += c * x11**i * x12**j * t**k
+    return acc
+
+
 def horiz_grad_poly(p: PolySurface) -> tuple[PolySurface, PolySurface]:
     """Exact horizontal gradient (X1 p, X2 p) as polynomials.
 
@@ -175,26 +226,55 @@ def horiz_grad_poly(p: PolySurface) -> tuple[PolySurface, PolySurface]:
 
 @dataclass(frozen=True)
 class SurfaceHandle:
-    """A surface as an evaluator plus its horizontal gradient (X1 f, X2 f)."""
+    """A surface as an evaluator plus its horizontal gradient (X1 f, X2 f).
+
+    value_at and grad_at evaluate at plain coordinates (x11, x12, t): from
+    compiled term lists when the handle carries its polynomial, otherwise
+    through eval and grad_h at a Point.
+    """
 
     eval: Callable[[Point], float]
     grad_h: Callable[[Point], tuple[float, float]]
     poly: PolySurface | None = None
+    _compiled: tuple | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        compiled = None
+        if self.poly is not None:
+            compiled = tuple(_terms(q) for q in (self.poly, *horiz_grad_poly(self.poly)))
+        object.__setattr__(self, "_compiled", compiled)
 
     @classmethod
     def from_polynomial(cls, p: PolySurface, validate: bool = True) -> "SurfaceHandle":
-        x1p, x2p = horiz_grad_poly(p)
-
         def grad(x: Point) -> tuple[float, float]:
-            return (x1p(x), x2p(x))
+            # the compiled gradient; handle is bound below, before any call
+            return handle.grad_at(x.x11, x.x12, x.t)
 
         handle = cls(eval=p, grad_h=grad, poly=p)
         if validate:
             check_gradient(handle)
         return handle
 
+    def value_at(self, x11: float, x12: float, t: float) -> float:
+        if self._compiled is None:
+            return self.eval(Point(x11, x12, t))
+        return _sum_terms(self._compiled[0], x11, x12, t)
+
+    def grad_at(self, x11: float, x12: float, t: float) -> tuple[float, float]:
+        if self._compiled is None:
+            return self.grad_h(Point(x11, x12, t))
+        _, x1f, x2f = self._compiled
+        return (_sum_terms(x1f, x11, x12, t), _sum_terms(x2f, x11, x12, t))
+
     def translated(self, p: Point) -> "SurfaceHandle":
-        """The handle of x -> f(p * x); gradients translate along for free."""
+        """The handle of x -> f(p * x); gradients translate along for free.
+
+        A polynomial handle stays polynomial: the translate is the
+        substituted polynomial, exact algebra that needs no new gradient check.
+        """
+        if self.poly is not None:
+            return SurfaceHandle.from_polynomial(self.poly.translated(p), validate=False)
+
         def ev(x: Point) -> float:
             return self.eval(mul(p, x))
 
@@ -216,9 +296,10 @@ _CHECK_POINTS = [
 def check_gradient(handle: SurfaceHandle) -> float:
     """Cross-check grad_h against central differences along group curves.
 
-    Returns the max deviation over _CHECK_POINTS; raises if it exceeds
-    CHECK_TOL.  Deviation scales like CHECK_STEP**2 for smooth surfaces,
-    which keeps well under the tolerance for moderate-degree polynomials.
+    Returns the max deviation over _CHECK_POINTS; raises if one exceeds
+    CHECK_TOL or is not finite.  Deviation scales like CHECK_STEP**2 for
+    smooth surfaces, which keeps well under the tolerance for
+    moderate-degree polynomials.
     """
     worst = 0.0
     for x in _CHECK_POINTS:
@@ -226,12 +307,13 @@ def check_gradient(handle: SurfaceHandle) -> float:
         d1 = horizontal_derivative(handle.eval, x, (1.0, 0.0), CHECK_STEP)
         d2 = horizontal_derivative(handle.eval, x, (0.0, 1.0), CHECK_STEP)
         scale = 1.0 + abs(g1) + abs(g2)
-        worst = max(worst, abs(g1 - d1) / scale, abs(g2 - d2) / scale)
-    if worst > CHECK_TOL:
-        raise ValueError(
-            "horizontal gradient fails finite-difference cross-check: "
-            f"{worst:.3e} > {CHECK_TOL:.3e}"
-        )
+        for dev in (abs(g1 - d1) / scale, abs(g2 - d2) / scale):
+            if not dev <= CHECK_TOL:  # a NaN deviation fails here too
+                raise ValueError(
+                    "horizontal gradient fails finite-difference cross-check: "
+                    f"{dev:.3e} > {CHECK_TOL:.3e}"
+                )
+            worst = max(worst, dev)
     return worst
 
 
@@ -269,6 +351,7 @@ class GraphPatch:
                  bracket=(-2.0, 2.0)):
         self.frame = frame
         self.f2 = f2
+        self._line = (*frame.b1, *frame.b2, frame.detC)
         self.window = (tuple(window[0]), tuple(window[1]))
         self.bracket = (float(bracket[0]), float(bracket[1]))
         self._certify_margin()
@@ -279,8 +362,7 @@ class GraphPatch:
     # -- margin certificate --------------------------------------------------
 
     def _y1f2_at(self, n: VerticalCoords, s: float) -> float:
-        x = self.line_point(n, s)
-        g1, g2 = self.f2.grad_h(x)
+        g1, g2 = self.f2.grad_at(*self.line_coords(n.eta, n.tau, s))
         return g1 * self.frame.b1[0] + g2 * self.frame.b1[1]
 
     def _certify_margin(self):
@@ -297,7 +379,7 @@ class GraphPatch:
                 for s in ss:
                     y1 = self._y1f2_at(n, float(s))
                     worst = min(worst, abs(y1))
-                    if abs(y1) < MARGIN:
+                    if not abs(y1) >= MARGIN:  # NaN fails here too
                         raise MarginViolated(
                             f"|Y1 f2| = {abs(y1):.3e} < margin {MARGIN:.3e} "
                             f"at n=({eta:.3g},{tau:.3g}), s={s:.3g}"
@@ -312,13 +394,17 @@ class GraphPatch:
 
     # -- graph solves ----------------------------------------------------------
 
+    def line_coords(self, eta: float, tau: float, s: float) -> tuple[float, float, float]:
+        """Coordinates of n * (s b1) for n = (eta, tau): the group product in closed form."""
+        b1x, b1y, b2x, b2y, detc = self._line
+        return (eta * b2x + s * b1x, eta * b2y + s * b1y, tau - eta * s * detc)
+
     def line_point(self, n: VerticalCoords, s: float) -> Point:
         """The point n * (s b1) of the graph line through n."""
-        b1 = self.frame.b1
-        return mul(embed_N(n, self.frame), Point(s * b1[0], s * b1[1], 0.0))
+        return Point(*self.line_coords(n.eta, n.tau, s))
 
     def _g(self, n: VerticalCoords, s: float) -> float:
-        return self.f2.eval(self.line_point(n, s))
+        return self.f2.value_at(*self.line_coords(n.eta, n.tau, s))
 
     def contains(self, n: VerticalCoords) -> bool:
         (emin, emax), (tmin, tmax) = self.window

@@ -161,7 +161,7 @@ def intersect_surfaces(prob: IntersectionProblem) -> Curve:
     cf = graph_field(prob.f2, prob.p, prob.window_half, prob.bracket)
 
     def F(eta: float, tau: float) -> float:
-        return f1t.eval(cf.graph_point(eta, tau))
+        return f1t.value_at(*cf.graph_coords(eta, tau))
 
     w = prob.window_half
     res = level_trace(cf.rhs, F, Rect.centered(w, w), prob.trace)

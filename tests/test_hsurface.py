@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisencurve.errors import MarginViolated, NoSignChange
-from heisencurve.hgroup import Point, VerticalCoords, make_frame
+from heisencurve.hgroup import Point, VerticalCoords, embed_N, make_frame, mul
 from heisencurve.hsurface import (
     GraphPatch,
     PolySurface,
@@ -90,8 +92,9 @@ class TestHorizontalGradient:
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert min(orders) >= 1.9
 
-    def test_bad_gradient_is_caught(self):
-        wrong = SurfaceHandle(eval=lambda p: p.x11, grad_h=lambda p: (2.0, 0.0))
+    @pytest.mark.parametrize("g1", [2.0, math.nan, math.inf], ids=["wrong", "nan", "inf"])
+    def test_bad_gradient_is_caught(self, g1):
+        wrong = SurfaceHandle(eval=lambda p: p.x11, grad_h=lambda p: (g1, 0.0))
         with pytest.raises(ValueError):
             check_gradient(wrong)
 
@@ -207,3 +210,65 @@ class TestGraphSolve:
                 SurfaceHandle.from_polynomial(X11_PLUS_T),
                 window=((-1.5, 1.5), (-0.5, 0.5)),
             )
+
+    def test_non_finite_margin_detected(self):
+        # |Y1 f2| = NaN compares false against the margin; it must not pass
+        f2 = SurfaceHandle(eval=lambda x: x.x11, grad_h=lambda x: (math.nan, 0.0))
+        with pytest.raises(MarginViolated):
+            GraphPatch(make_frame((1.0, 0.0)), f2)
+
+
+# -- compiled float evaluation against the Point reference --------------------
+
+MONOMIALS = [(i, j, k) for i in range(4) for j in range(4) for k in range(4) if i + j + k <= 3]
+unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+polys = st.dictionaries(st.sampled_from(MONOMIALS), unit, max_size=10).map(PolySurface)
+group_points = st.builds(Point, unit, unit, unit)
+angles = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+window = st.floats(min_value=-0.5, max_value=0.5)
+bracket = st.floats(min_value=-2.0, max_value=2.0)
+
+
+def assert_close(value, reference):
+    assert abs(value - reference) <= 1e-12 * (1.0 + abs(reference))
+
+
+class TestCompiledEvaluation:
+    @given(polys, group_points, group_points)
+    @settings(max_examples=200, deadline=None)
+    def test_left_translation_is_substitution(self, f, p, x):
+        assert_close(f.translated(p)(x), f(mul(p, x)))
+
+    @given(polys, group_points, group_points)
+    @settings(max_examples=200, deadline=None)
+    def test_float_evaluator_matches_point_reference(self, f, p, x):
+        handle = SurfaceHandle.from_polynomial(f, validate=False)
+        coords = (x.x11, x.x12, x.t)
+        for h in (handle, SurfaceHandle(eval=handle.eval, grad_h=handle.grad_h)):
+            assert_close(h.value_at(*coords), handle.eval(x))
+            for a, b in zip(h.grad_at(*coords), handle.grad_h(x)):
+                assert_close(a, b)
+        shifted = handle.translated(p)
+        assert shifted.poly is not None
+        assert_close(shifted.value_at(*coords), handle.eval(mul(p, x)))
+        for a, b in zip(shifted.grad_at(*coords), handle.grad_h(mul(p, x))):
+            assert_close(a, b)
+
+    @given(polys, group_points, angles, window, window, bracket)
+    @settings(max_examples=50, deadline=None)
+    def test_graph_line_matches_group_product(self, pert, p, theta, eta, tau, s):
+        fr = make_frame((math.cos(theta), math.sin(theta)))
+        # Y1 of the linear part is 1; the scaled cubic perturbation keeps the
+        # margin and the sign change on window x bracket
+        linear = PolySurface({(1, 0, 0): fr.b1[0], (0, 1, 0): fr.b1[1]})
+        f2 = SurfaceHandle.from_polynomial(linear + pert.scaled(2e-4), validate=False)
+        patch = GraphPatch(fr, f2.translated(p))
+        n = VerticalCoords(eta, tau)
+        coords = patch.line_coords(eta, tau, s)
+        q = patch.line_point(n, s)
+        assert q == Point(*coords)
+        reference = mul(embed_N(n, fr), Point(s * fr.b1[0], s * fr.b1[1], 0.0))
+        for a, b in zip(coords, (reference.x11, reference.x12, reference.t)):
+            assert_close(a, b)
+        assert_close(patch._g(n, s), patch.f2.eval(q))
+        assert_close(patch._g(n, s), f2.eval(mul(p, reference)))

@@ -134,7 +134,6 @@ class TestIntersectSurfaces:
     def test_translated_problem(self):
         # conjugating by a left translation moves the curve with the point
         p = Point(0.05, -0.02, 0.01)
-        shifted1 = F_X12.translated(p)  # x -> f(p * x) vanishes at p^-1... use direct
         from heisencurve.hgroup import inv
 
         q = inv(p)
@@ -186,8 +185,8 @@ class TestZeroCloud:
     lambda f: pair_lipschitz_bound((F_X11, f), BOX_SMALL),
 ], ids=["zero_cloud", "lipschitz_bound"])
 def test_oracle_needs_polynomial_handles(oracle):
-    # a translated handle keeps its evaluator but not its polynomial
-    plain = F_X12.translated(Point(0.1, 0.0, 0.0))
+    # a handle built from callables alone carries no polynomial
+    plain = SurfaceHandle(eval=F_X12.eval, grad_h=F_X12.grad_h)
     assert plain.poly is None
     with pytest.raises(ValueError, match="polynomial surfaces"):
         oracle(plain)
