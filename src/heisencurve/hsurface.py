@@ -9,9 +9,10 @@ found here by Newton's method from a warm start (the previous root), with
 bracketed bisection and a Newton polish as the fallback.
 
 The solve runs on plain floats: the graph line n * (s b1) has a closed form
-in coordinates, and a polynomial handle evaluates f and (X1 f, X2 f) from
-term lists compiled once.  Left translation of a polynomial is again a
-polynomial, so translated handles keep that fast path.
+in coordinates, and a polynomial handle evaluates f and (X1 f, X2 f) at
+those coordinates from term tuples each polynomial builds once.  Left
+translation of a polynomial is again a polynomial, so translated handles
+keep that fast path.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ class PolySurface:
     """
 
     coefficients: dict[tuple[int, int, int], float] = field(default_factory=dict)
+    _terms: tuple[tuple[float, int, int, int], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cleaned = {}
@@ -81,6 +84,8 @@ class PolySurface:
             if c != 0.0:
                 cleaned[(int(i), int(j), int(k))] = float(c)
         object.__setattr__(self, "coefficients", cleaned)
+        terms = tuple((c, i, j, k) for (i, j, k), c in cleaned.items())
+        object.__setattr__(self, "_terms", terms)
 
     @classmethod
     def from_quadruples(cls, quads) -> "PolySurface":
@@ -95,23 +100,27 @@ class PolySurface:
         return cls(coeffs)
 
     def __call__(self, x: Point) -> float:
-        return self.eval_coords(x.x11, x.x12, x.t)
+        return self.value_at(x.x11, x.x12, x.t)
+
+    def value_at(self, x11: float, x12: float, t: float) -> float:
+        """Evaluate at float coordinates: the one sum over the term tuple."""
+        acc = 0.0
+        for c, i, j, k in self._terms:
+            if i:
+                c = c * x11**i
+            if j:
+                c = c * x12**j
+            if k:
+                c = c * t**k
+            acc = acc + c
+        return acc
 
     def eval_coords(self, x11, x12, t):
         """Evaluate at coordinates; works elementwise on numpy arrays."""
-        if _any_array(x11, x12, t):
-            acc = np.zeros(np.broadcast(np.asarray(x11), np.asarray(x12), np.asarray(t)).shape)
-        else:
-            acc = 0.0
-        for (i, j, k), c in self.coefficients.items():
-            term = c
-            if i:
-                term = term * x11**i
-            if j:
-                term = term * x12**j
-            if k:
-                term = term * t**k
-            acc = acc + term
+        acc = self.value_at(x11, x12, t)
+        if any(isinstance(x, np.ndarray) for x in (x11, x12, t)):
+            # terms free of some array argument still give its full shape
+            acc = acc + np.zeros(np.broadcast(x11, x12, t).shape)
         return acc
 
     def translated(self, p: Point) -> "PolySurface":
@@ -172,13 +181,9 @@ class PolySurface:
         parts = [self.partial(v) for v in range(3)]
         best = 0.0
         for x11, x12, t in corners:
-            g = math.sqrt(sum(p.eval_coords(x11, x12, t) ** 2 for p in parts))
+            g = math.sqrt(sum(p.value_at(x11, x12, t) ** 2 for p in parts))
             best = max(best, g)
         return best
-
-
-def _any_array(*xs) -> bool:
-    return any(isinstance(x, np.ndarray) for x in xs)
 
 
 def _affine(coeffs: dict) -> dict:
@@ -193,18 +198,6 @@ def _poly_mul(a: dict, b: dict) -> dict:
             key = (i + u, j + v, k + w)
             out[key] = out.get(key, 0.0) + c * d
     return out
-
-
-def _terms(p: PolySurface) -> tuple[tuple[float, int, int, int], ...]:
-    return tuple((c, i, j, k) for (i, j, k), c in p.coefficients.items())
-
-
-def _sum_terms(terms, x11: float, x12: float, t: float) -> float:
-    # the same products and sum order as PolySurface.eval_coords
-    acc = 0.0
-    for c, i, j, k in terms:
-        acc += c * x11**i * x12**j * t**k
-    return acc
 
 
 def horiz_grad_poly(p: PolySurface) -> tuple[PolySurface, PolySurface]:
@@ -228,26 +221,25 @@ def horiz_grad_poly(p: PolySurface) -> tuple[PolySurface, PolySurface]:
 class SurfaceHandle:
     """A surface as an evaluator plus its horizontal gradient (X1 f, X2 f).
 
-    value_at and grad_at evaluate at plain coordinates (x11, x12, t): from
-    compiled term lists when the handle carries its polynomial, otherwise
+    value_at and grad_at evaluate at plain coordinates (x11, x12, t): by
+    PolySurface.value_at when the handle carries its polynomial, otherwise
     through eval and grad_h at a Point.
     """
 
     eval: Callable[[Point], float]
     grad_h: Callable[[Point], tuple[float, float]]
     poly: PolySurface | None = None
-    _compiled: tuple | None = field(init=False, repr=False, compare=False)
+    _grad_poly: tuple[PolySurface, PolySurface] | None = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        compiled = None
-        if self.poly is not None:
-            compiled = tuple(_terms(q) for q in (self.poly, *horiz_grad_poly(self.poly)))
-        object.__setattr__(self, "_compiled", compiled)
+        grad_poly = None if self.poly is None else horiz_grad_poly(self.poly)
+        object.__setattr__(self, "_grad_poly", grad_poly)
 
     @classmethod
     def from_polynomial(cls, p: PolySurface, validate: bool = True) -> "SurfaceHandle":
         def grad(x: Point) -> tuple[float, float]:
-            # the compiled gradient; handle is bound below, before any call
+            # handle is assigned below, before grad can run
             return handle.grad_at(x.x11, x.x12, x.t)
 
         handle = cls(eval=p, grad_h=grad, poly=p)
@@ -256,15 +248,15 @@ class SurfaceHandle:
         return handle
 
     def value_at(self, x11: float, x12: float, t: float) -> float:
-        if self._compiled is None:
+        if self.poly is None:
             return self.eval(Point(x11, x12, t))
-        return _sum_terms(self._compiled[0], x11, x12, t)
+        return self.poly.value_at(x11, x12, t)
 
     def grad_at(self, x11: float, x12: float, t: float) -> tuple[float, float]:
-        if self._compiled is None:
+        if self._grad_poly is None:
             return self.grad_h(Point(x11, x12, t))
-        _, x1f, x2f = self._compiled
-        return (_sum_terms(x1f, x11, x12, t), _sum_terms(x2f, x11, x12, t))
+        x1f, x2f = self._grad_poly
+        return (x1f.value_at(x11, x12, t), x2f.value_at(x11, x12, t))
 
     def translated(self, p: Point) -> "SurfaceHandle":
         """The handle of x -> f(p * x); gradients translate along for free.

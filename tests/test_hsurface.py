@@ -218,7 +218,7 @@ class TestGraphSolve:
             GraphPatch(make_frame((1.0, 0.0)), f2)
 
 
-# -- compiled float evaluation against the Point reference --------------------
+# -- float evaluation at coordinates against the Point reference ---------------
 
 MONOMIALS = [(i, j, k) for i in range(4) for j in range(4) for k in range(4) if i + j + k <= 3]
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -233,7 +233,7 @@ def assert_close(value, reference):
     assert abs(value - reference) <= 1e-12 * (1.0 + abs(reference))
 
 
-class TestCompiledEvaluation:
+class TestFloatEvaluation:
     @given(polys, group_points, group_points)
     @settings(max_examples=200, deadline=None)
     def test_left_translation_is_substitution(self, f, p, x):
