@@ -28,6 +28,7 @@ from .errors import (
     MonotonicityViolated,
     NoSignChange,
     NotCommonZero,
+    NoZeroFound,
     NotInVerticalSubgroup,
     OrderingViolation,
     WindowExit,

@@ -21,6 +21,7 @@ from .errors import (
     MonotonicityViolated,
     NoSignChange,
     NotCommonZero,
+    NoZeroFound,
     WindowExit,
 )
 from .flowtrace import TraceParams
@@ -49,6 +50,8 @@ _FAILURE_HINTS = {
                   "the bracket or shrink the window",
     MeanBisectionFailure: "the flow family could not realize an intermediate "
                           "integral mean; try a finer step",
+    NoZeroFound: "no member of the flow family crosses F = 0 inside the window; "
+                 "check the base point or enlarge the window",
     WindowExit: "a trajectory left the window; enlarge window, or move the "
                 "characteristics' tau0 toward 0",
 }

@@ -25,6 +25,10 @@ class DependentNormals(HeisencurveError):
     """The two horizontal gradients are linearly dependent at the base point."""
 
 
+class NoZeroFound(HeisencurveError):
+    """No member of the flow family crosses the zero level of the traced function."""
+
+
 class WindowExit(HeisencurveError):
     """An ODE trajectory left the integration window before producing any samples."""
 

@@ -26,6 +26,7 @@ from .errors import (
     GridMismatch,
     MeanBisectionFailure,
     MonotonicityViolated,
+    NoZeroFound,
     OrderingViolation,
     WindowExit,
 )
@@ -591,7 +592,7 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None) -> TraceR
     harvest(upper)
 
     if not raw_pts:
-        raise ValueError("no family member produced a zero of F")
+        raise NoZeroFound("no family member produced a zero of F")
 
     # rescale the two mean-intervals to a single [0, 1] parameter
     lo_span = (raw_xi[n_lower - 1] - raw_xi[0]) if n_lower else 0.0

@@ -51,6 +51,9 @@ __all__ = [
 INDEPENDENCE_MARGIN = 1e-6
 # Fraction of the margin-over-curvature scale taken as cone width.
 CONE_SAFETY = 0.5
+# Floats (rows x segments x 3 coordinates) in one block of the distance
+# kernels' temporaries, so memory stays bounded for any cloud size.
+AGREEMENT_BLOCK = 3 * 2**20
 
 
 @dataclass
@@ -234,41 +237,61 @@ def brute_force_zero_cloud(f1: SurfaceHandle, f2: SurfaceHandle, box,
 
 
 def _coord_array(points) -> np.ndarray:
-    return np.array([(q.x11, q.x12, q.t) for q in points])
+    return np.array([(q.x11, q.x12, q.t) for q in points]).reshape(-1, 3)
+
+
+def _row_blocks(n_rows: int, row_floats: int):
+    """Row slices holding at most AGREEMENT_BLOCK floats (at least one row each)."""
+    step = max(1, AGREEMENT_BLOCK // row_floats)
+    for lo in range(0, n_rows, step):
+        yield slice(lo, lo + step)
+
+
+def _dot3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis of length 3.
+
+    Summed left to right, so the rounding does not depend on the machine's
+    BLAS, which may reorder or fuse the products of a 3-vector dot.
+    """
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
 def _directed(a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean sup over the rows of a of the distance to the rows of b."""
     worst = 0.0
-    for row in a:
-        d = np.sqrt(np.sum((b - row) ** 2, axis=1))
-        worst = max(worst, float(np.min(d)))
+    for rows in _row_blocks(len(a), 3 * len(b)):
+        d = b[None, :, :] - a[rows, None, :]
+        worst = max(worst, float(np.sqrt(np.min(_dot3(d, d), axis=1)).max()))
     return worst
 
 
-def _point_segment_dist(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+def _points_to_polyline(u: np.ndarray, v: np.ndarray) -> float:
+    """Euclidean sup over the rows of u of the distance to the polyline v.
+
+    Each row is projected onto every segment a + s (b - a), s clipped to
+    [0, 1]; a zero-length segment (one vertex, or a repeated one) projects
+    to s = 0.
+    """
+    a, b = (v[:-1], v[1:]) if len(v) > 1 else (v, v)
     ab = b - a
-    denom = float(ab @ ab)
-    s = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + s * ab)))
+    denom = _dot3(ab, ab)
+    worst = 0.0
+    for rows in _row_blocks(len(u), 3 * len(a)):
+        pa = u[rows, None, :] - a[None, :, :]
+        s = np.divide(_dot3(pa, ab), denom, out=np.zeros(pa.shape[:2]), where=denom != 0.0)
+        d = u[rows, None, :] - (a + np.clip(s, 0.0, 1.0)[..., None] * ab)
+        worst = max(worst, float(np.sqrt(np.min(_dot3(d, d), axis=1)).max()))
+    return worst
 
 
 def polyline_hausdorff(A, B) -> float:
     """Euclidean Hausdorff distance between two polylines (sampled curves)."""
     a = _coord_array(A)
     b = _coord_array(B)
+    for name, arr in (("A", a), ("B", b)):
+        if not len(arr):
+            raise ValueError(f"polyline_hausdorff: polyline {name} is empty")
     return max(_points_to_polyline(a, b), _points_to_polyline(b, a))
-
-
-def _points_to_polyline(u: np.ndarray, v: np.ndarray) -> float:
-    worst = 0.0
-    for p in u:
-        if len(v) > 1:
-            best = min(_point_segment_dist(p, v[i], v[i + 1]) for i in range(len(v) - 1))
-        else:
-            best = float(np.linalg.norm(p - v[0]))
-        worst = max(worst, best)
-    return worst
 
 
 def curve_cloud_agreement(curve_points, cloud, box) -> float:
@@ -281,14 +304,17 @@ def curve_cloud_agreement(curve_points, cloud, box) -> float:
     """
     arr = _coord_array(curve_points)
     cld = _coord_array(cloud)
+    if not len(cld):
+        raise ValueError("curve_cloud_agreement: the zero cloud is empty")
     gaps = np.linalg.norm(np.diff(arr, axis=0), axis=1)
     pad = 2.0 * (float(gaps.max()) if len(gaps) else 0.0)
+    lo, hi = np.array(box, dtype=float).T
 
-    def in_box(row, slack):
-        return all(lo - slack <= c <= hi + slack for c, (lo, hi) in zip(row, box))
+    def in_box(slack):
+        return np.all((lo - slack <= arr) & (arr <= hi + slack), axis=1)
 
-    poly = np.array([row for row in arr if in_box(row, pad)])
-    strict = np.array([row for row in arr if in_box(row, 0.0)])
+    poly = arr[in_box(pad)]
+    strict = arr[in_box(0.0)]
     if len(poly) < 2 or not len(strict):
         raise ValueError("curve does not reach the oracle box")
     return max(_points_to_polyline(cld, poly), _directed(strict, cld))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from heisencurve import cli
+from heisencurve import cli, flowtrace
 from heisencurve.errors import ConfigError
 from heisencurve.hgroup import Point
 from heisencurve.hsurface import PolySurface
@@ -215,6 +215,17 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert code == 1
         assert "MarginViolated" in err
+
+    def test_no_zero_exit_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(flowtrace, "monotone_root",
+                            lambda F, path, root_tol: (None, None))
+        cfg = tmp_path / "nozero.json"
+        cfg.write_text(intersect_config(depth=2))
+        code = cli.main(["intersect", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "NoZeroFound" in err and "crosses F = 0" in err
+        assert "Traceback" not in err
 
     def test_verify_single_suite(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from heisencurve import flowtrace
 from heisencurve.errors import (
     GridMismatch,
     MonotonicityViolated,
+    NoZeroFound,
     OrderingViolation,
 )
 from heisencurve.flowtrace import (
@@ -295,6 +297,13 @@ class TestLevelTrace:
     def test_rejects_nonzero_origin(self):
         with pytest.raises(ValueError):
             level_trace(lambda e, t: 0.0, lambda e, t: e + 1.0, Rect.centered(0.5, 1.0))
+
+    def test_no_zero_is_typed(self, monkeypatch):
+        monkeypatch.setattr(flowtrace, "monotone_root", lambda F, path, root_tol:
+                            (None, monotone_root(F, path, root_tol)[1]))
+        with pytest.raises(NoZeroFound):
+            level_trace(lambda e, t: 0.0, lambda e, t: e,
+                        Rect.centered(0.5, 1.0), TraceParams(depth=2))
 
     def test_injectivity_after_collapse(self):
         res = level_trace(cubic_field, lambda e, t: e,

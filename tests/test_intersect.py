@@ -1,11 +1,15 @@
 """End-to-end intersection pipeline, oracles, and the cone checker."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import POLY_X11, POLY_X11_PLUS_T, POLY_X12
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from heisencurve import intersect
 from heisencurve.errors import DependentNormals, MarginViolated, NotCommonZero
 from heisencurve.flowtrace import TraceParams
 from heisencurve.hgroup import ORIGIN, Point, dist, mul
@@ -13,6 +17,8 @@ from heisencurve.hsurface import GraphPatch, SurfaceHandle
 from heisencurve.intersect import (
     ConeParams,
     IntersectionProblem,
+    _directed,
+    _points_to_polyline,
     brute_force_zero_cloud,
     choose_frame,
     cone_contains,
@@ -263,3 +269,92 @@ class TestCurveCloudAgreement:
         cloud = brute_force_zero_cloud(F_X12, F_X11_T, BOX_SMALL, grid_n=41)
         spacing = 0.4 / 40
         assert curve_cloud_agreement(curve_b.points, cloud, BOX_SMALL) <= 2 * spacing + 1e-12
+
+    def test_empty_cloud_rejected(self, curve_a):
+        with pytest.raises(ValueError, match="zero cloud is empty"):
+            curve_cloud_agreement(curve_a.points, [], BOX_SMALL)
+
+    def test_empty_polyline_rejected(self, curve_a):
+        with pytest.raises(ValueError, match="polyline B is empty"):
+            polyline_hausdorff(curve_a.points, [])
+
+    @pytest.mark.parametrize("tag, value", [
+        ("A", 0.0020000000000000018),
+        ("B", 0.0040000000000000036),
+    ])
+    def test_closed_form_lines_on_fine_grid(self, tag, value):
+        # the verification benchmark's oracle inputs: 33 samples of the exact
+        # lines and the 201^3 cloud over the box; the values are pinned exactly
+        s = [float(v) for v in np.linspace(-0.25, 0.25, 33)]
+        if tag == "A":
+            pair, points = (F_X11, F_X12), [Point(0.0, 0.0, v) for v in s]
+        else:
+            pair, points = (F_X12, F_X11_T), [Point(-v, 0.0, v) for v in s]
+        cloud = brute_force_zero_cloud(*pair, BOX_SMALL, grid_n=201)
+        assert curve_cloud_agreement(points, cloud, BOX_SMALL) == value
+
+
+# The scalar loops the array kernels replace, kept as their reference.
+
+def _ref_point_segment_dist(p, a, b):
+    ab = b - a
+    denom = float(ab @ ab)
+    s = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+    return float(np.linalg.norm(p - (a + s * ab)))
+
+
+def _ref_points_to_polyline(u, v):
+    worst = 0.0
+    for p in u:
+        if len(v) > 1:
+            best = min(_ref_point_segment_dist(p, v[i], v[i + 1]) for i in range(len(v) - 1))
+        else:
+            best = float(np.linalg.norm(p - v[0]))
+        worst = max(worst, best)
+    return worst
+
+
+def _ref_directed(a, b):
+    worst = 0.0
+    for row in a:
+        d = np.sqrt(np.sum((b - row) ** 2, axis=1))
+        worst = max(worst, float(np.min(d)))
+    return worst
+
+
+coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+rows = st.lists(st.tuples(coords, coords, coords), min_size=1, max_size=40)
+
+
+@st.composite
+def polylines(draw):
+    """Vertex lists with repeated vertices (zero-length segments) mixed in."""
+    out = []
+    for v in draw(rows):
+        out += [v, v] if draw(st.booleans()) else [v]
+    return np.array(out)
+
+
+class TestDistanceKernels:
+    # block sizes from one row per block up to several rows, so most drawn
+    # inputs span more than one block
+    blocks = st.integers(min_value=1, max_value=200)
+
+    @given(rows, polylines(), blocks)
+    @example([(1.0, 2.0, 2.0), (0.0, 0.0, 0.0)], np.array([[0.0, 0.0, 0.0]]), 1)
+    @settings(max_examples=60, deadline=None)
+    def test_points_to_polyline_matches_scalar(self, u, v, block):
+        u = np.array(u)
+        want = _ref_points_to_polyline(u, v)
+        with mock.patch.object(intersect, "AGREEMENT_BLOCK", block):
+            got = _points_to_polyline(u, v)
+        assert abs(got - want) <= 1e-12 * (1.0 + want)
+
+    @given(rows, rows, blocks)
+    @settings(max_examples=60, deadline=None)
+    def test_directed_matches_scalar(self, a, b, block):
+        a, b = np.array(a), np.array(b)
+        want = _ref_directed(a, b)
+        with mock.patch.object(intersect, "AGREEMENT_BLOCK", block):
+            got = _directed(a, b)
+        assert abs(got - want) <= 1e-12 * (1.0 + want)
