@@ -373,27 +373,38 @@ def _clamped(h, tau_lo: float, tau_hi: float):
     return hc
 
 
-def _find_member_with_mean(h, lo: PathSample, hi: PathSample, mu_t: float) -> PathSample:
+def _find_member_with_mean(hc, lo: PathSample, hi: PathSample, mu_t: float,
+                           paths: dict) -> PathSample:
     """A solution between lo and hi whose integral is mu_t within MEAN_TOL.
 
     Candidates are spliced solutions through anchor points between the
     envelopes; the vertical position at a fixed anchor is bisected on the
     candidate's integral, which varies continuously with the anchor value.
+    paths maps (anchor node, anchor value) to raw solutions of hc on this
+    grid, and a candidate through such a point reuses its solution.  The
+    bracket-end candidates and the accepted one are added to it: the two
+    halves of this bracket start from the same points.
     """
     grid = (lo.eta0, lo.step, len(lo))
-    hc = _clamped(h, float(np.min(lo.values)) - 1.0, float(np.max(hi.values)) + 1.0)
 
-    def candidate(k: int, s: float) -> PathSample:
-        v = (1.0 - s) * lo.values[k] + s * hi.values[k]
-        raw = integrate_through(hc, lo.eta0 + k * lo.step, float(v), grid)
-        return funnel_section(lo, hi, raw)
+    def candidate(k: int, s: float):
+        key = (k, float((1.0 - s) * lo.values[k] + s * hi.values[k]))
+        raw = paths.get(key)
+        if raw is None:
+            raw = integrate_through(hc, lo.eta0 + k * lo.step, key[1], grid)
+        return key, raw, funnel_section(lo, hi, raw)
+
+    def keep(c) -> PathSample:
+        key, raw, spliced = c
+        paths[key] = raw
+        return spliced
 
     n = len(lo)
     stride = max(1, n // MAX_ANCHORS)
     order = sorted(set(range(0, n, stride)) | {n - 1}, key=lambda k: abs(k - n // 2))
     best_gap = math.inf
     for k in order:
-        c0, c1 = candidate(k, 0.0), candidate(k, 1.0)
+        c0, c1 = keep(candidate(k, 0.0)), keep(candidate(k, 1.0))
         m0, m1 = c0.integral(), c1.integral()
         for c, m in ((c0, m0), (c1, m1)):
             best_gap = min(best_gap, abs(m - mu_t))
@@ -414,10 +425,10 @@ def _find_member_with_mean(h, lo: PathSample, hi: PathSample, mu_t: float) -> Pa
             if not (s_lo + 1e-15 < s_mid < s_hi - 1e-15):
                 s_mid = 0.5 * (s_lo + s_hi)
             c_mid = candidate(k, s_mid)
-            g_mid = c_mid.integral() - mu_t
+            g_mid = c_mid[2].integral() - mu_t
             best_gap = min(best_gap, abs(g_mid))
             if abs(g_mid) <= MEAN_TOL:
-                return c_mid
+                return keep(c_mid)
             if g_lo * g_mid <= 0.0:
                 s_hi, g_hi = s_mid, g_mid
                 if side == -1:
@@ -438,7 +449,10 @@ def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int) -> 
 
     Each new member realizes the midpoint of its bracket's integral range and
     is spliced between the bracket members, so pointwise ordering holds by
-    construction; endpoints are the supplied paths, unchanged.
+    construction; endpoints are the supplied paths, unchanged.  One clamped
+    field serves every bracket, so a raw solution kept by its anchor point
+    stays valid for the whole call: each member's path, and each endpoint's
+    candidate, is integrated once.
     """
     _require_same_grid(tau_minus, tau_plus)
     if np.any(tau_minus.values > tau_plus.values + 1e-12):
@@ -447,6 +461,9 @@ def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int) -> 
         raise ValueError("depth must be >= 0")
     mu_minus = tau_minus.integral()
     mu_plus = tau_plus.integral()
+    hc = _clamped(h, float(np.min(tau_minus.values)) - 1.0,
+                  float(np.max(tau_plus.values)) + 1.0)
+    paths: dict = {}
 
     def recurse(lo, mu_lo, hi, mu_hi, d) -> list[tuple[float, PathSample]]:
         if d == 0:
@@ -455,7 +472,7 @@ def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int) -> 
             mid = funnel_section(lo, hi, lo)
             mu_mid = mid.integral()
         else:
-            mid = _find_member_with_mean(h, lo, hi, 0.5 * (mu_lo + mu_hi))
+            mid = _find_member_with_mean(hc, lo, hi, 0.5 * (mu_lo + mu_hi), paths)
             mu_mid = mid.integral()
         return (recurse(lo, mu_lo, mid, mu_mid, d - 1)
                 + [(mu_mid, mid)]
@@ -525,11 +542,16 @@ class TraceParams:
 
 @dataclass
 class TraceResult:
-    """A traced zero set: parametrized planar samples plus diagnostics."""
+    """A traced zero set: parametrized planar samples plus diagnostics.
+
+    band holds the outermost members with zeros, the envelopes of the zero
+    set; diagnostics holds only JSON-ready values.
+    """
 
     xi: list[float]
     zeta: list[tuple[float, float]]
     neighborhood: Rect
+    band: tuple[PathSample, PathSample]
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -638,14 +660,13 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None) -> TraceR
                                    upper.monotonicity_violation()),
         "mean_residual": max(max(lower.mean_residuals(), default=0.0),
                              max(upper.mean_residuals(), default=0.0)),
-        "band": (lo_env, hi_env),
     }
     return TraceResult(xi=xi_out, zeta=pts_out, neighborhood=neighborhood,
-                       diagnostics=diagnostics)
+                       band=(lo_env, hi_env), diagnostics=diagnostics)
 
 
 def coverage_gap(result: TraceResult, F, f_eps: float = 1e-3):
-    """Largest distance from a grid zero of F inside U to the traced samples.
+    """Largest distance from a grid zero of F in U and the band to the samples.
 
     Returns (max_gap, grid_spacing, n_grid_zeros); gaps should stay within a
     couple of grid spacings when the trace covers the zero set.
@@ -659,13 +680,12 @@ def coverage_gap(result: TraceResult, F, f_eps: float = 1e-3):
     spacing = max((e_hi - e_lo), (t_hi - t_lo)) / (COVERAGE_GRID - 1)
     worst = 0.0
     count = 0
-    band_lo, band_hi = result.diagnostics.get("band", (None, None))
+    band_lo, band_hi = result.band
     for e in es:
         for t in ts:
-            if band_lo is not None:
-                if not (band_lo.tau_at(float(e)) - 1e-12 <= t
-                        <= band_hi.tau_at(float(e)) + 1e-12):
-                    continue
+            if not (band_lo.tau_at(float(e)) - 1e-12 <= t
+                    <= band_hi.tau_at(float(e)) + 1e-12):
+                continue
             if abs(F(float(e), float(t))) >= f_eps:
                 continue
             count += 1

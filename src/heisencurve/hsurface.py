@@ -17,7 +17,6 @@ keep that fast path.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -176,14 +175,18 @@ class PolySurface:
         return PolySurface({k: a * c for k, c in self.coefficients.items()})
 
     def max_euclidean_gradient(self, box) -> float:
-        """Coarse bound for |grad p| (all three coordinate partials) over a box."""
-        corners = list(itertools.product(*box))
-        parts = [self.partial(v) for v in range(3)]
-        best = 0.0
-        for x11, x12, t in corners:
-            g = math.sqrt(sum(p.value_at(x11, x12, t) ** 2 for p in parts))
-            best = max(best, g)
-        return best
+        """Upper bound for |grad p| (all three coordinate partials) over a box.
+
+        Each partial is bounded term by term: |c| times the largest absolute
+        value of each coordinate on the box to the term's exponent.
+        """
+        reach = [max(abs(lo), abs(hi)) for lo, hi in box]
+        bounds = [
+            PolySurface({e: abs(c) for e, c in self.partial(v).coefficients.items()})
+            .value_at(*reach)
+            for v in range(3)
+        ]
+        return math.sqrt(sum(b * b for b in bounds))
 
 
 def _affine(coeffs: dict) -> dict:

@@ -54,6 +54,9 @@ CONE_SAFETY = 0.5
 # Floats (rows x segments x 3 coordinates) in one block of the distance
 # kernels' temporaries, so memory stays bounded for any cloud size.
 AGREEMENT_BLOCK = 3 * 2**20
+# Grid points in one x11 slab of the zero cloud's evaluation, so its
+# temporaries stay bounded for any grid.
+CLOUD_BLOCK = 2**20
 
 
 @dataclass
@@ -216,7 +219,7 @@ def brute_force_zero_cloud(f1: SurfaceHandle, f2: SurfaceHandle, box,
     box is ((x11_lo, x11_hi), (x12_lo, x12_hi), (t_lo, t_hi)), and eps is
     (grid spacing) * (max gradient bound) * 2, a first-order band around the
     common zero set.  Both surfaces must be polynomial; they are evaluated
-    vectorized over the grid.
+    vectorized over slabs of x11 rows holding at most CLOUD_BLOCK points.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2 per axis")
@@ -228,21 +231,26 @@ def brute_force_zero_cloud(f1: SurfaceHandle, f2: SurfaceHandle, box,
             raise ValueError("brute_force_zero_cloud needs polynomial surfaces")
         bound = max(bound, f.poly.max_euclidean_gradient(box))
     eps = 2.0 * spacing * bound
-    X = xs[:, None, None]
     Y = ys[None, :, None]
     T = ts[None, None, :]
-    total = np.abs(f1.poly.eval_coords(X, Y, T)) + np.abs(f2.poly.eval_coords(X, Y, T))
-    idx = np.argwhere(total < eps)
-    return [Point(float(xs[i]), float(ys[j]), float(ts[k])) for i, j, k in idx]
+    cloud = []
+    for rows in _row_blocks(grid_n, grid_n * grid_n, CLOUD_BLOCK):
+        X = xs[rows, None, None]
+        total = (np.abs(f1.poly.eval_coords(X, Y, T))
+                 + np.abs(f2.poly.eval_coords(X, Y, T)))
+        # slabs along the first axis keep argwhere's C order across the grid
+        cloud += [Point(float(xs[rows.start + i]), float(ys[j]), float(ts[k]))
+                  for i, j, k in np.argwhere(total < eps)]
+    return cloud
 
 
 def _coord_array(points) -> np.ndarray:
     return np.array([(q.x11, q.x12, q.t) for q in points]).reshape(-1, 3)
 
 
-def _row_blocks(n_rows: int, row_floats: int):
-    """Row slices holding at most AGREEMENT_BLOCK floats (at least one row each)."""
-    step = max(1, AGREEMENT_BLOCK // row_floats)
+def _row_blocks(n_rows: int, row_floats: int, block: int):
+    """Row slices holding at most block floats (at least one row each)."""
+    step = max(1, block // row_floats)
     for lo in range(0, n_rows, step):
         yield slice(lo, lo + step)
 
@@ -259,7 +267,7 @@ def _dot3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _directed(a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean sup over the rows of a of the distance to the rows of b."""
     worst = 0.0
-    for rows in _row_blocks(len(a), 3 * len(b)):
+    for rows in _row_blocks(len(a), 3 * len(b), AGREEMENT_BLOCK):
         d = b[None, :, :] - a[rows, None, :]
         worst = max(worst, float(np.sqrt(np.min(_dot3(d, d), axis=1)).max()))
     return worst
@@ -276,7 +284,7 @@ def _points_to_polyline(u: np.ndarray, v: np.ndarray) -> float:
     ab = b - a
     denom = _dot3(ab, ab)
     worst = 0.0
-    for rows in _row_blocks(len(u), 3 * len(a)):
+    for rows in _row_blocks(len(u), 3 * len(a), AGREEMENT_BLOCK):
         pa = u[rows, None, :] - a[None, :, :]
         s = np.divide(_dot3(pa, ab), denom, out=np.zeros(pa.shape[:2]), where=denom != 0.0)
         d = u[rows, None, :] - (a + np.clip(s, 0.0, 1.0)[..., None] * ab)
@@ -385,8 +393,8 @@ def gradient_margin(f, box, grid_n: int = 5) -> float:
 def pair_lipschitz_bound(handles, box) -> float:
     """Crude Lipschitz bound for the horizontal gradients over the box.
 
-    Uses the Euclidean gradient of each symbolic gradient component at the
-    box corners; requires polynomial surfaces.
+    Combines the term-wise bounds on the Euclidean gradient of each symbolic
+    gradient component; requires polynomial surfaces.
     """
     worst = 0.0
     for h in handles:

@@ -1,5 +1,6 @@
 """Integration, funnel selection, monotone families, and zero-set tracing."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from heisencurve import flowtrace
 from heisencurve.errors import (
     GridMismatch,
+    MeanBisectionFailure,
     MonotonicityViolated,
     NoZeroFound,
     OrderingViolation,
@@ -178,15 +180,27 @@ class TestExtremalSolutions:
         assert np.all(lo.values <= hi.values + 1e-15)
 
 
+def linear_field(e, t):
+    return -t
+
+
+def linear_family_ends():
+    """Solutions of h = -tau through (0, -1) and (0, 1) on the grid (-0.5, 0.01, 101)."""
+    grid = (-0.5, 0.01, 101)
+    return (integrate_through(linear_field, 0.0, -1.0, grid),
+            integrate_through(linear_field, 0.0, 1.0, grid))
+
+
+def funnel_family_ends():
+    """Solutions of the cubic field bounding a funnel around tau = 0."""
+    step, n, r = 0.01, 101, 0.01 ** (1.0 / 3.0)
+    return (path_on(-0.5, step, n, lambda e: -max(r - e, 0.0) ** 3),
+            path_on(-0.5, step, n, lambda e: max(e + r, 0.0) ** 3))
+
+
 class TestBuildFamily:
     def test_unique_field_ordered_by_initial_value(self):
-        def h(e, t):
-            return -t
-
-        grid = (-0.5, 0.01, 101)
-        lo = integrate_through(h, 0.0, -1.0, grid)
-        hi = integrate_through(h, 0.0, 1.0, grid)
-        fam = build_family(h, lo, hi, depth=4)
+        fam = build_family(linear_field, *linear_family_ends(), depth=4)
         assert len(fam.members) == 2**4 + 1
         assert fam.monotonicity_violation() <= 1e-9
         assert max(fam.mean_residuals()) <= 1e-6
@@ -200,12 +214,8 @@ class TestBuildFamily:
             assert np.max(np.abs(m.values - 0.2)) <= 1e-12
 
     def test_funnel_sweep_realizes_all_means(self):
-        step = 0.01
-        n = 101
-        c = 0.01
-        r = c ** (1.0 / 3.0)
-        lo = path_on(-0.5, step, n, lambda e: -max(r - e, 0.0) ** 3)
-        hi = path_on(-0.5, step, n, lambda e: max(e + r, 0.0) ** 3)
+        lo, hi = funnel_family_ends()
+        step = lo.step
         assert solution_residual(lo, cubic_field) <= 10.0 * step
         assert solution_residual(hi, cubic_field) <= 10.0 * step
         fam = build_family(cubic_field, lo, hi, depth=4)
@@ -229,6 +239,134 @@ class TestBuildFamily:
         q = path_on(0.0, 0.01, 51, lambda e: -1.0)
         with pytest.raises(OrderingViolation):
             build_family(lambda e, t: 0.0, p, q, depth=2)
+
+
+# The member search that integrates every candidate afresh, with one clamped
+# field per bracket, kept as the reference for the reusing one.
+
+def _ref_find_member_with_mean(h, lo, hi, mu_t):
+    grid = (lo.eta0, lo.step, len(lo))
+    hc = flowtrace._clamped(h, float(np.min(lo.values)) - 1.0, float(np.max(hi.values)) + 1.0)
+
+    def candidate(k, s):
+        v = (1.0 - s) * lo.values[k] + s * hi.values[k]
+        raw = flowtrace.integrate_through(hc, lo.eta0 + k * lo.step, float(v), grid)
+        return funnel_section(lo, hi, raw)
+
+    n = len(lo)
+    stride = max(1, n // flowtrace.MAX_ANCHORS)
+    order = sorted(set(range(0, n, stride)) | {n - 1}, key=lambda k: abs(k - n // 2))
+    best_gap = math.inf
+    for k in order:
+        c0, c1 = candidate(k, 0.0), candidate(k, 1.0)
+        m0, m1 = c0.integral(), c1.integral()
+        for c, m in ((c0, m0), (c1, m1)):
+            best_gap = min(best_gap, abs(m - mu_t))
+            if abs(m - mu_t) <= flowtrace.MEAN_TOL:
+                return c
+        if (m0 - mu_t) * (m1 - mu_t) > 0.0:
+            continue
+        s_lo, s_hi = 0.0, 1.0
+        g_lo, g_hi = m0 - mu_t, m1 - mu_t
+        side = 0
+        for _ in range(64):
+            denom = g_hi - g_lo
+            if denom != 0.0:
+                s_mid = s_lo - g_lo * (s_hi - s_lo) / denom
+            else:
+                s_mid = 0.5 * (s_lo + s_hi)
+            if not (s_lo + 1e-15 < s_mid < s_hi - 1e-15):
+                s_mid = 0.5 * (s_lo + s_hi)
+            c_mid = candidate(k, s_mid)
+            g_mid = c_mid.integral() - mu_t
+            best_gap = min(best_gap, abs(g_mid))
+            if abs(g_mid) <= flowtrace.MEAN_TOL:
+                return c_mid
+            if g_lo * g_mid <= 0.0:
+                s_hi, g_hi = s_mid, g_mid
+                if side == -1:
+                    g_lo *= 0.5
+                side = -1
+            else:
+                s_lo, g_lo = s_mid, g_mid
+                if side == 1:
+                    g_hi *= 0.5
+                side = 1
+            if s_hi - s_lo < 1e-14:
+                break
+    raise MeanBisectionFailure(mu_t, best_gap)
+
+
+def _ref_family_paths(h, tau_minus, tau_plus, depth):
+    def recurse(lo, mu_lo, hi, mu_hi, d):
+        if d == 0:
+            return []
+        if mu_hi - mu_lo <= 2.0 * flowtrace.MEAN_TOL:
+            mid = funnel_section(lo, hi, lo)
+        else:
+            mid = _ref_find_member_with_mean(h, lo, hi, 0.5 * (mu_lo + mu_hi))
+        mu_mid = mid.integral()
+        return (recurse(lo, mu_lo, mid, mu_mid, d - 1) + [mid]
+                + recurse(mid, mu_mid, hi, mu_hi, d - 1))
+
+    inner = recurse(tau_minus, tau_minus.integral(), tau_plus, tau_plus.integral(), depth)
+    return [tau_minus] + inner + [tau_plus]
+
+
+def count_integrations(monkeypatch):
+    """Route flowtrace.integrate_through through a counter; returns the count cell."""
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return integrate_through(*args, **kwargs)
+
+    monkeypatch.setattr(flowtrace, "integrate_through", counting)
+    return calls
+
+
+class TestFamilyReuse:
+    @pytest.mark.parametrize("depth", [4, 6])
+    @pytest.mark.parametrize("case", ["linear", "funnel"])
+    def test_members_match_fresh_integration(self, case, depth):
+        h, ends = ((linear_field, linear_family_ends()) if case == "linear"
+                   else (cubic_field, funnel_family_ends()))
+        fam = build_family(h, *ends, depth=depth)
+        want = _ref_family_paths(h, *ends, depth)
+        assert len(fam.members) == len(want)
+        for (_, got), ref in zip(fam.members, want):
+            assert np.array_equal(got.values, ref.values)
+
+    @pytest.mark.parametrize("depth, calls, fresh", [(2, 5, 9), (4, 17, 45), (6, 65, 189)])
+    def test_linear_field_integrates_each_member_once(self, monkeypatch, depth, calls, fresh):
+        # one integration per new member plus the candidates on the two ends,
+        # against fresh integrations by the reference search
+        lo, hi = linear_family_ends()
+        counted = count_integrations(monkeypatch)
+        build_family(linear_field, lo, hi, depth)
+        assert counted[0] == calls == 2**depth + 1
+        counted[0] = 0
+        _ref_family_paths(linear_field, lo, hi, depth)
+        assert counted[0] == fresh
+
+    def test_funnel_reuses_paths(self, monkeypatch):
+        lo, hi = funnel_family_ends()
+        counted = count_integrations(monkeypatch)
+        _ref_family_paths(cubic_field, lo, hi, 4)
+        assert counted[0] == 127
+        counted[0] = 0
+        build_family(cubic_field, lo, hi, depth=4)
+        assert counted[0] == 99
+
+    def test_no_state_between_calls(self, monkeypatch):
+        lo, hi = funnel_family_ends()
+        counted = count_integrations(monkeypatch)
+        first = build_family(cubic_field, lo, hi, depth=4)
+        n_first = counted[0]
+        second = build_family(cubic_field, lo, hi, depth=4)
+        assert counted[0] == 2 * n_first
+        for (_, a), (_, b) in zip(first.members, second.members):
+            assert np.array_equal(a.values, b.values)
 
 
 class TestMonotoneRoot:
@@ -323,6 +461,14 @@ class TestLevelTrace:
             if key in seen:
                 assert i - seen[key] == 1, "equal zeta values must be contiguous"
             seen[key] = i
+
+    def test_diagnostics_are_json(self):
+        res = level_trace(cubic_field, lambda e, t: e,
+                          Rect.centered(0.5, 1.0), TraceParams(depth=3))
+        report = json.loads(json.dumps(res.diagnostics))
+        assert report["n_lower"] == res.diagnostics["n_lower"]
+        lo, hi = res.band
+        assert np.all(lo.values <= hi.values)
 
     def test_samples_satisfy_F_tolerance(self):
         params = TraceParams(depth=5)

@@ -56,6 +56,28 @@ class TestPolySurface:
         p = PolySurface({(1, 0, 0): 0.0, (0, 1, 0): 2.0})
         assert (1, 0, 0) not in p.coefficients
 
+    def test_gradient_bound_covers_interior(self):
+        # x11^3 - 3 x11 has |grad| = 0 at every corner of [-1, 1]^3 but 3 at the centre
+        p = PolySurface({(3, 0, 0): 1.0, (1, 0, 0): -3.0})
+        assert p.max_euclidean_gradient(((-1.0, 1.0),) * 3) >= 3.0
+
+    @given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                           st.floats(-2.0, 2.0, allow_nan=False), max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_gradient_bound_over_box(self, coeffs):
+        p = PolySurface(coeffs)
+        box = ((-0.5, 1.0), (-1.0, 0.25), (0.0, 0.75))
+        bound = p.max_euclidean_gradient(box)
+        axes = [np.linspace(lo, hi, 7) for lo, hi in box]
+        X, Y, T = np.meshgrid(*axes, indexing="ij")
+        norm = np.sqrt(sum(p.partial(v).eval_coords(X, Y, T) ** 2 for v in range(3)))
+        assert np.max(norm) <= bound * (1.0 + 1e-12)
+
+    def test_gradient_bound_exact_on_linear(self):
+        box = ((-0.2, 0.2),) * 3
+        assert X11.max_euclidean_gradient(box) == 1.0
+        assert X11_PLUS_T.max_euclidean_gradient(box) == math.sqrt(2.0)
+
 
 class TestHorizontalGradient:
     def test_coordinate_x11(self):

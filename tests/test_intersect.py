@@ -1,5 +1,6 @@
 """End-to-end intersection pipeline, oracles, and the cone checker."""
 
+import json
 import math
 from unittest import mock
 
@@ -123,6 +124,9 @@ class TestIntersectSurfaces:
         for curve in (curve_a, curve_b):
             assert curve.min_separation() > 1e-12
 
+    def test_trace_report_is_json(self, curve_b):
+        json.dumps(curve_b.meta["trace"])
+
     def test_params_normalized(self, curve_a):
         curve = curve_a
         assert curve.params[0] == 0.0
@@ -184,6 +188,14 @@ class TestZeroCloud:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             brute_force_zero_cloud(F_X11, F_X12, BOX_SMALL, grid_n=1)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_slabs_match_one_block(self, rows):
+        grid_n = 41
+        whole = brute_force_zero_cloud(F_X12, F_X11_T, BOX_SMALL, grid_n=grid_n)
+        with mock.patch.object(intersect, "CLOUD_BLOCK", rows * grid_n * grid_n):
+            sliced = brute_force_zero_cloud(F_X12, F_X11_T, BOX_SMALL, grid_n=grid_n)
+        assert whole and sliced == whole
 
 
 @pytest.mark.parametrize("oracle", [
