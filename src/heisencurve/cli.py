@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -95,6 +96,19 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
+def _finite(x) -> bool:
+    """x is a JSON number that converts to a finite float."""
+    try:
+        return isinstance(x, (int, float)) and math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _finite_numbers(v, n: int | None = None) -> bool:
+    """v is a list of finite numbers (of length n when given)."""
+    return isinstance(v, list) and (n is None or len(v) == n) and all(map(_finite, v))
+
+
 def _parse_surface(spec, path: str) -> PolySurface:
     if not isinstance(spec, list) or not spec:
         _fail(path, "expected a nonempty list of [i, j, k, coefficient] quadruples")
@@ -136,20 +150,18 @@ def parse_config(text: str) -> RunConfig:
 
     if "base_point" in doc:
         bp = doc["base_point"]
-        if (not isinstance(bp, list) or len(bp) != 3
-                or not all(isinstance(v, (int, float)) for v in bp)):
-            _fail("base_point", "expected [x11, x12, t]")
+        if not _finite_numbers(bp, 3):
+            _fail("base_point", "expected [x11, x12, t] of finite numbers")
         cfg.base_point = Point(*map(float, bp))
     if "window" in doc:
         w = doc["window"]
-        if not isinstance(w, (int, float)) or w <= 0:
-            _fail("window", "expected a positive half-width")
+        if not _finite(w) or w <= 0:
+            _fail("window", "expected a positive finite half-width")
         cfg.window = float(w)
     if "bracket" in doc:
         br = doc["bracket"]
-        if (not isinstance(br, list) or len(br) != 2
-                or not all(isinstance(v, (int, float)) for v in br) or br[0] >= br[1]):
-            _fail("bracket", "expected [s_min, s_max] with s_min < s_max")
+        if not _finite_numbers(br, 2) or br[0] >= br[1]:
+            _fail("bracket", "expected finite [s_min, s_max] with s_min < s_max")
         cfg.bracket = (float(br[0]), float(br[1]))
     for key, attr, cast, check in (
         ("step", "step", float, lambda v: v > 0),
@@ -160,14 +172,19 @@ def parse_config(text: str) -> RunConfig:
     ):
         if key in doc:
             v = doc[key]
-            if not isinstance(v, (int, float)) or not check(cast(v)):
+            if not _finite(v) or not check(cast(v)):
                 _fail(key, f"invalid value {v!r}")
             setattr(cfg, attr, cast(v))
     if "tau0" in doc:
         ts = doc["tau0"]
-        if not isinstance(ts, list) or not all(isinstance(v, (int, float)) for v in ts):
-            _fail("tau0", "expected a list of initial values")
+        if not _finite_numbers(ts):
+            _fail("tau0", "expected a list of finite initial values")
         cfg.tau0 = tuple(float(v) for v in ts)
+    # the defaults too, where characteristics would start from them
+    if ("tau0" in doc or command == "characteristics") and any(
+            abs(v) > cfg.window for v in cfg.tau0):
+        _fail("tau0", f"initial values {list(cfg.tau0)} must lie in "
+                      f"[-window, window] = [{-cfg.window!r}, {cfg.window!r}]")
     if "out" in doc:
         if not isinstance(doc["out"], str):
             _fail("out", "expected a path string")

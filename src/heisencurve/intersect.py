@@ -105,12 +105,6 @@ class Curve:
     def __len__(self) -> int:
         return len(self.points)
 
-    def min_separation(self) -> float:
-        return min(
-            (dist(a, b) for a, b in zip(self.points, self.points[1:])),
-            default=math.inf,
-        )
-
 
 @dataclass(frozen=True)
 class ConeParams:

@@ -1,14 +1,18 @@
-"""Verification suites aggregating the library's formula checks.
+"""The acceptance criteria of the construction, each computed once.
 
-Each suite runs deterministic numeric checks on shipped fixtures and returns
-plain dicts suitable for a JSON report: name, measured value, tolerance, and
-pass/fail.  Tolerances match the test suite; the grids are kept small enough
-for an interactive run.
+Each suite runs deterministic numeric checks and returns plain dicts
+suitable for a JSON report: name, measured value, tolerance, and
+pass/fail.  A suite takes one `Scale`, which fixes its seed, its oracle grid
+and its input counts; the tolerances do not depend on it.  `heisencurve
+verify` runs the suites at `INTERACTIVE` with the caller's seed and grid,
+and tests/test_acceptance.py asserts on the same checks at a larger
+acceptance scale.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,9 +22,11 @@ from .characteristics import (
     chain_rule_check,
     chain_rule_rhs,
     characteristic,
-    system_residual,
     directional_derivative_check,
+    system_residual,
+    taylor_remainder,
 )
+from .errors import ConfigError
 from .flowtrace import (
     PathSample,
     Rect,
@@ -64,6 +70,24 @@ POLY_X12 = PolySurface({(0, 1, 0): 1.0})
 POLY_AFFINE = PolySurface({(1, 0, 0): 1.0, (0, 0, 1): 1.0})
 
 
+@dataclass(frozen=True)
+class Scale:
+    """The seed, the oracle grid and the input counts of one run of the suites."""
+
+    seed: int
+    grid_n: int                       # zero-cloud oracle points per axis
+    group_samples: int                # random triples for the group algebra
+    projection_samples: int           # of those, points projected on a random frame
+    steps: int                        # characteristic steps 1e-2 * 2^-k, k < steps
+    residual_tau0: tuple[float, ...]  # start values of the first-order system residual
+    taylor_n: int                     # points per side of each Taylor box
+    family_depth: int                 # refinement depth of the two flow families
+
+
+INTERACTIVE = Scale(seed=0, grid_n=41, group_samples=2000, projection_samples=500,
+                    steps=4, residual_tau0=(-0.3, 0.25), taylor_n=21, family_depth=4)
+
+
 def _check(name: str, value: float, tolerance: float, larger_is_better=False) -> dict:
     passed = value >= tolerance if larger_is_better else value <= tolerance
     return {
@@ -74,44 +98,66 @@ def _check(name: str, value: float, tolerance: float, larger_is_better=False) ->
     }
 
 
-def _rand_points(rng, n, scale=10.0):
-    return [Point(*row) for row in rng.uniform(-scale, scale, size=(n, 3))]
+def _gap(a: Point, b: Point) -> float:
+    return max(abs(a.x11 - b.x11), abs(a.x12 - b.x12), abs(a.t - b.t))
+
+
+def _rand_points(rng, n):
+    return [Point(*row) for row in rng.uniform(-10.0, 10.0, size=(n, 3))]
 
 
 def _cubic(e, t):
     return 3.0 * abs(t) ** (2.0 / 3.0)
 
 
+def _decay(e, t):
+    return -t
+
+
+def preimage_contiguity(raw_zeta) -> dict:
+    """Check that a traced preimage never comes back to a point it has left.
+
+    Interval collapse may repeat a zero only at adjacent members, so each
+    zero seen again at a later, non-adjacent member counts as one return.
+    """
+    returns = 0
+    seen: dict = {}
+    for i, p in enumerate(raw_zeta):
+        key = (round(p[0], 12), round(p[1], 12))
+        returns += key in seen and i - seen[key] != 1
+        seen[key] = i
+    return _check("funnel_preimage_contiguity", returns, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
-def suite_group(seed: int, grid_n: int) -> list[dict]:
-    rng = np.random.default_rng(seed)
-    xs = _rand_points(rng, 2000)
-    ys = _rand_points(rng, 2000)
-    zs = _rand_points(rng, 2000)
+def suite_group(scale: Scale) -> list[dict]:
+    rng = np.random.default_rng(scale.seed)
+    n = scale.group_samples
+    xs = _rand_points(rng, n)
+    ys = _rand_points(rng, n)
+    zs = _rand_points(rng, n)
+    rs = rng.uniform(0.1, 3.0, size=n)
     assoc = inverse = homog = tri = left = autom = 0.0
-    for x, y, z in zip(xs, ys, zs):
-        a = mul(mul(x, y), z)
-        b = mul(x, mul(y, z))
-        assoc = max(assoc, abs(a.x11 - b.x11), abs(a.x12 - b.x12), abs(a.t - b.t))
-        e = mul(x, inv(x))
-        inverse = max(inverse, abs(e.x11), abs(e.x12), abs(e.t))
-        r = 0.1 + 2.0 * abs(y.x11) / 10.0
+    for x, y, z, r in zip(xs, ys, zs, rs):
+        assoc = max(assoc, _gap(mul(mul(x, y), z), mul(x, mul(y, z))))
+        inverse = max(inverse, _gap(mul(x, inv(x)), Point(0.0, 0.0, 0.0)))
         homog = max(homog, abs(hnorm(dilate(r, x)) - r * hnorm(x)))
         tri = max(tri, hnorm(mul(x, y)) - hnorm(x) - hnorm(y))
         left = max(left, abs(dist(mul(z, x), mul(z, y)) - dist(x, y)))
-        c = mul(dilate(r, x), dilate(r, y))
-        d = dilate(r, mul(x, y))
-        autom = max(autom, abs(c.x11 - d.x11), abs(c.x12 - d.x12), abs(c.t - d.t))
-    proj = 0.0
-    embed = 0.0
-    for x in xs[:500]:
+        autom = max(autom, _gap(mul(dilate(r, x), dilate(r, y)), dilate(r, mul(x, y))))
+    # the worked example: (1, 2, 3) = (0, 2, 5) * (1, 0, 0) in the identity frame
+    q, n_part, h_part = Point(1.0, 2.0, 3.0), Point(0.0, 2.0, 5.0), Point(1.0, 0.0, 0.0)
+    fr = make_frame((1.0, 0.0))
+    example = max(_gap(project_N(q, fr), n_part), _gap(project_H(q, fr), h_part),
+                  _gap(mul(n_part, h_part), q))
+    proj = embed = 0.0
+    for x in xs[:scale.projection_samples]:
         th = rng.uniform(0.0, 2.0 * math.pi)
         fr = make_frame((math.cos(th), math.sin(th)))
-        back = mul(project_N(x, fr), project_H(x, fr))
-        proj = max(proj, abs(back.x11 - x.x11), abs(back.x12 - x.x12), abs(back.t - x.t))
+        proj = max(proj, _gap(mul(project_N(x, fr), project_H(x, fr)), x))
         v = VerticalCoords(x.x11 / 10.0, x.t / 10.0)
         w = coords_N(embed_N(v, fr), fr)
         embed = max(embed, abs(w.eta - v.eta), abs(w.tau - v.tau))
@@ -133,6 +179,7 @@ def suite_group(seed: int, grid_n: int) -> list[dict]:
         _check("triangle_inequality_excess", max(tri, 0.0), 1e-12),
         _check("distance_left_invariance", left, 1e-10),
         _check("dilation_automorphism", autom, 1e-9),
+        _check("projection_example", example, 0.0),
         _check("projection_roundtrip", proj, 1e-12),
         _check("vertical_coords_roundtrip", embed, 1e-12),
         _check("symbolic_vs_fd_gradient", fields, 1e-6),
@@ -147,7 +194,7 @@ def _patches():
     return flat, affine
 
 
-def suite_graph(seed: int, grid_n: int) -> list[dict]:
+def suite_graph(scale: Scale) -> list[dict]:
     flat, affine = _patches()
     res = closed = 0.0
     for eta in np.linspace(-0.5, 0.5, 50):
@@ -163,13 +210,12 @@ def suite_graph(seed: int, grid_n: int) -> list[dict]:
         q = Point(*affine.line_coords(eta, tau, affine.solve_scalar((eta, tau))))
         back = coords_N(project_N(q, affine.frame), affine.frame)
         section = max(section, abs(back.eta - eta), abs(back.tau - tau))
-    errs = []
     handle = SurfaceHandle.from_polynomial(
         PolySurface({(3, 0, 0): 1.0, (0, 2, 1): -1.0}), validate=False)
     x = Point(0.4, -0.3, 0.2)
     g1 = handle.grad_h(x)[0]
-    for h in (1e-2, 5e-3, 2.5e-3):
-        errs.append(abs(horizontal_derivative(handle.eval, x, (1.0, 0.0), h) - g1))
+    errs = [abs(horizontal_derivative(handle.eval, x, (1.0, 0.0), h) - g1)
+            for h in (1e-2, 5e-3, 2.5e-3)]
     order = min(math.log2(errs[i] / errs[i + 1]) for i in range(2))
     return [
         _check("graph_level_residual", res, 1e-10),
@@ -179,26 +225,22 @@ def suite_graph(seed: int, grid_n: int) -> list[dict]:
     ]
 
 
-def suite_characteristics(seed: int, grid_n: int) -> list[dict]:
+def suite_characteristics(scale: Scale) -> list[dict]:
     _, affine = _patches()
     cf = CharField(affine)
     window = Rect((0.0, 0.5), (-0.5, 0.5))
     errs_by_step = []
-    steps = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
-    for step in steps:
+    for step in (1e-2 * 0.5**k for k in range(scale.steps)):
         worst = 0.0
         for tau0 in (-0.3, -0.1, 0.1, 0.3):
             p = characteristic(cf, tau0, window=window, step=step)
             worst = max(worst, float(np.max(np.abs(
                 p.values - tau0 * (1.0 - p.etas) ** 2))))
         errs_by_step.append(worst)
-    order = min(
-        math.log2(errs_by_step[i] / errs_by_step[i + 1])
-        for i in range(len(steps) - 1)
-    )
+    order = min(math.log2(a / b) for a, b in zip(errs_by_step, errs_by_step[1:]))
     step = 1e-3
     daf = 0.0
-    for tau0 in (-0.3, 0.25):
+    for tau0 in scale.residual_tau0:
         p = characteristic(cf, tau0, window=window, step=step)
         daf = max(daf, system_residual(cf, p))
     n = int(0.4 / step) + 1
@@ -211,8 +253,8 @@ def suite_characteristics(seed: int, grid_n: int) -> list[dict]:
     ]
 
 
-def suite_calculus(seed: int, grid_n: int) -> list[dict]:
-    rng = np.random.default_rng(seed)
+def suite_calculus(scale: Scale) -> list[dict]:
+    rng = np.random.default_rng(scale.seed)
     _, affine = _patches()
     cf = CharField(affine)
     window = Rect((0.0, 0.5), (-0.5, 0.5))
@@ -231,18 +273,15 @@ def suite_calculus(seed: int, grid_n: int) -> list[dict]:
     base = TaylorBasePoint.from_patch(affine, VerticalCoords(0.0, 0.0))
     quad = SurfaceHandle.from_polynomial(
         PolySurface({(0, 1, 0): 1.0, (2, 0, 0): 1.0}), validate=False)
-    from .characteristics import taylor_remainder
-
     ratios = []
     for k in range(2, 9):
         r = 2.0**-k
         worst = 0.0
-        for u in np.linspace(-1.0, 1.0, 21):
+        for u in np.linspace(-1.0, 1.0, scale.taylor_n):
             for eta, tau in ((r, u * r * r), (-r, u * r * r),
                              (u * r, r * r), (u * r, -r * r)):
-                rem, scale = taylor_remainder(quad, cf, base,
-                                              VerticalCoords(eta, tau))
-                worst = max(worst, abs(rem) / scale)
+                rem, size = taylor_remainder(quad, cf, base, VerticalCoords(eta, tau))
+                worst = max(worst, abs(rem) / size)
         ratios.append(worst)
     violations = sum(1 for a, b in zip(ratios, ratios[1:]) if b > a)
     shifted = TaylorBasePoint.from_patch(affine, VerticalCoords(0.0, 0.2))
@@ -259,14 +298,23 @@ def suite_calculus(seed: int, grid_n: int) -> list[dict]:
     ]
 
 
-def suite_flow(seed: int, grid_n: int) -> list[dict]:
+def suite_flow(scale: Scale) -> list[dict]:
     lo, hi, _ = extremal_solutions(_cubic, 0.0, 0.0, Rect((0.0, 0.5)), 1e-3)
     i = lo.index_of(0.5)
     ext_err = max(abs(lo.values[i]), abs(hi.values[i] - 0.125))
     grid = (-0.5, 0.01, 101)
-    fam_lo = integrate_through(lambda e, t: -t, 0.0, -1.0, grid)
-    fam_hi = integrate_through(lambda e, t: -t, 0.0, 1.0, grid)
-    fam = build_family(lambda e, t: -t, fam_lo, fam_hi, depth=4)
+    # the funnel between the cubic branches -(c^(1/3) - eta)^3 and (eta + c^(1/3))^3,
+    # each continued by 0, with c = 0.01
+    r3 = 0.01 ** (1.0 / 3.0)
+    etas = -0.5 + 0.01 * np.arange(101)
+    families = [
+        build_family(_decay, integrate_through(_decay, 0.0, -1.0, grid),
+                     integrate_through(_decay, 0.0, 1.0, grid), depth=scale.family_depth),
+        build_family(_cubic,
+                     PathSample(-0.5, 0.01, np.array([-max(r3 - e, 0.0) ** 3 for e in etas])),
+                     PathSample(-0.5, 0.01, np.array([max(e + r3, 0.0) ** 3 for e in etas])),
+                     depth=scale.family_depth),
+    ]
     res = level_trace(_cubic, lambda e, t: e, Rect.centered(0.5, 1.0),
                       TraceParams(depth=6))
     gap, spacing, nzeros = coverage_gap(res, lambda e, t: e,
@@ -274,21 +322,21 @@ def suite_flow(seed: int, grid_n: int) -> list[dict]:
                                                    - res.neighborhood.eta[0]) / 40)
     return [
         _check("extremal_cubic_error", ext_err, 1e-3),
-        _check("family_monotonicity", fam.monotonicity_violation(), 1e-9),
-        _check("family_mean_residual", max(fam.mean_residuals()), 1e-6),
+        _check("family_monotonicity", max(f.monotonicity_violation() for f in families), 1e-9),
+        _check("family_mean_residual", max(max(f.mean_residuals()) for f in families), 1e-6),
         _check("funnel_coverage_gap", gap, 2.0 * spacing),
         _check("funnel_zero_count", float(nzeros), 1.0, larger_is_better=True),
+        preimage_contiguity(res.diagnostics["raw_zeta"]),
     ]
 
 
-def suite_intersect(seed: int, grid_n: int) -> list[dict]:
-    f_x11 = SurfaceHandle.from_polynomial(POLY_X11, validate=False)
-    f_x12 = SurfaceHandle.from_polynomial(POLY_X12, validate=False)
-    f_affine = SurfaceHandle.from_polynomial(POLY_AFFINE, validate=False)
+def suite_intersect(scale: Scale) -> list[dict]:
+    f_x11, f_x12, f_affine = (SurfaceHandle.from_polynomial(p, validate=False)
+                              for p in (POLY_X11, POLY_X12, POLY_AFFINE))
     box = ((-0.2, 0.2), (-0.2, 0.2), (-0.2, 0.2))
-    spacing = 0.4 / (grid_n - 1)
+    spacing = 0.4 / (scale.grid_n - 1)
     checks = []
-    curves = {}
+    worst_violations = 0
     for tag, pair, line_dist in (
         ("A", (f_x11, f_x12),
          lambda q: math.hypot(q.x11, q.x12)),
@@ -296,22 +344,19 @@ def suite_intersect(seed: int, grid_n: int) -> list[dict]:
          lambda q: dist(q, Point(-q.t / (1.0 - q.x12), 0.0, q.t / (1.0 - q.x12)))),
     ):
         curve = intersect_surfaces(IntersectionProblem(*pair))
-        curves[tag] = (curve, pair)
         tol = 1e-8 if tag == "A" else 1e-6
         checks.append(_check(f"curve_{tag}_reference_distance",
                              max(line_dist(q) for q in curve.points), tol))
         checks.append(_check(f"curve_{tag}_residuals",
                              max(curve.meta["residual_f1"],
                                  curve.meta["residual_f2"]), 1e-8))
-        cloud = brute_force_zero_cloud(*pair, box, grid_n=grid_n)
+        cloud = brute_force_zero_cloud(*pair, box, grid_n=scale.grid_n)
         checks.append(_check(f"curve_{tag}_cloud_agreement",
                              curve_cloud_agreement(curve.points, cloud, box),
                              2.0 * spacing + 1e-12))
         sep = min(dist(a, b) for a, b in zip(curve.points, curve.points[1:]))
         checks.append(_check(f"curve_{tag}_injectivity", sep, 1e-12,
                              larger_is_better=True))
-    worst_violations = 0
-    for tag, (curve, pair) in curves.items():
         lam = gradient_margin(pair, box, grid_n=5)
         lip = pair_lipschitz_bound(pair, box)
         for alpha in (1.0, 2.0, 5.0):
@@ -337,15 +382,15 @@ SUITES = {
 
 
 def run_suites(suite: str | None = None, seed: int = 0, grid_n: int = 41) -> dict:
-    """Run one named suite or all of them; returns a JSON-ready report."""
+    """Run one named suite or all of them at INTERACTIVE scale with the given
+    seed and oracle grid; returns a JSON-ready report."""
     if suite is not None and suite not in SUITES:
-        from .errors import ConfigError
-
         raise ConfigError(f"suite: unknown suite {suite!r}; have {sorted(SUITES)}")
     names = [suite] if suite else list(SUITES)
+    scale = replace(INTERACTIVE, seed=seed, grid_n=grid_n)
     report = {"suites": {}, "seed": seed, "grid_n": grid_n}
     for name in names:
-        checks = SUITES[name](seed, grid_n)
+        checks = SUITES[name](scale)
         report["suites"][name] = {
             "checks": checks,
             "passed": all(c["passed"] for c in checks),

@@ -1,6 +1,7 @@
 """Config parsing, command execution, exit codes, and CSV round-trips."""
 
 import json
+import math
 
 import pytest
 
@@ -71,6 +72,24 @@ class TestParseConfig:
     def test_base_point_validation(self):
         with pytest.raises(ConfigError, match="base_point"):
             cli.parse_config(intersect_config(base_point=[1.0, 2.0]))
+
+    @pytest.mark.parametrize("key, over", [
+        ("base_point", {"base_point": [math.nan, 0.0, 0.0]}),
+        ("window", {"window": math.inf}),
+        ("bracket", {"bracket": [-math.inf, 2.0]}),
+        ("tau0", {"tau0": [math.nan]}),
+        ("tau0", {"tau0": [5.0], "window": 0.5}),
+        ("tau0", {"command": "characteristics", "window": 0.1}),
+        ("depth", {"depth": math.inf}),
+        ("seed", {"seed": 10**400}),
+    ])
+    def test_non_finite_or_out_of_window_exit_two(self, key, over, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(intersect_config(**over))
+        command = over.get("command", "intersect")
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}:" in err and "Traceback" not in err
 
 
 def read_csv(path):
