@@ -113,9 +113,9 @@ def _parse_surface(spec, path: str) -> PolySurface:
     if not isinstance(spec, list) or not spec:
         _fail(path, "expected a nonempty list of [i, j, k, coefficient] quadruples")
     for row_idx, row in enumerate(spec):
-        if (not isinstance(row, list) or len(row) != 4
-                or not all(isinstance(v, (int, float)) for v in row)):
-            _fail(f"{path}[{row_idx}]", "expected an [i, j, k, coefficient] quadruple")
+        if not _finite_numbers(row, 4):
+            _fail(f"{path}[{row_idx}]",
+                  "expected an [i, j, k, coefficient] quadruple of finite numbers")
     try:
         return PolySurface.from_quadruples(spec)
     except ValueError as e:

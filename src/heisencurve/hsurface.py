@@ -10,15 +10,18 @@ bracketed bisection and a Newton polish as the fallback.
 
 The solve runs on plain floats: the graph line n * (s b1) has a closed form
 in coordinates, and a polynomial handle evaluates f and (X1 f, X2 f) at
-those coordinates from term tuples each polynomial builds once.  Left
-translation of a polynomial is again a polynomial, so translated handles
-keep that fast path.
+those coordinates.  Each polynomial compiles, on first use, into a
+straight-line evaluator that computes each power x**e once and makes the
+products and sums of the term-by-term sum in the same order, so it rounds
+exactly as that sum does.  Left translation of a polynomial is again a
+polynomial, so translated handles keep that fast path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,6 +38,8 @@ __all__ = [
 ]
 
 MAX_TOTAL_DEGREE = 16
+# Terms per statement of a compiled polynomial's sum.
+SUM_CHUNK = 64
 # Central-difference step and tolerance of check_gradient.
 CHECK_STEP = 1e-5
 CHECK_TOL = 1e-6
@@ -61,52 +66,44 @@ class PolySurface:
     """
 
     coefficients: dict[tuple[int, int, int], float] = field(default_factory=dict)
-    _terms: tuple[tuple[float, int, int, int], ...] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cleaned = {}
         for key, c in self.coefficients.items():
-            i, j, k = key
-            if i < 0 or j < 0 or k < 0:
-                raise ValueError(f"exponents must be nonnegative, got {key!r}")
+            i, j, k = exps = _exponents(key)
             if i + j + k > MAX_TOTAL_DEGREE:
                 raise ValueError(
                     f"total degree {i + j + k} exceeds bound {MAX_TOTAL_DEGREE}"
                 )
             if c != 0.0:
-                cleaned[(int(i), int(j), int(k))] = float(c)
+                cleaned[exps] = float(c)
         object.__setattr__(self, "coefficients", cleaned)
-        terms = tuple((c, i, j, k) for (i, j, k), c in cleaned.items())
-        object.__setattr__(self, "_terms", terms)
 
     @classmethod
     def from_quadruples(cls, quads) -> "PolySurface":
         """Build from [i, j, k, coefficient] rows, summing repeated exponents."""
         coeffs: dict[tuple[int, int, int], float] = {}
-        for row in quads:
+        for n, row in enumerate(quads):
             if len(row) != 4:
                 raise ValueError(f"expected [i, j, k, coeff] quadruple, got {row!r}")
-            i, j, k, c = row
-            key = (int(i), int(j), int(k))
-            coeffs[key] = coeffs.get(key, 0.0) + float(c)
+            try:
+                key = _exponents(row[:3])
+            except ValueError as e:
+                raise ValueError(f"row {n}: {e}") from None
+            coeffs[key] = coeffs.get(key, 0.0) + float(row[3])
         return cls(coeffs)
 
     def __call__(self, x: Point) -> float:
         return self.value_at(x.x11, x.x12, x.t)
 
-    def value_at(self, x11: float, x12: float, t: float) -> float:
-        """Evaluate at float coordinates: the one sum over the term tuple."""
-        acc = 0.0
-        for c, i, j, k in self._terms:
-            if i:
-                c = c * x11**i
-            if j:
-                c = c * x12**j
-            if k:
-                c = c * t**k
-            acc = acc + c
-        return acc
+    @cached_property
+    def value_at(self) -> Callable[[float, float, float], float]:
+        """The evaluator p(x11, x12, t), compiled on first use.
+
+        It runs the operations of the term sum in term order, so it rounds
+        exactly like that sum on floats and on numpy arrays.
+        """
+        return _compile(self.coefficients)
 
     def eval_coords(self, x11, x12, t):
         """Evaluate at coordinates; works elementwise on numpy arrays."""
@@ -181,6 +178,53 @@ class PolySurface:
             for v in range(3)
         ]
         return math.sqrt(sum(b * b for b in bounds))
+
+
+def _exponents(key) -> tuple[int, int, int]:
+    """An exponent triple as ints; a negative or non-integral entry raises."""
+    try:
+        i, j, k = exps = tuple(int(e) for e in key)
+        valid = exps == tuple(key) and min(exps) >= 0
+    except (TypeError, ValueError, OverflowError):  # NaN, inf, non-numbers
+        valid = False
+    if not valid:
+        raise ValueError(f"exponents must be nonnegative integers, got {key!r}")
+    return i, j, k
+
+
+def _compile(coefficients: dict) -> Callable[[float, float, float], float]:
+    """Straight-line evaluator of sum c x11^i x12^j t^k over coefficients.
+
+    Each power x^e with e >= 2 is bound once (e = 1 uses x itself, which x**1
+    equals bit for bit); each term multiplies c by its powers of x11, x12, t
+    in that order, and the terms are added left to right onto 0.0.  The
+    coefficients enter as arguments of the factory ``make``, so the source
+    holds only fixed names and int exponents.  The sum is split into
+    statements of SUM_CHUNK terms to bound the expression depth the
+    compiler recurses through; that keeps the left-to-right order.
+    """
+    powers: dict[str, str] = {}
+    products = []
+    for n, exps in enumerate(coefficients):
+        factors = [f"c{n}"]
+        for var, e in zip(("x11", "x12", "t"), exps):
+            if e == 1:
+                factors.append(var)
+            elif e:
+                powers.setdefault(f"{var}_{e}", f"{var}**{e}")
+                factors.append(f"{var}_{e}")
+        products.append(" * ".join(factors))
+    coefs = ", ".join(f"c{n}" for n in range(len(products)))
+    lines = [f"def make({coefs}):", "    def value_at(x11, x12, t):"]
+    lines += [f"        {name} = {power}" for name, power in powers.items()]
+    total = "0.0"
+    for start in range(0, len(products), SUM_CHUNK):
+        lines.append(f"        acc = {' + '.join([total, *products[start:start + SUM_CHUNK]])}")
+        total = "acc"
+    lines += [f"        return {total}", "    return value_at"]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace.pop("make")(*coefficients.values())  # no make <-> namespace cycle
 
 
 def _affine(coeffs: dict) -> dict:

@@ -71,16 +71,22 @@ class IntersectionProblem:
     trace: TraceParams = dataclass_field(default_factory=TraceParams)
 
     def validate(self):
-        """Both surfaces vanish at p within trace.root_tol, with independent normals."""
-        v1 = self.f1.eval(self.p)
-        v2 = self.f2.eval(self.p)
+        """Both surfaces vanish at p within trace.root_tol, with independent normals.
+
+        A value at p that overflows or is not finite raises NotCommonZero, a
+        horizontal gradient that does raises DependentNormals; both name the
+        surface.
+        """
+        v1, v2 = (_at_base(f.eval, self.p, name, NotCommonZero)
+                  for name, f in (("f1", self.f1), ("f2", self.f2)))
         tol = self.trace.root_tol
-        if not (abs(v1) <= tol and abs(v2) <= tol):  # a NaN value fails here too
+        if not (abs(v1) <= tol and abs(v2) <= tol):
             raise NotCommonZero(
                 f"base point is not a common zero: f1 = {v1:.3e}, f2 = {v2:.3e}"
             )
-        g1 = self.f1.grad_h(self.p)
-        g2 = self.f2.grad_h(self.p)
+        g1, g2 = (_at_base(f.grad_h, self.p, f"the horizontal gradient of {name}",
+                           DependentNormals)
+                  for name, f in (("f1", self.f1), ("f2", self.f2)))
         n1 = math.hypot(*g1)
         n2 = math.hypot(*g2)
         cross = g1[0] * g2[1] - g1[1] * g2[0]
@@ -91,6 +97,17 @@ class IntersectionProblem:
                 f"{INDEPENDENCE_MARGIN * n1 * n2:.3e}); the construction "
                 "needs linearly independent horizontal normals"
             )
+
+
+def _at_base(fn, p: Point, what: str, error: type[Exception]):
+    """fn(p), raising error when it overflows or has a non-finite entry."""
+    try:
+        v = fn(p)
+    except OverflowError:
+        raise error(f"{what} overflows at the base point") from None
+    if not np.isfinite(v).all():
+        raise error(f"{what} is not finite at the base point: {v!r}")
+    return v
 
 
 @dataclass

@@ -69,6 +69,20 @@ class TestParseConfig:
                 {"command": "characteristics", "surfaces": [[[0, 0, 0, 1.0], [1, 2]]]}
             ))
 
+    @pytest.mark.parametrize("row", [[1.7, 0, 0, 1.0], [-0.5, 0, 0, 1.0]])
+    def test_non_integral_exponent_names_row(self, row):
+        with pytest.raises(ConfigError, match=r"surfaces\[1\]: row 0: exponents must be"):
+            cli.parse_config(json.dumps(
+                {"command": "intersect", "surfaces": [SURF_X12, [row, [0, 0, 1, 1.0]]]}
+            ))
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 10**400], ids=["inf", "nan", "huge"])
+    def test_non_finite_surface_entry(self, value):
+        with pytest.raises(ConfigError, match=r"surfaces\[0\]\[0\]: .* finite numbers"):
+            cli.parse_config(json.dumps(
+                {"command": "characteristics", "surfaces": [[[1, 0, 0, value]]]}
+            ))
+
     def test_base_point_validation(self):
         with pytest.raises(ConfigError, match="base_point"):
             cli.parse_config(intersect_config(base_point=[1.0, 2.0]))
@@ -225,6 +239,17 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert code == 1
         assert "NotCommonZero" in err
+
+    def test_base_point_overflow_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps({"command": "intersect",
+                                   "surfaces": [SURF_X12, [[1, 0, 0, 1.0], [0, 0, 3, 1.0]]],
+                                   "base_point": [0, 0, 1e300]}))
+        code = cli.main(["intersect", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "NotCommonZero" in err and "f2 overflows" in err
+        assert "Traceback" not in err
 
     def test_vanishing_gradient_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "flat.json"

@@ -8,6 +8,7 @@ from conftest import graph_point
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heisencurve import hsurface
 from heisencurve.errors import MarginViolated, NoSignChange
 from heisencurve.hgroup import Point, VerticalCoords, embed_N, make_frame, mul
 from heisencurve.hsurface import (
@@ -52,6 +53,22 @@ class TestPolySurface:
     def test_degree_bound(self):
         with pytest.raises(ValueError):
             PolySurface({(10, 5, 5): 1.0})
+
+    @pytest.mark.parametrize("key", [(1.9, 0, 0), (0, -1, 0), (0, 0, math.nan),
+                                     (math.inf, 0, 0), ("2", 0, 0)])
+    def test_rejects_non_integral_exponents(self, key):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            PolySurface({key: 1.0})
+
+    @pytest.mark.parametrize("row", [[1.7, 0, 0, 1.0], [-0.5, 0, 0, 1.0]])
+    def test_quadruples_name_the_bad_row(self, row):
+        with pytest.raises(ValueError, match="row 1: exponents must be nonnegative integers"):
+            PolySurface.from_quadruples([[0, 1, 0, 1.0], row])
+
+    def test_integral_float_exponents_accepted(self):
+        p = PolySurface.from_quadruples([[2.0, 0, 1.0, 1.5]])
+        assert p.coefficients == {(2, 0, 1): 1.5}
+        assert all(type(e) is int for e in next(iter(p.coefficients)))
 
     def test_drops_zero_coefficients(self):
         p = PolySurface({(1, 0, 0): 0.0, (0, 1, 0): 2.0})
@@ -296,3 +313,126 @@ class TestFloatEvaluation:
             assert_close(a, b)
         assert_close(patch._g(eta, tau, s), patch.f2.eval(q))
         assert_close(patch._g(eta, tau, s), f2.eval(mul(p, reference)))
+
+
+# -- the compiled evaluator against the term loop it replaced ------------------
+
+def term_loop(p, x11, x12, t):
+    """Reference only: the term-by-term loop that value_at compiles."""
+    acc = 0.0
+    for (i, j, k), c in p.coefficients.items():
+        if i:
+            c = c * x11**i
+        if j:
+            c = c * x12**j
+        if k:
+            c = c * t**k
+        acc = acc + c
+    return acc
+
+
+def same_float(a, b):
+    """Bit-level agreement up to the NaN payload: NaN matches NaN, and -0.0 only -0.0."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def same_array(a, b):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan], b[~nan])
+            and np.array_equal(np.signbit(a[~nan]), np.signbit(b[~nan])))
+
+
+ALL_MONOMIALS = [(i, j, k) for i in range(17) for j in range(17) for k in range(17)
+                 if i + j + k <= 16]
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+           1.0, -1.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
+coordinates = st.one_of(st.sampled_from(SPECIAL), st.floats(-2.0, 2.0), st.floats())
+coefficients = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False))
+high_polys = st.dictionaries(st.sampled_from(ALL_MONOMIALS), coefficients,
+                             max_size=24).map(PolySurface)
+
+
+def full_degree_16():
+    rng = np.random.default_rng(16)
+    return PolySurface({m: float(c) for m, c in
+                        zip(ALL_MONOMIALS, rng.uniform(-1.0, 1.0, len(ALL_MONOMIALS)))})
+
+
+class TestCompiledEvaluator:
+    @given(st.one_of(polys, high_polys), coordinates, coordinates, coordinates)
+    @settings(max_examples=400, deadline=None)
+    def test_scalars_match_term_loop(self, p, x11, x12, t):
+        try:
+            expected = term_loop(p, x11, x12, t)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                p.value_at(x11, x12, t)
+            return
+        assert same_float(p.value_at(x11, x12, t), expected)
+        if all(map(math.isfinite, (x11, x12, t))):
+            assert same_float(p(Point(x11, x12, t)), expected)
+
+    @given(st.one_of(polys, high_polys),
+           st.lists(coordinates, min_size=1, max_size=5),
+           coordinates,
+           st.lists(coordinates, min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_arrays_match_term_loop(self, p, a, b, c):
+        x11 = np.array(a)[:, None]
+        t = np.array(c)[None, :]
+        with np.errstate(all="ignore"):
+            try:
+                expected = term_loop(p, x11, b, t) + np.zeros((len(a), len(c)))
+            except OverflowError:  # the scalar b overflows a power
+                with pytest.raises(OverflowError):
+                    p.eval_coords(x11, b, t)
+                return
+            got = p.eval_coords(x11, b, t)
+        assert got.shape == (len(a), len(c))
+        assert same_array(got, expected)
+
+    def test_zero_polynomial(self):
+        zero = PolySurface({})
+        for x in SPECIAL:
+            assert same_float(zero.value_at(x, x, x), 0.0)
+        assert same_array(zero.eval_coords(np.ones(3), 0.0, 0.0), np.zeros(3))
+
+    def test_full_degree_16(self):
+        p = full_degree_16()
+        assert len(p.coefficients) == 969
+        rng = np.random.default_rng(0)
+        for x11, x12, t in rng.uniform(-1.2, 1.2, (50, 3)):
+            assert same_float(p.value_at(x11, x12, t), term_loop(p, x11, x12, t))
+        grid = rng.uniform(-1.2, 1.2, (3, 40))
+        assert same_array(p.eval_coords(*grid), term_loop(p, *grid))
+
+    def test_overflow_raises_like_the_loop(self):
+        p = PolySurface({(0, 0, 3): 1.0, (1, 0, 0): 1.0})
+        with pytest.raises(OverflowError):
+            term_loop(p, 0.0, 0.0, 1e300)
+        with pytest.raises(OverflowError):
+            p.value_at(0.0, 0.0, 1e300)
+
+    def test_compiled_once_on_first_use(self):
+        p = PolySurface({(2, 1, 0): 1.5})
+        assert "value_at" not in vars(p)
+        f = p.value_at
+        assert vars(p)["value_at"] is f and p.value_at is f
+
+    def test_intermediate_polynomials_stay_uncompiled(self, monkeypatch):
+        p = full_degree_16()
+        compiled = []
+        real = hsurface._compile
+        monkeypatch.setattr(hsurface, "_compile", lambda c: compiled.append(c) or real(c))
+        x1p, x2p = horiz_grad_poly(p)
+        q = p.translated(Point(0.3, -0.2, 0.1))
+        handle = SurfaceHandle.from_polynomial(q, validate=False)
+        assert compiled == []
+        for r in (p, x1p, x2p, q, *handle._grad_poly):
+            assert "value_at" not in vars(r)
+        handle.value_at(0.1, 0.2, 0.3)
+        assert len(compiled) == 1 and "value_at" in vars(q)

@@ -126,6 +126,19 @@ class TestIntersectSurfaces:
         with pytest.raises(NotCommonZero):
             IntersectionProblem(f1, f2, p=Point(1e10, 1e10, 0.0)).validate()
 
+    def test_base_point_overflow_rejected(self):
+        # f2 = x11 + t^3 at t = 1e300: t**3 overflows
+        f2 = SurfaceHandle.from_polynomial(
+            PolySurface({(1, 0, 0): 1.0, (0, 0, 3): 1.0}), validate=False)
+        with pytest.raises(NotCommonZero, match="f2 overflows at the base point"):
+            IntersectionProblem(F_X12, f2, p=Point(0.0, 0.0, 1e300)).validate()
+
+    def test_base_point_gradient_overflow_rejected(self):
+        # f1 = x11 t^3 is 1e-100 at p, but X2 f1 = 3 x11^2 t^2 overflows
+        f1 = SurfaceHandle.from_polynomial(PolySurface({(1, 0, 3): 1.0}), validate=False)
+        with pytest.raises(DependentNormals, match="gradient of f1 overflows"):
+            IntersectionProblem(f1, F_X12, p=Point(1e200, 0.0, 1e-100)).validate()
+
     def test_residuals_along_curve(self, curve_b):
         assert curve_b.meta["residual_f1"] <= 1e-8
         assert curve_b.meta["residual_f2"] <= 1e-8
