@@ -9,12 +9,17 @@ found here by Newton's method from a warm start (the previous root), with
 bracketed bisection and a Newton polish as the fallback.
 
 The solve runs on plain floats: the graph line n * (s b1) has a closed form
-in coordinates, and a polynomial handle evaluates f and (X1 f, X2 f) at
-those coordinates.  Each polynomial compiles, on first use, into a
+in coordinates.  Each polynomial compiles, on first use, into a
 straight-line evaluator that computes each power x**e once and makes the
 products and sums of the term-by-term sum in the same order, so it rounds
-exactly as that sum does.  Left translation of a polynomial is again a
-polynomial, so translated handles keep that fast path.
+exactly as that sum does.  The same code generator gives each graph patch
+of a polynomial f2 two line kernels, compiled when the patch is built:
+g(eta, tau, s) = f2 and y1(eta, tau, s) = Y1 f2 at n * (s b1), each
+computing the line coordinates inline and y1 sharing the powers of X1 f2
+and X2 f2.  They round exactly like the line coordinates followed by the
+compiled evaluators.  Left translation of a polynomial is again a
+polynomial, so translated handles keep that fast path; any other handle
+evaluates at a Point.
 """
 
 from __future__ import annotations
@@ -117,7 +122,8 @@ class PolySurface:
         """The polynomial x -> self(p * x), by substituting the coordinates of p * x.
 
         p * x = (p11 + x11, p12 + x12, pt + t + p11 x12 - p12 x11) is affine
-        in x, so the substitution stays in the polynomial ring.
+        in x, so the substitution stays in the polynomial ring.  A coefficient
+        that overflows (is not finite) raises OverflowError.
         """
         subs = [
             _affine({(0, 0, 0): p.x11, (1, 0, 0): 1.0}),
@@ -132,6 +138,9 @@ class PolySurface:
                     term = _poly_mul(term, sub)
             for key, v in term.items():
                 out[key] = out.get(key, 0.0) + v
+        bad = [key for key, v in out.items() if not math.isfinite(v)]
+        if bad:
+            raise OverflowError(f"translating by {p} overflows the coefficient of {bad[0]}")
         return PolySurface(out)
 
     def partial(self, var: int) -> "PolySurface":
@@ -193,20 +202,26 @@ def _exponents(key) -> tuple[int, int, int]:
 
 
 def _compile(coefficients: dict) -> Callable[[float, float, float], float]:
-    """Straight-line evaluator of sum c x11^i x12^j t^k over coefficients.
+    """Straight-line evaluator of sum c x11^i x12^j t^k over coefficients."""
+    return _straight_line("value_at", "x11, x12, t", (), {"acc": coefficients}, "acc", {})
 
-    Each power x^e with e >= 2 is bound once (e = 1 uses x itself, which x**1
-    equals bit for bit); each term multiplies c by its powers of x11, x12, t
-    in that order, and the terms are added left to right onto 0.0.  The
-    coefficients enter as arguments of the factory ``make``, so the source
-    holds only fixed names and int exponents.  The sum is split into
-    statements of SUM_CHUNK terms to bound the expression depth the
-    compiler recurses through; that keeps the left-to-right order.
+
+def _sum_lines(coefficients: dict, acc: str, powers: dict, consts: dict) -> list[str]:
+    """Statements that set acc to sum c x11^i x12^j t^k over coefficients.
+
+    Each term multiplies its coefficient by its powers of x11, x12, t in that
+    order; e = 1 uses x itself, which x**e equals bit for bit, and each power
+    with e >= 2 goes into powers, to be bound once.  The terms are added left
+    to right onto 0.0, in statements of SUM_CHUNK terms that bound the
+    expression depth the compiler recurses through without changing that
+    order; no terms give the one statement acc = 0.0.  The coefficients go
+    into consts under the names the terms use.
     """
-    powers: dict[str, str] = {}
     products = []
-    for n, exps in enumerate(coefficients):
-        factors = [f"c{n}"]
+    for exps, c in coefficients.items():
+        name = f"{acc}_c{len(products)}"
+        consts[name] = c
+        factors = [name]
         for var, e in zip(("x11", "x12", "t"), exps):
             if e == 1:
                 factors.append(var)
@@ -214,17 +229,50 @@ def _compile(coefficients: dict) -> Callable[[float, float, float], float]:
                 powers.setdefault(f"{var}_{e}", f"{var}**{e}")
                 factors.append(f"{var}_{e}")
         products.append(" * ".join(factors))
-    coefs = ", ".join(f"c{n}" for n in range(len(products)))
-    lines = [f"def make({coefs}):", "    def value_at(x11, x12, t):"]
-    lines += [f"        {name} = {power}" for name, power in powers.items()]
+    lines = []
     total = "0.0"
-    for start in range(0, len(products), SUM_CHUNK):
-        lines.append(f"        acc = {' + '.join([total, *products[start:start + SUM_CHUNK]])}")
-        total = "acc"
-    lines += [f"        return {total}", "    return value_at"]
+    for start in range(0, max(len(products), 1), SUM_CHUNK):
+        lines.append(f"{acc} = {' + '.join([total, *products[start:start + SUM_CHUNK]])}")
+        total = acc
+    return lines
+
+
+def _straight_line(name: str, args: str, head, sums: dict, result: str,
+                   consts: dict) -> Callable:
+    """Compile the function name(args): the head statements, the sums, then result.
+
+    sums maps each accumulator name to the coefficients of its polynomial in
+    the variables x11, x12, t, which args or head must define; the powers the
+    sums share are bound once, after head.  The constants and coefficients
+    enter as arguments of the factory ``make``, so the source holds only fixed
+    names and int exponents, and popping ``make`` from its namespace leaves
+    the compiled function in no reference cycle.
+    """
+    consts = dict(consts)
+    powers: dict[str, str] = {}
+    body = [line for acc, coefficients in sums.items()
+            for line in _sum_lines(coefficients, acc, powers, consts)]
+    statements = [*head, *(f"{var} = {power}" for var, power in powers.items()),
+                  *body, f"return {result}"]
+    source = [f"def make({', '.join(consts)}):", f"    def {name}({args}):",
+              *(f"        {line}" for line in statements), f"    return {name}"]
     namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace.pop("make")(*coefficients.values())  # no make <-> namespace cycle
+    exec("\n".join(source), namespace)
+    return namespace.pop("make")(*consts.values())
+
+
+# The point n * (s b1) of the graph line for n = (eta, tau), as statements of
+# a compiled kernel; _line_coords is the same formula in Python.
+_LINE = (
+    "x11 = eta * b2x + s * b1x",
+    "x12 = eta * b2y + s * b1y",
+    "t = tau - eta * s * detc",
+)
+
+
+def _line_coords(line, eta: float, tau: float, s: float) -> tuple[float, float, float]:
+    b1x, b1y, b2x, b2y, detc = line
+    return (eta * b2x + s * b1x, eta * b2y + s * b1y, tau - eta * s * detc)
 
 
 def _affine(coeffs: dict) -> dict:
@@ -299,6 +347,35 @@ class SurfaceHandle:
         x1f, x2f = self._grad_poly
         return (x1f.value_at(x11, x12, t), x2f.value_at(x11, x12, t))
 
+    def along_line(self, line) -> tuple[Callable, Callable]:
+        """f and Y1 f = b1 . (X1 f, X2 f) on the graph line, as functions of (eta, tau, s).
+
+        line is (b1x, b1y, b2x, b2y, detC) and the point is n * (s b1) for
+        n = (eta, tau).  A polynomial handle compiles both into straight-line
+        kernels that compute the line coordinates inline, and Y1 f with the
+        powers of X1 f and X2 f shared; they round exactly like line_coords
+        followed by value_at and grad_at, which is what any other handle runs.
+        """
+        if self.poly is not None:
+            consts = dict(zip(("b1x", "b1y", "b2x", "b2y", "detc"), line))
+            x1f, x2f = self._grad_poly
+            g = _straight_line("g", "eta, tau, s", _LINE,
+                               {"f": self.poly.coefficients}, "f", consts)
+            y1 = _straight_line("y1", "eta, tau, s", _LINE,
+                                {"g1": x1f.coefficients, "g2": x2f.coefficients},
+                                "g1 * b1x + g2 * b1y", consts)
+            return g, y1
+        b1x, b1y = line[:2]
+
+        def g(eta: float, tau: float, s: float) -> float:
+            return self.value_at(*_line_coords(line, eta, tau, s))
+
+        def y1(eta: float, tau: float, s: float) -> float:
+            g1, g2 = self.grad_at(*_line_coords(line, eta, tau, s))
+            return g1 * b1x + g2 * b1y
+
+        return g, y1
+
     def translated(self, p: Point) -> "SurfaceHandle":
         """The handle of x -> f(p * x); gradients translate along for free.
 
@@ -371,6 +448,12 @@ class GraphPatch:
     MARGIN in absolute value; that makes the per-point root problem
     strictly monotone and bisection safe.
 
+    Every solve and the certificate evaluate the graph equation
+    g(eta, tau, s) = f2(n * (s b1)) and its slope Y1 f2 there through the
+    pair f2.along_line returns, built once here: two compiled straight-line
+    kernels for a polynomial f2, line_coords composed with f2's value_at and
+    grad_at for any other.
+
     Parameters
     ----------
     frame    : Frame with b1 the graph direction.
@@ -385,6 +468,7 @@ class GraphPatch:
         self.frame = frame
         self.f2 = f2
         self._line = (*frame.b1, *frame.b2, frame.detC)
+        self._g, self._y1 = f2.along_line(self._line)
         self.window = (tuple(window[0]), tuple(window[1]))
         self.bracket = (float(bracket[0]), float(bracket[1]))
         self._certify_margin()
@@ -393,10 +477,6 @@ class GraphPatch:
         self._s_base = self.solve_scalar((0.0, 0.0))
 
     # -- margin certificate --------------------------------------------------
-
-    def _y1f2_at(self, eta: float, tau: float, s: float) -> float:
-        g1, g2 = self.f2.grad_at(*self.line_coords(eta, tau, s))
-        return g1 * self.frame.b1[0] + g2 * self.frame.b1[1]
 
     def _certify_margin(self):
         (emin, emax), (tmin, tmax) = self.window
@@ -409,7 +489,7 @@ class GraphPatch:
         for eta in etas:
             for tau in taus:
                 for s in ss:
-                    y1 = self._y1f2_at(float(eta), float(tau), float(s))
+                    y1 = self._y1(float(eta), float(tau), float(s))
                     worst = min(worst, abs(y1))
                     if not abs(y1) >= MARGIN:  # NaN fails here too
                         raise MarginViolated(
@@ -428,11 +508,7 @@ class GraphPatch:
 
     def line_coords(self, eta: float, tau: float, s: float) -> tuple[float, float, float]:
         """Coordinates of n * (s b1) for n = (eta, tau): the group product in closed form."""
-        b1x, b1y, b2x, b2y, detc = self._line
-        return (eta * b2x + s * b1x, eta * b2y + s * b1y, tau - eta * s * detc)
-
-    def _g(self, eta: float, tau: float, s: float) -> float:
-        return self.f2.value_at(*self.line_coords(eta, tau, s))
+        return _line_coords(self._line, eta, tau, s)
 
     def contains(self, eta: float, tau: float) -> bool:
         """Whether (eta, tau) lies in the window up to WINDOW_SLACK; NaN never does."""
@@ -469,7 +545,7 @@ class GraphPatch:
             g = self._g(eta, tau, s)
             if abs(g) <= GTOL:
                 return s
-            y1 = self._y1f2_at(eta, tau, s)
+            y1 = self._y1(eta, tau, s)
             if abs(y1) < MARGIN:
                 return None
             s_next = s - g / y1
@@ -511,7 +587,7 @@ class GraphPatch:
         if lo == hi:
             return lo
         for s_end in (lo, hi):
-            if abs(self._y1f2_at(eta, tau, s_end)) < MARGIN:
+            if abs(self._y1(eta, tau, s_end)) < MARGIN:
                 raise MarginViolated(
                     f"|Y1 f2| below margin {MARGIN:.3e} inside the solve bracket"
                 )

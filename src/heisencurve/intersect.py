@@ -110,6 +110,14 @@ def _at_base(fn, p: Point, what: str, error: type[Exception]):
     return v
 
 
+def _translated(f: SurfaceHandle, p: Point, name: str) -> SurfaceHandle:
+    """f.translated(p), raising NotCommonZero when a coefficient overflows."""
+    try:
+        return f.translated(p)
+    except OverflowError:
+        raise NotCommonZero(f"{name} overflows when translated to the base point") from None
+
+
 @dataclass
 class Curve:
     """A sampled curve in the group with its planar preimage and metadata."""
@@ -157,8 +165,11 @@ def graph_field(f2: SurfaceHandle, p: Point, window_half: float,
     f2 is translated so that p sits at the origin, the graph direction
     follows its horizontal gradient there, and the graph patch covers the
     square window of half-width window_half in vertical-plane coordinates.
+    A value of f2 at p, or a coefficient of its translate, that overflows
+    raises NotCommonZero.
     """
-    f2t = f2.translated(p)
+    _at_base(f2.eval, p, "f2", NotCommonZero)
+    f2t = _translated(f2, p, "f2")
     w = window_half
     patch = GraphPatch(choose_frame(f2t, ORIGIN), f2t, window=((-w, w), (-w, w)),
                        bracket=bracket)
@@ -176,7 +187,7 @@ def intersect_surfaces(prob: IntersectionProblem) -> Curve:
     interval collapse keeps.  meta["trace"]["raw_xi"] holds the raw means.
     """
     prob.validate()
-    f1t = prob.f1.translated(prob.p)
+    f1t = _translated(prob.f1, prob.p, "f1")
     cf = graph_field(prob.f2, prob.p, prob.window_half, prob.bracket)
 
     def F(eta: float, tau: float) -> float:

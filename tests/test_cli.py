@@ -251,6 +251,18 @@ class TestOtherCommands:
         assert "NotCommonZero" in err and "f2 overflows" in err
         assert "Traceback" not in err
 
+    def test_characteristics_base_point_overflow_exit_one(self, tmp_path, capsys):
+        # t**3 overflows at t = 1e300; it used to surface as a NaN graph margin
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps({"command": "characteristics",
+                                   "surfaces": [[[1, 0, 0, 1.0], [0, 0, 3, 1.0]]],
+                                   "base_point": [0, 0, 1e300]}))
+        code = cli.main(["characteristics", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "NotCommonZero" in err and "f2 overflows" in err
+        assert "MarginViolated" not in err and "Traceback" not in err
+
     def test_vanishing_gradient_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "flat.json"
         cfg.write_text(json.dumps({"command": "characteristics",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from heisencurve import hsurface
 from heisencurve.errors import MarginViolated, NoSignChange
-from heisencurve.hgroup import Point, VerticalCoords, embed_N, make_frame, mul
+from heisencurve.hgroup import Frame, Point, VerticalCoords, embed_N, make_frame, mul
 from heisencurve.hsurface import (
     GraphPatch,
     PolySurface,
@@ -73,6 +73,13 @@ class TestPolySurface:
     def test_drops_zero_coefficients(self):
         p = PolySurface({(1, 0, 0): 0.0, (0, 1, 0): 2.0})
         assert (1, 0, 0) not in p.coefficients
+
+    @pytest.mark.parametrize("p", [Point(0.0, 0.0, 1e300), Point(1e200, 0.0, 0.0)])
+    def test_translation_overflow_raises(self, p):
+        # (t + 1e300)^3 overflows the constant; t + 1e200 x12 squared the x12^2 term
+        f = PolySurface({(1, 0, 0): 1.0, (0, 0, 3): 1.0, (0, 0, 2): 1.0})
+        with pytest.raises(OverflowError, match="overflows the coefficient"):
+            f.translated(p)
 
     def test_gradient_bound_covers_interior(self):
         # x11^3 - 3 x11 has |grad| = 0 at every corner of [-1, 1]^3 but 3 at the centre
@@ -311,8 +318,10 @@ class TestFloatEvaluation:
                         Point(s * fr.b1[0], s * fr.b1[1], 0.0))
         for a, b in zip(coords, (reference.x11, reference.x12, reference.t)):
             assert_close(a, b)
-        assert_close(patch._g(eta, tau, s), patch.f2.eval(q))
-        assert_close(patch._g(eta, tau, s), f2.eval(mul(p, reference)))
+        g, y1 = patch.f2.along_line((*fr.b1, *fr.b2, fr.detC))
+        assert_close(g(eta, tau, s), patch.f2.eval(q))
+        assert_close(g(eta, tau, s), f2.eval(mul(p, reference)))
+        assert_close(y1(eta, tau, s), y_derivatives(f2, mul(p, reference), fr)[0])
 
 
 # -- the compiled evaluator against the term loop it replaced ------------------
@@ -436,3 +445,101 @@ class TestCompiledEvaluator:
             assert "value_at" not in vars(r)
         handle.value_at(0.1, 0.2, 0.3)
         assert len(compiled) == 1 and "value_at" in vars(q)
+
+
+# -- the compiled line kernels against the composition they replaced -----------
+
+def line_reference(line, eta, tau, s):
+    """Reference only: the graph line n * (s b1) for n = (eta, tau)."""
+    b1x, b1y, b2x, b2y, detc = line
+    return (eta * b2x + s * b1x, eta * b2y + s * b1y, tau - eta * s * detc)
+
+
+def g_reference(f, line, eta, tau, s):
+    """Reference only: f on the graph line, as value_at at the line coordinates."""
+    return f.value_at(*line_reference(line, eta, tau, s))
+
+
+def y1_reference(f, line, eta, tau, s):
+    """Reference only: Y1 f on the graph line, through grad_at."""
+    g1, g2 = f.grad_at(*line_reference(line, eta, tau, s))
+    return g1 * line[0] + g2 * line[1]
+
+
+def assert_same_or_raises(kernel, reference, *args):
+    try:
+        expected = reference(*args)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            kernel(*args)
+        return
+    assert same_float(kernel(*args), expected)
+
+
+def frame_line(a, b):
+    fr = Frame(b1=(math.cos(a), math.sin(a)), b2=(math.cos(b), math.sin(b)))
+    return (*fr.b1, *fr.b2, fr.detC)
+
+
+# unit b1 and b2 at least a milliradian from parallel: det C in [-1, 1], nonzero
+frame_lines = st.tuples(angles, angles).filter(
+    lambda ab: abs(math.sin(ab[1] - ab[0])) > 1e-3).map(lambda ab: frame_line(*ab))
+
+
+def assert_kernels_match(f, line, eta, tau, s):
+    g, y1 = f.along_line(line)
+    assert_same_or_raises(g, lambda *a: g_reference(f, line, *a), eta, tau, s)
+    assert_same_or_raises(y1, lambda *a: y1_reference(f, line, *a), eta, tau, s)
+
+
+class TestLineKernels:
+    @given(st.one_of(polys, high_polys), frame_lines, coordinates, coordinates, coordinates)
+    @settings(max_examples=300, deadline=None)
+    def test_match_composition(self, p, line, eta, tau, s):
+        assert_kernels_match(SurfaceHandle.from_polynomial(p, validate=False),
+                             line, eta, tau, s)
+
+    @given(polys, st.tuples(*[st.floats(-3.0, 3.0)] * 5), window, window, bracket)
+    @settings(max_examples=100, deadline=None)
+    def test_match_composition_on_any_line(self, p, line, eta, tau, s):
+        assert_kernels_match(SurfaceHandle.from_polynomial(p, validate=False),
+                             line, eta, tau, s)
+
+    def test_sums_longer_than_a_chunk(self):
+        f = SurfaceHandle.from_polynomial(full_degree_16(), validate=False)
+        assert min(len(f.poly.coefficients), *(len(q.coefficients) for q in f._grad_poly)) \
+            > hsurface.SUM_CHUNK
+        rng = np.random.default_rng(3)
+        for a, b in rng.uniform(0.0, 2.0 * math.pi, (2, 2)):
+            line = frame_line(a, b + 0.5)
+            for eta, tau, s in rng.uniform(-1.0, 1.0, (10, 3)):
+                assert_kernels_match(f, line, eta, tau, s)
+
+    @pytest.mark.parametrize("coefficients", [{}, {(0, 0, 0): -2.5}])
+    def test_zero_and_constant(self, coefficients):
+        f = SurfaceHandle.from_polynomial(PolySurface(coefficients), validate=False)
+        g, y1 = f.along_line(frame_line(0.3, 2.0))
+        for x in SPECIAL:
+            assert same_float(g(x, x, x), coefficients.get((0, 0, 0), 0.0))
+            assert same_float(y1(x, x, x), 0.0)
+            assert_kernels_match(f, frame_line(0.3, 2.0), x, x, x)
+
+    @given(polys, angles)
+    @settings(max_examples=20, deadline=None)
+    def test_callable_handle_solves_bit_identically(self, pert, theta):
+        fr = make_frame((math.cos(theta), math.sin(theta)))
+        linear = PolySurface({(1, 0, 0): fr.b1[0], (0, 1, 0): fr.b1[1]})
+        poly = SurfaceHandle.from_polynomial(linear + pert.scaled(2e-4), validate=False)
+        wrapped = SurfaceHandle(eval=poly.eval, grad_h=poly.grad_h)
+        fast, slow = GraphPatch(fr, poly), GraphPatch(fr, wrapped)
+        assert slow.f2.poly is None
+        assert same_float(fast.y1_min_sampled, slow.y1_min_sampled)
+        grid = np.linspace(-0.5, 0.5, 9)
+        for tau in grid:
+            warm = [None, None]
+            for eta in grid:
+                n = (float(eta), float(tau))
+                assert same_float(fast.solve_scalar(n), slow.solve_scalar(n))
+                warm = [patch.solve_scalar(n, hint)
+                        for patch, hint in zip((fast, slow), warm)]
+                assert same_float(*warm)

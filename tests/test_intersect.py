@@ -139,6 +139,25 @@ class TestIntersectSurfaces:
         with pytest.raises(DependentNormals, match="gradient of f1 overflows"):
             IntersectionProblem(f1, F_X12, p=Point(1e200, 0.0, 1e-100)).validate()
 
+    def test_translation_overflow_rejected(self):
+        # f2 = x12 + t^2 and f1 = x11 - 1e200 vanish at p = (1e200, 0, 0) with
+        # independent normals, but t -> t + 1e200 x12 gives f2's translate an
+        # x12^2 coefficient of 1e400
+        f1 = SurfaceHandle.from_polynomial(
+            PolySurface({(1, 0, 0): 1.0, (0, 0, 0): -1e200}), validate=False)
+        f2 = SurfaceHandle.from_polynomial(
+            PolySurface({(0, 1, 0): 1.0, (0, 0, 2): 1.0}), validate=False)
+        prob = IntersectionProblem(f1, f2, p=Point(1e200, 0.0, 0.0))
+        prob.validate()
+        with pytest.raises(NotCommonZero, match="f2 overflows when translated"):
+            intersect_surfaces(prob)
+
+    def test_graph_field_checks_the_base_point(self):
+        f2 = SurfaceHandle.from_polynomial(
+            PolySurface({(1, 0, 0): 1.0, (0, 0, 3): 1.0}), validate=False)
+        with pytest.raises(NotCommonZero, match="f2 overflows at the base point"):
+            intersect.graph_field(f2, Point(0.0, 0.0, 1e300), 0.5, (-2.0, 2.0))
+
     def test_residuals_along_curve(self, curve_b):
         assert curve_b.meta["residual_f1"] <= 1e-8
         assert curve_b.meta["residual_f2"] <= 1e-8
