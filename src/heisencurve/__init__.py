@@ -48,7 +48,6 @@ from .flowtrace import (
     monotone_root,
     pointwise_max,
     pointwise_min,
-    solution_residual,
 )
 from .hgroup import (
     ORIGIN,
@@ -88,7 +87,6 @@ from .intersect import (
     graph_field,
     intersect_surfaces,
     pair_lipschitz_bound,
-    polyline_hausdorff,
 )
 
 __version__ = "0.1.0"

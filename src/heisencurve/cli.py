@@ -75,12 +75,13 @@ class RunConfig:
     suite: str | None = None
 
     def handles(self, count: int) -> list[SurfaceHandle]:
-        """The first count surfaces as handles; a failed gradient check is a ConfigError."""
+        """The first count surfaces as handles; a coefficient of a surface or of
+        its horizontal gradient that overflows is a ConfigError."""
         out = []
         for i, p in enumerate(self.surfaces[:count]):
             try:
                 out.append(SurfaceHandle.from_polynomial(p))
-            except ValueError as e:
+            except OverflowError as e:
                 _fail(f"surfaces[{i}]", str(e))
         return out
 

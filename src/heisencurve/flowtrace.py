@@ -38,7 +38,6 @@ __all__ = [
     "TraceParams",
     "TraceResult",
     "integrate_through",
-    "solution_residual",
     "pointwise_max",
     "pointwise_min",
     "funnel_section",
@@ -132,14 +131,6 @@ class PathSample:
         """Trapezoid integral of tau over the covered eta-interval."""
         return float(np.trapezoid(self.values, dx=self.step))
 
-    def max_increment(self) -> float:
-        if len(self.values) < 2:
-            return 0.0
-        return float(np.max(np.abs(np.diff(self.values))))
-
-    def copy(self) -> "PathSample":
-        return PathSample(self.eta0, self.step, self.values.copy())
-
 
 def _require_same_grid(a: PathSample, b: PathSample):
     if not a.same_grid(b):
@@ -201,20 +192,6 @@ def integrate_through(h, eta_c: float, tau_c: float, grid: tuple[float, float, i
     if not (0 <= k < n) or abs(eta0 + k * step - eta_c) > 1e-9:
         raise ValueError(f"anchor eta = {eta_c!r} is not a node of the grid")
     return PathSample(eta0, step, _march_both(h, h, eta_c, tau_c, k, n, step, *tau_range))
-
-
-def solution_residual(path: PathSample, h) -> float:
-    """Max over interior midpoints of |delta tau / delta eta - h(midpoint)|."""
-    if len(path) < 2:
-        return 0.0
-    e = path.etas
-    v = path.values
-    worst = 0.0
-    for i in range(len(v) - 1):
-        slope = (v[i + 1] - v[i]) / path.step
-        mid = h(0.5 * (e[i] + e[i + 1]), 0.5 * (v[i] + v[i + 1]))
-        worst = max(worst, abs(slope - mid))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +324,6 @@ class FlowFamily:
     members: list[tuple[float, PathSample]]
     interval: tuple[float, float]
 
-    @property
-    def mus(self) -> list[float]:
-        return [mu for mu, _ in self.members]
-
     def monotonicity_violation(self) -> float:
         """Max pointwise drop between consecutive members (should be ~0)."""
         worst = 0.0
@@ -375,14 +348,14 @@ def _clamped(h, tau_lo: float, tau_hi: float):
     return hc
 
 
-def _find_member_with_mean(hc, lo: PathSample, hi: PathSample, mu_t: float,
+def _find_member_with_mean(h, lo: PathSample, hi: PathSample, mu_t: float,
                            paths: dict) -> PathSample:
     """A solution between lo and hi whose integral is mu_t within MEAN_TOL.
 
     Candidates are spliced solutions through anchor points between the
     envelopes; the vertical position at a fixed anchor is bisected on the
     candidate's integral, which varies continuously with the anchor value.
-    paths maps (anchor node, anchor value) to raw solutions of hc on this
+    paths maps (anchor node, anchor value) to raw solutions of h on this
     grid, and a candidate through such a point reuses its solution.  The
     bracket-end candidates and the accepted one are added to it: the two
     halves of this bracket start from the same points.
@@ -393,7 +366,7 @@ def _find_member_with_mean(hc, lo: PathSample, hi: PathSample, mu_t: float,
         key = (k, float((1.0 - s) * lo.values[k] + s * hi.values[k]))
         raw = paths.get(key)
         if raw is None:
-            raw = integrate_through(hc, lo.eta0 + k * lo.step, key[1], grid)
+            raw = integrate_through(h, lo.eta0 + k * lo.step, key[1], grid)
         return key, raw, funnel_section(lo, hi, raw)
 
     def keep(c) -> PathSample:
@@ -451,10 +424,11 @@ def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int) -> 
 
     Each new member realizes the midpoint of its bracket's integral range and
     is spliced between the bracket members, so pointwise ordering holds by
-    construction; endpoints are the supplied paths, unchanged.  One clamped
-    field serves every bracket, so a raw solution kept by its anchor point
-    stays valid for the whole call: each member's path, and each endpoint's
-    candidate, is integrated once.
+    construction; endpoints are the supplied paths, unchanged.  Every bracket
+    integrates the field h as given (level_trace passes its clamped field),
+    so a raw solution kept by its anchor point stays valid for the whole
+    call: each member's path, and each endpoint's candidate, is integrated
+    once.
     """
     _require_same_grid(tau_minus, tau_plus)
     if np.any(tau_minus.values > tau_plus.values + 1e-12):
@@ -463,8 +437,6 @@ def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int) -> 
         raise ValueError("depth must be >= 0")
     mu_minus = tau_minus.integral()
     mu_plus = tau_plus.integral()
-    hc = _clamped(h, float(np.min(tau_minus.values)) - 1.0,
-                  float(np.max(tau_plus.values)) + 1.0)
     paths: dict = {}
 
     def recurse(lo, mu_lo, hi, mu_hi, d) -> list[tuple[float, PathSample]]:
@@ -474,7 +446,7 @@ def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int) -> 
             mid = funnel_section(lo, hi, lo)
             mu_mid = mid.integral()
         else:
-            mid = _find_member_with_mean(hc, lo, hi, 0.5 * (mu_lo + mu_hi), paths)
+            mid = _find_member_with_mean(h, lo, hi, 0.5 * (mu_lo + mu_hi), paths)
             mu_mid = mid.integral()
         return (recurse(lo, mu_lo, mid, mu_mid, d - 1)
                 + [(mu_mid, mid)]

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MarginViolated, NoSignChange
-from .hgroup import Frame, Point, horizontal_derivative, mul
+from .hgroup import Frame, Point, mul
 
 __all__ = [
     "PolySurface",
@@ -45,9 +45,6 @@ __all__ = [
 MAX_TOTAL_DEGREE = 16
 # Terms per statement of a compiled polynomial's sum.
 SUM_CHUNK = 64
-# Central-difference step and tolerance of check_gradient.
-CHECK_STEP = 1e-5
-CHECK_TOL = 1e-6
 # Required lower bound for |Y1 f2| on a graph patch.
 MARGIN = 1e-6
 # Samples per axis of the margin certificate.
@@ -262,7 +259,7 @@ def _straight_line(name: str, args: str, head, sums: dict, result: str,
 
 
 # The point n * (s b1) of the graph line for n = (eta, tau), as statements of
-# a compiled kernel; _line_coords is the same formula in Python.
+# a compiled kernel; line is (b1x, b1y, b2x, b2y, detC).
 _LINE = (
     "x11 = eta * b2x + s * b1x",
     "x12 = eta * b2y + s * b1y",
@@ -270,9 +267,14 @@ _LINE = (
 )
 
 
-def _line_coords(line, eta: float, tau: float, s: float) -> tuple[float, float, float]:
-    b1x, b1y, b2x, b2y, detc = line
-    return (eta * b2x + s * b1x, eta * b2y + s * b1y, tau - eta * s * detc)
+def _line_consts(line) -> dict:
+    return dict(zip(("b1x", "b1y", "b2x", "b2y", "detc"), line))
+
+
+def _compile_line(line) -> Callable[[float, float, float], tuple[float, float, float]]:
+    """The compiled map (eta, tau, s) -> coordinates of n * (s b1) on the line."""
+    return _straight_line("line_coords", "eta, tau, s", _LINE, {}, "(x11, x12, t)",
+                          _line_consts(line))
 
 
 def _affine(coeffs: dict) -> dict:
@@ -312,7 +314,9 @@ class SurfaceHandle:
 
     value_at and grad_at evaluate at plain coordinates (x11, x12, t): by
     PolySurface.value_at when the handle carries its polynomial, otherwise
-    through eval and grad_h at a Point.
+    through eval and grad_h at a Point.  The gradient of a polynomial is
+    exact algebra (horiz_grad_poly); a coefficient of the polynomial or of its
+    gradient that overflowed (is not finite) raises OverflowError.
     """
 
     eval: Callable[[Point], float]
@@ -322,18 +326,22 @@ class SurfaceHandle:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grad_poly = None if self.poly is None else horiz_grad_poly(self.poly)
+        grad_poly = None
+        if self.poly is not None:
+            grad_poly = horiz_grad_poly(self.poly)
+            for name, q in zip(("f", "X1 f", "X2 f"), (self.poly, *grad_poly)):
+                bad = [key for key, c in q.coefficients.items() if not math.isfinite(c)]
+                if bad:
+                    raise OverflowError(f"the coefficient of {bad[0]} in {name} overflows")
         object.__setattr__(self, "_grad_poly", grad_poly)
 
     @classmethod
-    def from_polynomial(cls, p: PolySurface, validate: bool = True) -> "SurfaceHandle":
+    def from_polynomial(cls, p: PolySurface) -> "SurfaceHandle":
         def grad(x: Point) -> tuple[float, float]:
             # handle is assigned below, before grad can run
             return handle.grad_at(x.x11, x.x12, x.t)
 
         handle = cls(eval=p, grad_h=grad, poly=p)
-        if validate:
-            check_gradient(handle)
         return handle
 
     def value_at(self, x11: float, x12: float, t: float) -> float:
@@ -357,7 +365,7 @@ class SurfaceHandle:
         followed by value_at and grad_at, which is what any other handle runs.
         """
         if self.poly is not None:
-            consts = dict(zip(("b1x", "b1y", "b2x", "b2y", "detc"), line))
+            consts = _line_consts(line)
             x1f, x2f = self._grad_poly
             g = _straight_line("g", "eta, tau, s", _LINE,
                                {"f": self.poly.coefficients}, "f", consts)
@@ -366,12 +374,13 @@ class SurfaceHandle:
                                 "g1 * b1x + g2 * b1y", consts)
             return g, y1
         b1x, b1y = line[:2]
+        coords = _compile_line(line)
 
         def g(eta: float, tau: float, s: float) -> float:
-            return self.value_at(*_line_coords(line, eta, tau, s))
+            return self.value_at(*coords(eta, tau, s))
 
         def y1(eta: float, tau: float, s: float) -> float:
-            g1, g2 = self.grad_at(*_line_coords(line, eta, tau, s))
+            g1, g2 = self.grad_at(*coords(eta, tau, s))
             return g1 * b1x + g2 * b1y
 
         return g, y1
@@ -380,10 +389,10 @@ class SurfaceHandle:
         """The handle of x -> f(p * x); gradients translate along for free.
 
         A polynomial handle stays polynomial: the translate is the
-        substituted polynomial, exact algebra that needs no new gradient check.
+        substituted polynomial, with its exact gradient.
         """
         if self.poly is not None:
-            return SurfaceHandle.from_polynomial(self.poly.translated(p), validate=False)
+            return SurfaceHandle.from_polynomial(self.poly.translated(p))
 
         def ev(x: Point) -> float:
             return self.eval(mul(p, x))
@@ -392,39 +401,6 @@ class SurfaceHandle:
             return self.grad_h(mul(p, x))
 
         return SurfaceHandle(eval=ev, grad_h=grad)
-
-
-_CHECK_POINTS = [
-    Point(0.0, 0.0, 0.0),
-    Point(0.3, -0.2, 0.1),
-    Point(-0.5, 0.4, -0.3),
-    Point(1.1, 0.7, 0.9),
-    Point(-0.9, -1.3, 0.6),
-]
-
-
-def check_gradient(handle: SurfaceHandle) -> float:
-    """Cross-check grad_h against central differences along group curves.
-
-    Returns the max deviation over _CHECK_POINTS; raises if one exceeds
-    CHECK_TOL or is not finite.  Deviation scales like CHECK_STEP**2 for
-    smooth surfaces, which keeps well under the tolerance for
-    moderate-degree polynomials.
-    """
-    worst = 0.0
-    for x in _CHECK_POINTS:
-        g1, g2 = handle.grad_h(x)
-        d1 = horizontal_derivative(handle.eval, x, (1.0, 0.0), CHECK_STEP)
-        d2 = horizontal_derivative(handle.eval, x, (0.0, 1.0), CHECK_STEP)
-        scale = 1.0 + abs(g1) + abs(g2)
-        for dev in (abs(g1 - d1) / scale, abs(g2 - d2) / scale):
-            if not dev <= CHECK_TOL:  # a NaN deviation fails here too
-                raise ValueError(
-                    "horizontal gradient fails finite-difference cross-check: "
-                    f"{dev:.3e} > {CHECK_TOL:.3e}"
-                )
-            worst = max(worst, dev)
-    return worst
 
 
 def y_derivatives(f: SurfaceHandle, x: Point, fr: Frame) -> tuple[float, float]:
@@ -467,8 +443,10 @@ class GraphPatch:
                  bracket=(-2.0, 2.0)):
         self.frame = frame
         self.f2 = f2
-        self._line = (*frame.b1, *frame.b2, frame.detC)
-        self._g, self._y1 = f2.along_line(self._line)
+        line = (*frame.b1, *frame.b2, frame.detC)
+        self._g, self._y1 = f2.along_line(line)
+        # line_coords(eta, tau, s): coordinates of n * (s b1) for n = (eta, tau)
+        self.line_coords = _compile_line(line)
         self.window = (tuple(window[0]), tuple(window[1]))
         self.bracket = (float(bracket[0]), float(bracket[1]))
         self._certify_margin()
@@ -505,10 +483,6 @@ class GraphPatch:
         self.y1_min_sampled = worst
 
     # -- graph solves ----------------------------------------------------------
-
-    def line_coords(self, eta: float, tau: float, s: float) -> tuple[float, float, float]:
-        """Coordinates of n * (s b1) for n = (eta, tau): the group product in closed form."""
-        return _line_coords(self._line, eta, tau, s)
 
     def contains(self, eta: float, tau: float) -> bool:
         """Whether (eta, tau) lies in the window up to WINDOW_SLACK; NaN never does."""

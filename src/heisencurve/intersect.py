@@ -38,7 +38,6 @@ __all__ = [
     "graph_field",
     "intersect_surfaces",
     "brute_force_zero_cloud",
-    "polyline_hausdorff",
     "curve_cloud_agreement",
     "cone_contains",
     "cone_property_check",
@@ -185,6 +184,9 @@ def intersect_surfaces(prob: IntersectionProblem) -> Curve:
     meta["family_xi"] holds each sample's family parameter: the integral
     mean of its family member rescaled to [0, 1], for the samples the
     interval collapse keeps.  meta["trace"]["raw_xi"] holds the raw means.
+    Every meta value is JSON-ready: meta["frame"] holds the graph frame's
+    b1 and b2, and meta["neighborhood"] the eta and tau ranges of the
+    certified planar rectangle.
     """
     prob.validate()
     f1t = _translated(prob.f1, prob.p, "f1")
@@ -210,13 +212,15 @@ def intersect_surfaces(prob: IntersectionProblem) -> Curve:
 
     res1 = max((abs(prob.f1.eval(q)) for q in points), default=0.0)
     res2 = max((abs(prob.f2.eval(q)) for q in points), default=0.0)
+    frame = cf.patch.frame
     meta = {
         "family_xi": res.xi,
         "trace": res.diagnostics,
         "residual_f1": res1,
         "residual_f2": res2,
-        "frame": cf.patch.frame,
-        "neighborhood": res.neighborhood,
+        "frame": {"b1": list(frame.b1), "b2": list(frame.b2)},
+        "neighborhood": {"eta": list(res.neighborhood.eta),
+                         "tau": list(res.neighborhood.tau)},
     }
     return Curve(params=params, points=points, planar=planar, meta=meta)
 
@@ -307,16 +311,6 @@ def _points_to_polyline(u: np.ndarray, v: np.ndarray) -> float:
         d = u[rows, None, :] - (a + np.clip(s, 0.0, 1.0)[..., None] * ab)
         worst = max(worst, float(np.sqrt(np.min(_dot3(d, d), axis=1)).max()))
     return worst
-
-
-def polyline_hausdorff(A, B) -> float:
-    """Euclidean Hausdorff distance between two polylines (sampled curves)."""
-    a = _coord_array(A)
-    b = _coord_array(B)
-    for name, arr in (("A", a), ("B", b)):
-        if not len(arr):
-            raise ValueError(f"polyline_hausdorff: polyline {name} is empty")
-    return max(_points_to_polyline(a, b), _points_to_polyline(b, a))
 
 
 def curve_cloud_agreement(curve_points, cloud, box) -> float:

@@ -163,7 +163,7 @@ def suite_group(scale: Scale) -> list[dict]:
         embed = max(embed, abs(w.eta - v.eta), abs(w.tau - v.tau))
     fields = 0.0
     poly = PolySurface({(2, 1, 0): 0.7, (0, 1, 1): -1.2, (1, 0, 2): 0.4})
-    handle = SurfaceHandle.from_polynomial(poly, validate=False)
+    handle = SurfaceHandle.from_polynomial(poly)
     for x in xs[:50]:
         q = Point(x.x11 / 10.0, x.x12 / 10.0, x.t / 10.0)
         g1, g2 = handle.grad_h(q)
@@ -187,10 +187,8 @@ def suite_group(scale: Scale) -> list[dict]:
 
 
 def _patches():
-    flat = GraphPatch(make_frame((0.0, 1.0)),
-                      SurfaceHandle.from_polynomial(POLY_X12, validate=False))
-    affine = GraphPatch(make_frame((1.0, 0.0)),
-                        SurfaceHandle.from_polynomial(POLY_AFFINE, validate=False))
+    flat = GraphPatch(make_frame((0.0, 1.0)), SurfaceHandle.from_polynomial(POLY_X12))
+    affine = GraphPatch(make_frame((1.0, 0.0)), SurfaceHandle.from_polynomial(POLY_AFFINE))
     return flat, affine
 
 
@@ -210,8 +208,7 @@ def suite_graph(scale: Scale) -> list[dict]:
         q = Point(*affine.line_coords(eta, tau, affine.solve_scalar((eta, tau))))
         back = coords_N(project_N(q, affine.frame), affine.frame)
         section = max(section, abs(back.eta - eta), abs(back.tau - tau))
-    handle = SurfaceHandle.from_polynomial(
-        PolySurface({(3, 0, 0): 1.0, (0, 2, 1): -1.0}), validate=False)
+    handle = SurfaceHandle.from_polynomial(PolySurface({(3, 0, 0): 1.0, (0, 2, 1): -1.0}))
     x = Point(0.4, -0.3, 0.2)
     g1 = handle.grad_h(x)[0]
     errs = [abs(horizontal_derivative(handle.eval, x, (1.0, 0.0), h) - g1)
@@ -258,7 +255,7 @@ def suite_calculus(scale: Scale) -> list[dict]:
     _, affine = _patches()
     cf = CharField(affine)
     window = Rect((0.0, 0.5), (-0.5, 0.5))
-    f1 = SurfaceHandle.from_polynomial(POLY_X12, validate=False)
+    f1 = SurfaceHandle.from_polynomial(POLY_X12)
     path = characteristic(cf, 0.2, window=window, step=1e-3)
     rep = chain_rule_check(f1, cf, path, h_sweep=(1e-2, 1e-3, 1e-4))
     exact = max(abs(chain_rule_rhs(f1, cf, eta, path) - 1.0) for eta in (0.1, 0.3))
@@ -268,11 +265,10 @@ def suite_calculus(scale: Scale) -> list[dict]:
         (0, 0, 1): float(rng.uniform(-0.5, -0.1)),
         (1, 1, 0): float(rng.uniform(0.1, 0.4)),
     })
-    rep_rand = chain_rule_check(SurfaceHandle.from_polynomial(rand_poly, validate=False),
+    rep_rand = chain_rule_check(SurfaceHandle.from_polynomial(rand_poly),
                                 cf, path, h_sweep=(1e-2, 5e-3, 2.5e-3))
     base = TaylorBasePoint.from_patch(affine, VerticalCoords(0.0, 0.0))
-    quad = SurfaceHandle.from_polynomial(
-        PolySurface({(0, 1, 0): 1.0, (2, 0, 0): 1.0}), validate=False)
+    quad = SurfaceHandle.from_polynomial(PolySurface({(0, 1, 0): 1.0, (2, 0, 0): 1.0}))
     ratios = []
     for k in range(2, 9):
         r = 2.0**-k
@@ -331,7 +327,7 @@ def suite_flow(scale: Scale) -> list[dict]:
 
 
 def suite_intersect(scale: Scale) -> list[dict]:
-    f_x11, f_x12, f_affine = (SurfaceHandle.from_polynomial(p, validate=False)
+    f_x11, f_x12, f_affine = (SurfaceHandle.from_polynomial(p)
                               for p in (POLY_X11, POLY_X12, POLY_AFFINE))
     box = ((-0.2, 0.2), (-0.2, 0.2), (-0.2, 0.2))
     spacing = 0.4 / (scale.grid_n - 1)

@@ -1,4 +1,4 @@
-"""Shared fixtures: the two analytic surfaces used throughout the suite."""
+"""Shared fixtures: the two analytic surfaces used throughout the suite, and helpers."""
 
 import pytest
 
@@ -15,6 +15,20 @@ POLY_X11_PLUS_T = PolySurface({(1, 0, 0): 1.0, (0, 0, 1): 1.0})
 def graph_point(patch, eta, tau):
     """The graph point above (eta, tau), from a cold solve."""
     return Point(*patch.line_coords(eta, tau, patch.solve_scalar((eta, tau))))
+
+
+def solution_residual(path, h) -> float:
+    """Max over interior midpoints of |delta tau / delta eta - h(midpoint)|."""
+    if len(path) < 2:
+        return 0.0
+    e = path.etas
+    v = path.values
+    worst = 0.0
+    for i in range(len(v) - 1):
+        slope = (v[i + 1] - v[i]) / path.step
+        mid = h(0.5 * (e[i] + e[i + 1]), 0.5 * (v[i] + v[i + 1]))
+        worst = max(worst, abs(slope - mid))
+    return worst
 
 
 def make_flat_patch():

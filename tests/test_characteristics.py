@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import POLY_X11, POLY_X12, graph_point
+from conftest import POLY_X11, POLY_X12, graph_point, solution_residual
 
 from heisencurve.characteristics import (
     TaylorBasePoint,
@@ -15,7 +15,7 @@ from heisencurve.characteristics import (
     directional_derivative_check,
     taylor_remainder,
 )
-from heisencurve.flowtrace import PathSample, Rect, integrate_through, solution_residual
+from heisencurve.flowtrace import PathSample, Rect, integrate_through
 from heisencurve.hgroup import VerticalCoords, dist
 from heisencurve.hsurface import PolySurface, SurfaceHandle
 

@@ -272,16 +272,32 @@ class TestOtherCommands:
         assert code == 1
         assert "MarginViolated" in err
 
-    @pytest.mark.parametrize("command", ["intersect", "characteristics"])
-    def test_gradient_check_failure_exit_two(self, tmp_path, capsys, command):
-        # x11 + 1e20 x11^2 fails the finite-difference cross-check by rounding
+    @pytest.mark.parametrize("command, error", [
+        ("intersect", "MonotonicityViolated"),
+        ("characteristics", "MarginViolated"),
+    ])
+    def test_steep_exact_gradient_exit_one(self, tmp_path, capsys, command, error):
+        # x11 + 1e20 x11^2 has the exact gradient (1 + 2e20 x11, 0); the
+        # hypotheses fail on the window, and that is what the run reports
         cfg = tmp_path / "steep.json"
         cfg.write_text(json.dumps({"command": command,
                                    "surfaces": [[[1, 0, 0, 1.0], [2, 0, 0, 1e20]], SURF_X12]}))
         code = cli.main([command, "--config", str(cfg)])
         err = capsys.readouterr().err
+        assert code == 1
+        assert f"mathematical failure ({error})" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["intersect", "characteristics"])
+    def test_gradient_overflow_exit_two(self, tmp_path, capsys, command):
+        # 1e308 x11^3 is finite, but X1 of it has the coefficient 3e308
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps({"command": command,
+                                   "surfaces": [[[1, 0, 0, 1.0], [3, 0, 0, 1e308]], SURF_X12]}))
+        code = cli.main([command, "--config", str(cfg)])
+        err = capsys.readouterr().err
         assert code == 2
-        assert "config error: surfaces[0]: horizontal gradient fails" in err
+        assert "config error: surfaces[0]: the coefficient of (2, 0, 0) in X1 f overflows" in err
         assert "Traceback" not in err
 
     def test_no_zero_exit_one(self, tmp_path, capsys, monkeypatch):

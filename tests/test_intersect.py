@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from heisencurve import intersect
 from heisencurve.errors import DependentNormals, MarginViolated, NotCommonZero
 from heisencurve.flowtrace import TraceParams
-from heisencurve.hgroup import ORIGIN, Point, dist, mul
+from heisencurve.hgroup import ORIGIN, Point, dist, make_frame, mul
 from heisencurve.hsurface import GraphPatch, PolySurface, SurfaceHandle
 from heisencurve.intersect import (
     ConeParams,
     IntersectionProblem,
+    _coord_array,
     _directed,
     _points_to_polyline,
     brute_force_zero_cloud,
@@ -29,7 +30,6 @@ from heisencurve.intersect import (
     gradient_margin,
     intersect_surfaces,
     pair_lipschitz_bound,
-    polyline_hausdorff,
 )
 
 F_X11 = SurfaceHandle.from_polynomial(POLY_X11)
@@ -37,6 +37,16 @@ F_X12 = SurfaceHandle.from_polynomial(POLY_X12)
 F_X11_T = SurfaceHandle.from_polynomial(POLY_X11_PLUS_T)
 
 BOX_SMALL = ((-0.2, 0.2), (-0.2, 0.2), (-0.2, 0.2))
+
+
+def polyline_hausdorff(A, B) -> float:
+    """Euclidean Hausdorff distance between two polylines (sampled curves)."""
+    a = _coord_array(A)
+    b = _coord_array(B)
+    for name, arr in (("A", a), ("B", b)):
+        if not len(arr):
+            raise ValueError(f"polyline_hausdorff: polyline {name} is empty")
+    return max(_points_to_polyline(a, b), _points_to_polyline(b, a))
 
 
 def problem_a(**kw):
@@ -119,23 +129,21 @@ class TestIntersectSurfaces:
     def test_base_point_nan_rejected(self):
         # both surfaces evaluate to inf - inf = NaN at p, which is no common zero
         big = {(2, 0, 0): 1e300, (0, 2, 0): -1e300}
-        f1 = SurfaceHandle.from_polynomial(PolySurface({**big, (1, 0, 0): 1.0}),
-                                           validate=False)
-        f2 = SurfaceHandle.from_polynomial(PolySurface({**big, (0, 1, 0): 1.0}),
-                                           validate=False)
+        f1 = SurfaceHandle.from_polynomial(PolySurface({**big, (1, 0, 0): 1.0}))
+        f2 = SurfaceHandle.from_polynomial(PolySurface({**big, (0, 1, 0): 1.0}))
         with pytest.raises(NotCommonZero):
             IntersectionProblem(f1, f2, p=Point(1e10, 1e10, 0.0)).validate()
 
     def test_base_point_overflow_rejected(self):
         # f2 = x11 + t^3 at t = 1e300: t**3 overflows
         f2 = SurfaceHandle.from_polynomial(
-            PolySurface({(1, 0, 0): 1.0, (0, 0, 3): 1.0}), validate=False)
+            PolySurface({(1, 0, 0): 1.0, (0, 0, 3): 1.0}))
         with pytest.raises(NotCommonZero, match="f2 overflows at the base point"):
             IntersectionProblem(F_X12, f2, p=Point(0.0, 0.0, 1e300)).validate()
 
     def test_base_point_gradient_overflow_rejected(self):
         # f1 = x11 t^3 is 1e-100 at p, but X2 f1 = 3 x11^2 t^2 overflows
-        f1 = SurfaceHandle.from_polynomial(PolySurface({(1, 0, 3): 1.0}), validate=False)
+        f1 = SurfaceHandle.from_polynomial(PolySurface({(1, 0, 3): 1.0}))
         with pytest.raises(DependentNormals, match="gradient of f1 overflows"):
             IntersectionProblem(f1, F_X12, p=Point(1e200, 0.0, 1e-100)).validate()
 
@@ -144,9 +152,9 @@ class TestIntersectSurfaces:
         # independent normals, but t -> t + 1e200 x12 gives f2's translate an
         # x12^2 coefficient of 1e400
         f1 = SurfaceHandle.from_polynomial(
-            PolySurface({(1, 0, 0): 1.0, (0, 0, 0): -1e200}), validate=False)
+            PolySurface({(1, 0, 0): 1.0, (0, 0, 0): -1e200}))
         f2 = SurfaceHandle.from_polynomial(
-            PolySurface({(0, 1, 0): 1.0, (0, 0, 2): 1.0}), validate=False)
+            PolySurface({(0, 1, 0): 1.0, (0, 0, 2): 1.0}))
         prob = IntersectionProblem(f1, f2, p=Point(1e200, 0.0, 0.0))
         prob.validate()
         with pytest.raises(NotCommonZero, match="f2 overflows when translated"):
@@ -154,7 +162,7 @@ class TestIntersectSurfaces:
 
     def test_graph_field_checks_the_base_point(self):
         f2 = SurfaceHandle.from_polynomial(
-            PolySurface({(1, 0, 0): 1.0, (0, 0, 3): 1.0}), validate=False)
+            PolySurface({(1, 0, 0): 1.0, (0, 0, 3): 1.0}))
         with pytest.raises(NotCommonZero, match="f2 overflows at the base point"):
             intersect.graph_field(f2, Point(0.0, 0.0, 1e300), 0.5, (-2.0, 2.0))
 
@@ -167,7 +175,7 @@ class TestIntersectSurfaces:
             assert min(dist(a, b) for a, b in zip(curve.points, curve.points[1:])) > 1e-12
 
     def test_trace_report_is_json(self, curve_b):
-        json.dumps(curve_b.meta["trace"])
+        json.dumps(curve_b.meta)
 
     def test_params_normalized(self, curve_a):
         curve = curve_a
@@ -178,8 +186,7 @@ class TestIntersectSurfaces:
     def test_membership_consistency(self, curve_b):
         # re-solving the graph from each planar preimage reproduces the point
         curve = curve_b
-        fr = curve.meta["frame"]
-        patch = GraphPatch(fr, F_X11_T)
+        patch = GraphPatch(make_frame(curve.meta["frame"]["b1"]), F_X11_T)
         for n, q in list(zip(curve.planar, curve.points))[::8]:
             assert dist(graph_point(patch, n.eta, n.tau), q) <= 1e-10
 
