@@ -29,13 +29,11 @@ from .flowtrace import TraceParams
 from .hgroup import Point
 from .hsurface import PolySurface, SurfaceHandle
 from .intersect import IntersectionProblem, graph_field, intersect_surfaces
+from .verify import INTERACTIVE
 
-COMMANDS = ("intersect", "characteristics", "trace", "verify")
-
-_KNOWN_KEYS = {
-    "command", "surfaces", "base_point", "window", "bracket", "step", "depth",
-    "grid", "tolerance", "seed", "tau0", "out", "suite",
-}
+# Cap on the nodes of one characteristic, 2 * window / step + 1; the default
+# window and step take 1,001.
+MAX_CHARACTERISTIC_NODES = 100_001
 
 _FAILURE_HINTS = {
     NotCommonZero: "the construction starts from a common zero of both "
@@ -62,14 +60,14 @@ _FAILURE_HINTS = {
 class RunConfig:
     command: str
     surfaces: list[PolySurface]
-    base_point: Point = Point(0.0, 0.0, 0.0)
-    window: float = 0.5
-    bracket: tuple[float, float] = (-2.0, 2.0)
-    step: float = 1e-3
-    depth: int = 6
-    grid: int = 41
-    tolerance: float = 1e-10
-    seed: int = 0
+    base_point: Point = IntersectionProblem.p
+    window: float = IntersectionProblem.window_half
+    bracket: tuple[float, float] = IntersectionProblem.bracket
+    step: float = TraceParams.step
+    depth: int = TraceParams.depth
+    grid: int = INTERACTIVE.grid_n
+    tolerance: float = TraceParams.root_tol
+    seed: int = INTERACTIVE.seed
     tau0: tuple[float, ...] = (-0.2, -0.1, 0.1, 0.2)
     out: str | None = None
     suite: str | None = None
@@ -98,16 +96,46 @@ def _fail(path: str, message: str):
 
 
 def _finite(x) -> bool:
-    """x is a JSON number that converts to a finite float."""
+    """x is a JSON number, not a boolean, that converts to a finite float."""
     try:
-        return isinstance(x, (int, float)) and math.isfinite(x)
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def _positive(x) -> bool:
+    return _finite(x) and x > 0
+
+
+def _integral(x) -> bool:
+    """x is a finite JSON number with an integer value, such as 2 or 2.0."""
+    return _finite(x) and x == int(x)
 
 
 def _finite_numbers(v, n: int | None = None) -> bool:
     """v is a list of finite numbers (of length n when given)."""
     return isinstance(v, list) and (n is None or len(v) == n) and all(map(_finite, v))
+
+
+# Each key besides command and surfaces: (accepts the JSON value, message when
+# it does not, formatted with the value, conversion); checked in this order.
+_KEYS = {
+    "base_point": (lambda v: _finite_numbers(v, 3), "expected [x11, x12, t] of finite numbers",
+                   lambda v: Point(*map(float, v))),
+    "window": (_positive, "expected a positive finite half-width", float),
+    "bracket": (lambda v: _finite_numbers(v, 2) and v[0] < v[1],
+                "expected finite [s_min, s_max] with s_min < s_max",
+                lambda v: (float(v[0]), float(v[1]))),
+    "step": (_positive, "invalid value {!r}", float),
+    "depth": (lambda v: _integral(v) and 0 <= v <= 12, "invalid value {!r}", int),
+    "grid": (lambda v: _integral(v) and v >= 2, "invalid value {!r}", int),
+    "tolerance": (_positive, "invalid value {!r}", float),
+    "seed": (lambda v: _integral(v) and v >= 0, "invalid value {!r}", int),
+    "tau0": (_finite_numbers, "expected a list of finite initial values",
+             lambda v: tuple(map(float, v))),
+    "out": (lambda v: isinstance(v, str), "expected a path string", str),
+    "suite": (lambda v: isinstance(v, str), "expected a suite name", str),
+}
 
 
 def _parse_surface(spec, path: str) -> PolySurface:
@@ -123,6 +151,19 @@ def _parse_surface(spec, path: str) -> PolySurface:
         _fail(path, str(e))
 
 
+def _check_against_window(cfg: RunConfig, tau0_given: bool) -> None:
+    """tau0 lies in the window (the defaults too, where characteristics would
+    start from them), and a characteristic has at most MAX_CHARACTERISTIC_NODES."""
+    if (tau0_given or cfg.command == "characteristics") and any(
+            abs(v) > cfg.window for v in cfg.tau0):
+        _fail("tau0", f"initial values {list(cfg.tau0)} must lie in "
+                      f"[-window, window] = [{-cfg.window!r}, {cfg.window!r}]")
+    nodes = 2.0 * cfg.window / cfg.step + 1.0
+    if cfg.command == "characteristics" and nodes > MAX_CHARACTERISTIC_NODES:
+        _fail("step", f"2 * window / step + 1 = {nodes:.6g} nodes per characteristic "
+                      f"exceed {MAX_CHARACTERISTIC_NODES}; raise step or shrink window")
+
+
 def parse_config(text: str) -> RunConfig:
     """Validate a JSON config document and fill defaults."""
     try:
@@ -132,13 +173,13 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(doc, dict):
         _fail("$", "config must be a JSON object")
     for key in doc:
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS and key not in ("command", "surfaces"):
             _fail(key, "unknown key")
     command = doc.get("command")
-    if command not in COMMANDS:
-        _fail("command", f"must be one of {COMMANDS}, got {command!r}")
+    if not isinstance(command, str) or command not in COMMANDS:
+        _fail("command", f"must be one of {tuple(COMMANDS)}, got {command!r}")
 
-    need = {"intersect": 2, "trace": 2, "characteristics": 1, "verify": 0}[command]
+    need = COMMANDS[command][1]
     raw_surfaces = doc.get("surfaces", [])
     if not isinstance(raw_surfaces, list):
         _fail("surfaces", "must be a list of surface specs")
@@ -148,52 +189,13 @@ def parse_config(text: str) -> RunConfig:
               f"command {command!r} needs {need} surface(s), got {len(surfaces)}")
 
     cfg = RunConfig(command=command, surfaces=surfaces)
-
-    if "base_point" in doc:
-        bp = doc["base_point"]
-        if not _finite_numbers(bp, 3):
-            _fail("base_point", "expected [x11, x12, t] of finite numbers")
-        cfg.base_point = Point(*map(float, bp))
-    if "window" in doc:
-        w = doc["window"]
-        if not _finite(w) or w <= 0:
-            _fail("window", "expected a positive finite half-width")
-        cfg.window = float(w)
-    if "bracket" in doc:
-        br = doc["bracket"]
-        if not _finite_numbers(br, 2) or br[0] >= br[1]:
-            _fail("bracket", "expected finite [s_min, s_max] with s_min < s_max")
-        cfg.bracket = (float(br[0]), float(br[1]))
-    for key, attr, cast, check in (
-        ("step", "step", float, lambda v: v > 0),
-        ("depth", "depth", int, lambda v: 0 <= v <= 12),
-        ("grid", "grid", int, lambda v: v >= 2),
-        ("tolerance", "tolerance", float, lambda v: v > 0),
-        ("seed", "seed", int, lambda v: v >= 0),
-    ):
+    for key, (accepts, message, convert) in _KEYS.items():
         if key in doc:
-            v = doc[key]
-            if not _finite(v) or not check(cast(v)):
-                _fail(key, f"invalid value {v!r}")
-            setattr(cfg, attr, cast(v))
-    if "tau0" in doc:
-        ts = doc["tau0"]
-        if not _finite_numbers(ts):
-            _fail("tau0", "expected a list of finite initial values")
-        cfg.tau0 = tuple(float(v) for v in ts)
-    # the defaults too, where characteristics would start from them
-    if ("tau0" in doc or command == "characteristics") and any(
-            abs(v) > cfg.window for v in cfg.tau0):
-        _fail("tau0", f"initial values {list(cfg.tau0)} must lie in "
-                      f"[-window, window] = [{-cfg.window!r}, {cfg.window!r}]")
-    if "out" in doc:
-        if not isinstance(doc["out"], str):
-            _fail("out", "expected a path string")
-        cfg.out = doc["out"]
-    if "suite" in doc:
-        if not isinstance(doc["suite"], str):
-            _fail("suite", "expected a suite name")
-        cfg.suite = doc["suite"]
+            if not accepts(doc[key]):
+                _fail(key, message.format(doc[key]))
+            setattr(cfg, key, convert(doc[key]))
+        if key == "tau0":  # the checks across keys come before out and suite
+            _check_against_window(cfg, "tau0" in doc)
     return cfg
 
 
@@ -261,20 +263,24 @@ def _run_verify(cfg: RunConfig) -> int:
     return 0 if report["passed"] else 1
 
 
+# Each command: (body, surfaces needed); a body returns its exit code, or None for 0.
+COMMANDS = {
+    "intersect": (_run_intersect, 2),
+    "characteristics": (_run_characteristics, 1),
+    "trace": (_run_trace, 2),
+    "verify": (_run_verify, 0),
+}
+
+
 def run(cfg: RunConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     try:
-        if cfg.command == "intersect":
-            _run_intersect(cfg)
-        elif cfg.command == "characteristics":
-            _run_characteristics(cfg)
-        elif cfg.command == "trace":
-            _run_trace(cfg)
-        elif cfg.command == "verify":
-            return _run_verify(cfg)
-        return 0
+        return COMMANDS[cfg.command][0](cfg) or 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:  # the output could not be written
+        print(f"config error: out: {e}", file=sys.stderr)
         return 2
     except tuple(_FAILURE_HINTS) as e:
         hint = next(h for t, h in _FAILURE_HINTS.items() if isinstance(e, t))

@@ -377,7 +377,8 @@ SUITES = {
 }
 
 
-def run_suites(suite: str | None = None, seed: int = 0, grid_n: int = 41) -> dict:
+def run_suites(suite: str | None = None, seed: int = INTERACTIVE.seed,
+               grid_n: int = INTERACTIVE.grid_n) -> dict:
     """Run one named suite or all of them at INTERACTIVE scale with the given
     seed and oracle grid; returns a JSON-ready report."""
     if suite is not None and suite not in SUITES:

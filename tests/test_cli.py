@@ -62,6 +62,8 @@ class TestParseConfig:
     def test_bad_command(self):
         with pytest.raises(ConfigError, match="command"):
             cli.parse_config(json.dumps({"command": "solve", "surfaces": []}))
+        with pytest.raises(ConfigError, match="command"):  # unhashable
+            cli.parse_config(json.dumps({"command": ["intersect"], "surfaces": []}))
 
     def test_bad_surface_row(self):
         with pytest.raises(ConfigError, match=r"surfaces\[0\]\[1\]"):
@@ -76,7 +78,8 @@ class TestParseConfig:
                 {"command": "intersect", "surfaces": [SURF_X12, [row, [0, 0, 1, 1.0]]]}
             ))
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan, 10**400], ids=["inf", "nan", "huge"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 10**400, True],
+                             ids=["inf", "nan", "huge", "bool"])
     def test_non_finite_surface_entry(self, value):
         with pytest.raises(ConfigError, match=r"surfaces\[0\]\[0\]: .* finite numbers"):
             cli.parse_config(json.dumps(
@@ -96,6 +99,11 @@ class TestParseConfig:
         ("tau0", {"command": "characteristics", "window": 0.1}),
         ("depth", {"depth": math.inf}),
         ("seed", {"seed": 10**400}),
+        ("depth", {"depth": 2.7}),
+        ("depth", {"depth": True}),
+        ("window", {"window": True}),
+        ("grid", {"grid": 2.5}),
+        ("seed", {"seed": 1.5}),
     ])
     def test_non_finite_or_out_of_window_exit_two(self, key, over, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -104,6 +112,19 @@ class TestParseConfig:
         assert cli.main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert f"config error: {key}:" in err and "Traceback" not in err
+
+
+    def test_integral_floats_accepted(self):
+        cfg = cli.parse_config(intersect_config(depth=2.0, grid=3.0, seed=1.0))
+        assert [(v, type(v)) for v in (cfg.depth, cfg.grid, cfg.seed)] == [
+            (2, int), (3, int), (1, int)]
+
+    @pytest.mark.parametrize("over", [{"step": 1e-300}, {"window": 1e300}])
+    def test_characteristic_node_cap(self, over):
+        doc = {"command": "characteristics", "surfaces": [SURF_AFFINE], **over}
+        with pytest.raises(ConfigError, match=r"^step: .* exceed 100001"):
+            cli.parse_config(json.dumps(doc))
+        cli.parse_config(intersect_config(**over))  # intersect caps its own grid
 
 
 def read_csv(path):
@@ -323,6 +344,16 @@ class TestOtherCommands:
         code = cli.main(["verify", "--suite", "nonsense"])
         assert code == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["intersect", "verify"])
+    def test_unwritable_out_exit_two(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(intersect_config(depth=1))
+        argv = (["intersect", "--config", str(cfg)] if command == "intersect"
+                else ["verify", "--suite", "group"])
+        assert cli.main(argv + ["--out", str(tmp_path / "missing" / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: out:" in err and "Traceback" not in err
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["intersect", "--config", "/nonexistent.json"]) == 2
