@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -214,46 +215,56 @@ def _write_rows(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _run_intersect(cfg: RunConfig) -> None:
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing path would, leaving the file as it was.
+
+    An existing file is opened for writing without truncation; a missing one
+    is created and removed again.
+    """
+    try:
+        os.close(os.open(path, os.O_WRONLY))
+    except FileNotFoundError:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        os.remove(path)
+
+
+def _run_intersect(cfg: RunConfig, out: str) -> None:
     curve = intersect_surfaces(cfg.problem())
     rows = [
         (xi, n.eta, n.tau, q.x11, q.x12, q.t)
         for xi, n, q in zip(curve.params, curve.planar, curve.points)
     ]
-    out = cfg.out or "curve.csv"
     _write_rows(out, ["xi", "eta", "tau", "x11", "x12", "t"], rows)
     print(f"wrote {len(rows)} curve samples to {out} "
           f"(residuals {curve.meta['residual_f1']:.2e}, "
           f"{curve.meta['residual_f2']:.2e})")
 
 
-def _run_characteristics(cfg: RunConfig) -> None:
+def _run_characteristics(cfg: RunConfig, out: str) -> None:
     cf = graph_field(cfg.handles(1)[0], cfg.base_point, cfg.window, cfg.bracket)
     rows = []
     for tau0 in cfg.tau0:
         path = characteristic(cf, tau0, step=cfg.step)
         for e, t in zip(path.etas, path.values):
             rows.append((tau0, e, t, cf.phi(float(e), float(t))))
-    out = cfg.out or "characteristics.csv"
     _write_rows(out, ["tau0", "eta", "tau", "nu"], rows)
     print(f"wrote {len(rows)} characteristic samples to {out}")
 
 
-def _run_trace(cfg: RunConfig) -> None:
+def _run_trace(cfg: RunConfig, out: str) -> None:
     curve = intersect_surfaces(cfg.problem())
     rows = [(xi, n.eta, n.tau) for xi, n in zip(curve.meta["family_xi"], curve.planar)]
-    out = cfg.out or "trace.csv"
     _write_rows(out, ["xi", "eta", "tau"], rows)
     print(f"wrote {len(rows)} planar trace samples to {out}")
 
 
-def _run_verify(cfg: RunConfig) -> int:
+def _run_verify(cfg: RunConfig, out: str | None) -> int:
     report = verify_suites.run_suites(cfg.suite, seed=cfg.seed, grid_n=cfg.grid)
     text = json.dumps(report, indent=2, sort_keys=True)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text + "\n")
-        print(f"wrote report to {cfg.out}")
+        print(f"wrote report to {out}")
     else:
         print(text)
     n_checks = sum(len(s["checks"]) for s in report["suites"].values())
@@ -263,19 +274,28 @@ def _run_verify(cfg: RunConfig) -> int:
     return 0 if report["passed"] else 1
 
 
-# Each command: (body, surfaces needed); a body returns its exit code, or None for 0.
+# Each command: (body, surfaces needed, default out); a body takes the config
+# and the output path (None prints to stdout) and returns its exit code, or
+# None for 0.
 COMMANDS = {
-    "intersect": (_run_intersect, 2),
-    "characteristics": (_run_characteristics, 1),
-    "trace": (_run_trace, 2),
-    "verify": (_run_verify, 0),
+    "intersect": (_run_intersect, 2, "curve.csv"),
+    "characteristics": (_run_characteristics, 1, "characteristics.csv"),
+    "trace": (_run_trace, 2, "trace.csv"),
+    "verify": (_run_verify, 0, None),
 }
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute a validated config; returns the process exit code."""
+    """Execute a validated config; returns the process exit code.
+
+    An output path that cannot be written is reported before any work.
+    """
+    body, _, default_out = COMMANDS[cfg.command]
+    out = cfg.out or default_out
     try:
-        return COMMANDS[cfg.command][0](cfg) or 0
+        if out:
+            _check_writable(out)
+        return body(cfg, out) or 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -24,11 +24,10 @@ from .hgroup import (
     Point,
     VerticalCoords,
     dist,
-    inv,
     make_frame,
     mul,
 )
-from .hsurface import GraphPatch, SurfaceHandle, horiz_grad_poly
+from .hsurface import GraphPatch, PolySurface, SurfaceHandle, horiz_grad_poly
 
 __all__ = [
     "IntersectionProblem",
@@ -53,9 +52,13 @@ CONE_SAFETY = 0.5
 # Floats (rows x segments x 3 coordinates) in one block of the distance
 # kernels' temporaries, so memory stays bounded for any cloud size.
 AGREEMENT_BLOCK = 3 * 2**20
-# Grid points in one x11 slab of the zero cloud's evaluation, so its
+# Grid points per axis of one cube of the zero cloud's exclusion test.
+CLOUD_CUBE = 8
+# Grid points in one chunk of the zero cloud's evaluation, so its
 # temporaries stay bounded for any grid.
 CLOUD_BLOCK = 2**20
+# Machine epsilon of float64, the unit of the zero cloud's rounding allowance.
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -235,34 +238,100 @@ def _axes(box, grid_n):
 
 def brute_force_zero_cloud(f1: SurfaceHandle, f2: SurfaceHandle, box,
                            grid_n: int) -> list[Point]:
-    """All grid points of the box with |f1| + |f2| < eps.
+    """All grid points of the box with |f1| + |f2| < eps, in the grid's C order.
 
     box is ((x11_lo, x11_hi), (x12_lo, x12_hi), (t_lo, t_hi)), and eps is
     (grid spacing) * (max gradient bound) * 2, a first-order band around the
-    common zero set.  Both surfaces must be polynomial; they are evaluated
-    vectorized over slabs of x11 rows holding at most CLOUD_BLOCK points.
+    common zero set.  Both surfaces must be polynomial.
+
+    The index grid is tiled into cubes of CLOUD_CUBE points per axis (fewer
+    at the far faces), and |f1| + |f2| is evaluated once at each cube's
+    centre c.  A cube is dropped, with none of its points evaluated, when
+
+        total(c) - (G1 + G2) r > eps + allowance,
+
+    where Gi = fi.poly.max_euclidean_gradient(box) bounds |grad fi| over the
+    box and r is the distance from c to the cube's farthest corner.  This is
+    sound because the cube is convex and lies in the box: the segment from c
+    to any grid point p of the cube stays in it, the gradient bounds hold
+    along that segment, so |f1| + |f2| differs between c and p by at most
+    (G1 + G2) |p - c| <= (G1 + G2) r.  The allowance is
+
+        8 (n1 + n2 + 8) EPS (M1 + M2 + (G1 + G2) r),
+
+    with ni the number of terms of fi, EPS the float64 machine epsilon, and
+    Mi the term-wise bound sum |c| x11^i x12^j t^k of fi at the largest
+    absolute coordinates of the box.  To first order, a computed value of fi
+    anywhere in the box is within (ni + 9) EPS Mi / 2 of the exact one when
+    each power is within one ulp.  The allowance covers that error at the
+    centre and at a grid point, and the rounding of G1, G2, r and the test
+    itself, several times over.  A cube is kept unless the test is True,
+    so a NaN or infinite centre value, bound or allowance keeps it.
+
+    The points of the kept cubes are evaluated exactly as on the full grid,
+    with eval_coords and the same < eps, in chunks of at most CLOUD_BLOCK
+    points (at least one cube), so memory stays bounded for any grid.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2 per axis")
-    xs, ys, ts = _axes(box, grid_n)
+    if f1.poly is None or f2.poly is None:
+        raise ValueError("brute_force_zero_cloud needs polynomial surfaces")
+    polys = (f1.poly, f2.poly)
+    xs, ys, ts = axes = _axes(box, grid_n)
     spacing = max((hi - lo) / (grid_n - 1) for lo, hi in box)
-    bound = 0.0
-    for f in (f1, f2):
-        if f.poly is None:
-            raise ValueError("brute_force_zero_cloud needs polynomial surfaces")
-        bound = max(bound, f.poly.max_euclidean_gradient(box))
-    eps = 2.0 * spacing * bound
-    Y = ys[None, :, None]
-    T = ts[None, None, :]
-    cloud = []
-    for rows in _row_blocks(grid_n, grid_n * grid_n, CLOUD_BLOCK):
-        X = xs[rows, None, None]
-        total = (np.abs(f1.poly.eval_coords(X, Y, T))
-                 + np.abs(f2.poly.eval_coords(X, Y, T)))
-        # slabs along the first axis keep argwhere's C order across the grid
-        cloud += [Point(float(xs[rows.start + i]), float(ys[j]), float(ts[k]))
-                  for i, j, k in np.argwhere(total < eps)]
-    return cloud
+    g1, g2 = (p.max_euclidean_gradient(box) for p in polys)
+    eps = 2.0 * spacing * max(0.0, g1, g2)
+    reach = [max(abs(lo), abs(hi)) for lo, hi in box]
+    m1, m2 = (PolySurface({e: abs(c) for e, c in p.coefficients.items()}).value_at(*reach)
+              for p in polys)
+    (ix, vx, cx, hx), (iy, vy, cy, hy), (it, vt, ct, ht) = map(_cubes, axes)
+    r = np.sqrt(hx[:, None, None] ** 2 + hy[None, :, None] ** 2 + ht[None, None, :] ** 2)
+    spread = (g1 + g2) * r
+    terms = sum(len(p.coefficients) for p in polys)
+    allowance = 8.0 * (terms + 8) * EPS * (m1 + m2 + spread)
+    centre = _zero_total(f1, f2, cx[:, None, None], cy[None, :, None], ct[None, None, :])
+    kept = np.argwhere(~_excluded(centre, spread, eps, allowance))
+    hits = [np.empty(0, dtype=np.int64)]
+    for rows in _row_blocks(len(kept), CLOUD_CUBE**3, CLOUD_BLOCK):
+        bx, by, bt = kept[rows].T
+        total = _zero_total(f1, f2, xs[ix[bx]][:, :, None, None],
+                            ys[iy[by]][:, None, :, None], ts[it[bt]][:, None, None, :])
+        inside = (vx[bx][:, :, None, None] & vy[by][:, None, :, None]
+                  & vt[bt][:, None, None, :])
+        c, i, j, k = np.nonzero((total < eps) & inside)
+        hits.append((ix[bx[c], i] * grid_n + iy[by[c], j]) * grid_n + it[bt[c], k])
+    # cubes run in their own C order; sorting the flat indices restores the grid's
+    i, j, k = np.unravel_index(np.sort(np.concatenate(hits)), (grid_n,) * 3)
+    return [Point(float(xs[a]), float(ys[b]), float(ts[c])) for a, b, c in zip(i, j, k)]
+
+
+def _zero_total(f1: SurfaceHandle, f2: SurfaceHandle, X, Y, T) -> np.ndarray:
+    """|f1| + |f2| on the broadcast coordinate arrays X, Y, T."""
+    return np.abs(f1.poly.eval_coords(X, Y, T)) + np.abs(f2.poly.eval_coords(X, Y, T))
+
+
+def _cubes(axis: np.ndarray):
+    """The cubes' runs of CLOUD_CUBE indices along one grid axis.
+
+    Returns the indices (clipped to the axis, so a short last run repeats its
+    last index), which of them are in range, and each run's centre and
+    half-width: the largest distance from the centre to either end.
+    """
+    idx = np.arange(0, len(axis), CLOUD_CUBE)[:, None] + np.arange(CLOUD_CUBE)
+    inside = idx < len(axis)
+    idx = np.minimum(idx, len(axis) - 1)
+    lo, hi = axis[idx[:, 0]], axis[idx[:, -1]]
+    centre = 0.5 * (lo + hi)
+    return idx, inside, centre, np.maximum(np.abs(hi - centre), np.abs(centre - lo))
+
+
+def _excluded(centre, spread, eps, allowance) -> np.ndarray:
+    """Where centre - spread > eps + allowance holds, with centre finite.
+
+    Any NaN or infinite operand makes it False, so its cube is kept.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.isfinite(centre) & (centre - spread > eps + allowance)
 
 
 def _coord_array(points) -> np.ndarray:
@@ -348,11 +417,29 @@ def cone_contains(vertex: Point, y: Point, cp: ConeParams) -> bool:
 
     With z = vertex^-1 * y, membership reads sqrt(|z_t|) <= alpha |z_1| <= alpha r:
     the vertical part is measured on the homogeneous scale, which is what
-    separates a curve with the cone property from its neighbours.
+    separates a curve with the cone property from its neighbours.  This is
+    the one-pair case of _in_cone.
     """
-    z = mul(inv(vertex), y)
-    z1 = math.hypot(z.x11, z.x12)
-    return math.sqrt(abs(z.t)) <= cp.alpha * z1 and z1 <= cp.r
+    return bool(_in_cone(_coord_array([vertex]), _coord_array([y]), cp)[0])
+
+
+def _in_cone(v: np.ndarray, y: np.ndarray, cp: ConeParams) -> np.ndarray:
+    """cone_contains for the rows of v and y, broadcast against each other.
+
+    z = v^-1 * y = (y_1 - v_1, y_t - v_t + y_11 v_12 - v_11 y_12), rounded as
+    the group product rounds it.  |z_1| is math.hypot per entry, which is
+    correctly rounded; numpy's hypot is not always, and a last-bit
+    difference can move a pair across a cone face.  A displacement that
+    overflows raises ValueError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        z11, z12 = y[..., 0] - v[..., 0], y[..., 1] - v[..., 1]
+        zt = y[..., 2] - v[..., 2] + (y[..., 0] * v[..., 1] - v[..., 0] * y[..., 1])
+    z1 = np.reshape(list(map(math.hypot, z11.ravel().tolist(), z12.ravel().tolist())),
+                    z11.shape)
+    if not (np.isfinite(z1).all() and np.isfinite(zt).all()):
+        raise ValueError("cone displacement overflows")
+    return (np.sqrt(np.abs(zt)) <= cp.alpha * z1) & (z1 <= cp.r)
 
 
 @dataclass
@@ -367,14 +454,20 @@ class ConeReport:
 
 
 def cone_property_check(samples, cp: ConeParams) -> ConeReport:
-    """All ordered pairs (x, y), x != y, with y inside the cone at x."""
+    """All ordered pairs (x, y), x != y, with y inside the cone at x.
+
+    The pairs come from one _in_cone mask per block of vertex rows, in the
+    order of a double loop over x and then y; a block holds at most
+    AGREEMENT_BLOCK / 3 pairs.
+    """
+    pts = _coord_array(samples)
+    idx = np.arange(len(pts))
     bad = []
-    for i, x in enumerate(samples):
-        for j, y in enumerate(samples):
-            if i == j:
-                continue
-            if cone_contains(x, y, cp):
-                bad.append((i, j))
+    for rows in _row_blocks(len(pts), 3 * max(len(pts), 1), AGREEMENT_BLOCK):
+        inside = _in_cone(pts[rows, None, :], pts[None, :, :], cp)
+        inside[idx[rows] - rows.start, idx[rows]] = False
+        i, j = np.nonzero(inside)
+        bad += zip((i + rows.start).tolist(), j.tolist())
     return ConeReport(params=cp, n_samples=len(samples), violations=bad)
 
 

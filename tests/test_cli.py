@@ -6,7 +6,7 @@ import math
 import pytest
 
 from heisencurve import cli, flowtrace
-from heisencurve.errors import ConfigError
+from heisencurve.errors import ConfigError, NoZeroFound
 from heisencurve.hgroup import Point
 from heisencurve.hsurface import PolySurface
 
@@ -354,6 +354,50 @@ class TestOtherCommands:
         assert cli.main(argv + ["--out", str(tmp_path / "missing" / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert "config error: out:" in err and "Traceback" not in err
+
+    @staticmethod
+    def _argv(tmp_path, command):
+        if command == "verify":
+            return ["verify", "--suite", "group"]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(intersect_config(command=command, depth=1))
+        return [command, "--config", str(cfg)]
+
+    @staticmethod
+    def _stub_computations(monkeypatch, error):
+        def raise_error(*args, **kwargs):
+            raise error
+
+        for name in ("intersect_surfaces", "graph_field"):
+            monkeypatch.setattr(cli, name, raise_error)
+        monkeypatch.setattr(cli.verify_suites, "run_suites", raise_error)
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_out_fails_before_computing(self, tmp_path, capsys, monkeypatch,
+                                                   command, target):
+        argv = self._argv(tmp_path, command)
+        self._stub_computations(monkeypatch, AssertionError("the computation ran"))
+        assert cli.main(argv + ["--out", str(tmp_path / target)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: out:" in err and "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("existing", [None, "kept\n"])
+    def test_failed_run_leaves_out_untouched(self, tmp_path, capsys, monkeypatch,
+                                             command, existing):
+        argv = self._argv(tmp_path, command)
+        out = tmp_path / "out.csv"
+        if existing is not None:
+            out.write_text(existing)
+        self._stub_computations(monkeypatch, NoZeroFound("no crossing"))
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert "NoZeroFound" in capsys.readouterr().err
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_text() == existing
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["intersect", "--config", "/nonexistent.json"]) == 2

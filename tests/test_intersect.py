@@ -1,5 +1,6 @@
 """End-to-end intersection pipeline, oracles, and the cone checker."""
 
+import contextlib
 import json
 import math
 from unittest import mock
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from heisencurve import intersect
 from heisencurve.errors import DependentNormals, MarginViolated, NotCommonZero
 from heisencurve.flowtrace import TraceParams
-from heisencurve.hgroup import ORIGIN, Point, dist, make_frame, mul
+from heisencurve.hgroup import ORIGIN, Point, dist, inv, make_frame, mul
 from heisencurve.hsurface import GraphPatch, PolySurface, SurfaceHandle
 from heisencurve.intersect import (
     ConeParams,
@@ -246,6 +247,120 @@ class TestZeroCloud:
             sliced = brute_force_zero_cloud(F_X12, F_X11_T, BOX_SMALL, grid_n=grid_n)
         assert whole and sliced == whole
 
+    @pytest.mark.parametrize("pair", [(F_X11, F_X12), (F_X12, F_X11_T)], ids=["A", "B"])
+    def test_matches_full_grid_on_paper_problems(self, pair):
+        assert brute_force_zero_cloud(*pair, BOX_SMALL, 201) == _ref_zero_cloud(
+            *pair, BOX_SMALL, 201)
+
+    @given(st.data(), st.integers(min_value=1, max_value=3), st.integers(2, 40))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_full_grid(self, data, degree, grid_n):
+        self._check_random_pair(data, degree, grid_n)
+
+    @given(st.data(), st.integers(min_value=4, max_value=9), st.integers(2, 24))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_full_grid_high_degree(self, data, degree, grid_n):
+        self._check_random_pair(data, degree, grid_n)
+
+    @staticmethod
+    def _check_random_pair(data, degree, grid_n):
+        box = data.draw(boxes())
+        zero = data.draw(st.tuples(*(st.floats(lo, hi) for lo, hi in box)))
+        pair = tuple(data.draw(planted_polys(degree, zero)) for _ in range(2))
+        assert brute_force_zero_cloud(*pair, box, grid_n) == _ref_zero_cloud(*pair, box, grid_n)
+
+    @pytest.mark.parametrize("box", [
+        ((2.0, 3.0), (2.0, 3.0), (-1.0, 1.0)),
+        ((5.0, 5.5), (-3.0, 3.0), (10.0, 10.01)),
+    ])
+    def test_far_box(self, box):
+        # every cube lies far from the zero set, so only the 5^3 centres are evaluated
+        with _counted_points() as seen:
+            assert brute_force_zero_cloud(F_X11, F_X12, box, grid_n=33) == []
+        assert seen["points"] == 5**3
+        assert _ref_zero_cloud(F_X11, F_X12, box, 33) == []
+
+    def test_exclusion_prunes_the_grid(self):
+        with _counted_points() as seen:
+            cloud = brute_force_zero_cloud(F_X11, F_X12, BOX_SMALL, grid_n=201)
+        assert len(cloud) == 1005
+        assert seen["points"] < 0.02 * 201**3
+
+    @pytest.mark.parametrize("coeffs, box", [
+        # values and gradient bound overflow: eps is inf, every finite value a hit
+        ({(0, 0, 3): 1e300, (1, 0, 0): 1.0}, ((-1.0, 1.0), (-1.0, 1.0), (-1e3, 1e3))),
+        # 1e300 (x11^2 - x12^2) is inf - inf = NaN where both squares overflow
+        ({(2, 0, 0): 1e300, (0, 2, 0): -1e300}, ((-1e5, 1e5), (-1e5, 1e5), (-1.0, 1.0))),
+    ], ids=["inf", "nan"])
+    def test_non_finite_values_keep_cubes(self, coeffs, box):
+        pair = (SurfaceHandle.from_polynomial(PolySurface(coeffs)), F_X12)
+        with np.errstate(all="ignore"):
+            assert brute_force_zero_cloud(*pair, box, 19) == _ref_zero_cloud(*pair, box, 19)
+
+    def test_exclusion_is_false_on_non_finite_operands(self):
+        nan, inf = math.nan, math.inf
+        centre = np.array([5.0, nan, inf, 5.0, 5.0, 5.0, 5.0, 5.0, 1.0])
+        spread = np.array([1.0, 1.0, 1.0, nan, inf, 1.0, 1.0, 1.0, 1.0])
+        eps = np.array([1.0, 1.0, 1.0, 1.0, 1.0, nan, inf, 1.0, 1.0])
+        allowance = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, inf, 0.0])
+        assert intersect._excluded(centre, spread, eps, allowance).tolist() == [
+            True] + [False] * 8
+
+
+def _ref_zero_cloud(f1, f2, box, grid_n):
+    """The full-grid slab loop the cube exclusion replaced, kept as its reference."""
+    xs, ys, ts = (np.linspace(lo, hi, grid_n) for lo, hi in box)
+    spacing = max((hi - lo) / (grid_n - 1) for lo, hi in box)
+    bound = 0.0
+    for f in (f1, f2):
+        bound = max(bound, f.poly.max_euclidean_gradient(box))
+    eps = 2.0 * spacing * bound
+    Y = ys[None, :, None]
+    T = ts[None, None, :]
+    cloud = []
+    for rows in intersect._row_blocks(grid_n, grid_n * grid_n, 2**20):
+        X = xs[rows, None, None]
+        total = (np.abs(f1.poly.eval_coords(X, Y, T))
+                 + np.abs(f2.poly.eval_coords(X, Y, T)))
+        cloud += [Point(float(xs[rows.start + i]), float(ys[j]), float(ts[k]))
+                  for i, j, k in np.argwhere(total < eps)]
+    return cloud
+
+
+@contextlib.contextmanager
+def _counted_points():
+    """Counts the points at which the cloud evaluates |f1| + |f2|."""
+    seen = {"points": 0}
+    original = intersect._zero_total
+
+    def counted(*args):
+        out = original(*args)
+        seen["points"] += out.size
+        return out
+
+    with mock.patch.object(intersect, "_zero_total", counted):
+        yield seen
+
+
+@st.composite
+def boxes(draw):
+    """Boxes with independent centres and half-widths per axis."""
+    box = []
+    for _ in range(3):
+        c = draw(st.floats(-1.0, 1.0))
+        w = draw(st.floats(0.01, 1.0))
+        box.append((c - w, c + w))
+    return tuple(box)
+
+
+@st.composite
+def planted_polys(draw, degree, zero):
+    """A random polynomial of total degree <= degree that vanishes near zero."""
+    exps = st.tuples(*(st.integers(0, degree),) * 3).filter(lambda e: 0 < sum(e) <= degree)
+    coeffs = draw(st.dictionaries(exps, st.floats(-3.0, 3.0), min_size=1, max_size=10))
+    coeffs[(0, 0, 0)] = -PolySurface(coeffs).value_at(*zero)
+    return SurfaceHandle.from_polynomial(PolySurface(coeffs))
+
 
 @pytest.mark.parametrize("oracle", [
     lambda f: brute_force_zero_cloud(F_X11, f, BOX_SMALL, grid_n=11),
@@ -298,6 +413,106 @@ class TestConeProperty:
                 r = cone_width_for(alpha, lam, lip, r_max=0.2)
                 report = cone_property_check(curve.points, ConeParams(alpha, r, lam))
                 assert report.ok, f"alpha={alpha}: {len(report.violations)} violations"
+
+
+def _ref_cone_contains(vertex, y, cp):
+    """The scalar membership test the array formula replaced."""
+    z = mul(inv(vertex), y)
+    z1 = math.hypot(z.x11, z.x12)
+    return math.sqrt(abs(z.t)) <= cp.alpha * z1 and z1 <= cp.r
+
+
+def _ref_cone_violations(samples, cp):
+    """The double loop over ordered pairs the array formula replaced."""
+    bad = []
+    for i, x in enumerate(samples):
+        for j, y in enumerate(samples):
+            if i == j:
+                continue
+            if _ref_cone_contains(x, y, cp):
+                bad.append((i, j))
+    return bad
+
+
+def _bench_lines():
+    """The verification benchmark's 33-sample lines A and B and their kinked copies,
+    as (tag, surface pair, samples)."""
+    s = [float(v) for v in np.linspace(-0.25, 0.25, 33)]
+    lines = {"A": ((F_X11, F_X12), [Point(0.0, 0.0, v) for v in s]),
+             "B": ((F_X12, F_X11_T), [Point(-v, 0.0, v) for v in s])}
+    out = []
+    for tag, (pair, points) in lines.items():
+        kinked = list(points)
+        nb = kinked[17]
+        kinked[16] = Point(nb.x11 + 0.005, nb.x12, nb.t)
+        out += [(tag, pair, points), (f"{tag}-kinked", pair, kinked)]
+    return out
+
+
+BENCH_LINES = _bench_lines()
+
+
+class TestConeArrays:
+    @pytest.mark.parametrize("tag, pair, points", BENCH_LINES,
+                             ids=[case[0] for case in BENCH_LINES])
+    def test_bench_lines_match_double_loop(self, tag, pair, points):
+        lam = gradient_margin(pair, BOX_SMALL, grid_n=5)
+        lip = pair_lipschitz_bound(pair, BOX_SMALL)
+        found = []
+        for alpha in (1.0, 2.0, 5.0):
+            cp = ConeParams(alpha, cone_width_for(alpha, lam, lip, r_max=0.2), lam)
+            got = cone_property_check(points, cp).violations
+            assert got == _ref_cone_violations(points, cp)
+            found += got
+        # the lines are clean, and the kink is caught
+        assert bool(found) == tag.endswith("kinked")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_samples_match_double_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        points = [Point(*map(float, row))
+                  for row in rng.uniform(-0.3, 0.3, size=(int(rng.integers(2, 60)), 3))]
+        total = 0
+        for alpha in (0.5, 1.0, 2.0, 5.0):
+            for r in (0.05, 0.2, 1.0):
+                cp = ConeParams(alpha, r)
+                got = cone_property_check(points, cp).violations
+                assert got == _ref_cone_violations(points, cp)
+                with mock.patch.object(intersect, "AGREEMENT_BLOCK", 7):  # one row a block
+                    assert cone_property_check(points, cp).violations == got
+                total += len(got)
+        assert total
+
+    def test_one_pair_matches_scalar_test(self):
+        rng = np.random.default_rng(7)
+        cp = ConeParams(2.0, 0.4)
+        for row in rng.uniform(-0.3, 0.3, size=(500, 6)):
+            x, y = Point(*map(float, row[:3])), Point(*map(float, row[3:]))
+            assert cone_contains(x, y, cp) == _ref_cone_contains(x, y, cp)
+
+    def test_face_pair_uses_correctly_rounded_norm(self):
+        # y sits on the cone face sqrt(|t|) = |y_1| with |y_1| = hypot(0.5, 0.3)
+        # rounded correctly; a hypot one ulp low, as numpy's can be, drops it
+        h = math.hypot(0.5, 0.3)
+        t = h * h
+        while math.sqrt(t) > h:
+            t = math.nextafter(t, 0.0)
+        while math.sqrt(math.nextafter(t, math.inf)) <= h:
+            t = math.nextafter(t, math.inf)
+        y = Point(0.5, 0.3, t)
+        cp = ConeParams(1.0, 1.0)
+        assert cone_contains(ORIGIN, y, cp) and _ref_cone_contains(ORIGIN, y, cp)
+        got = cone_property_check([ORIGIN, y], cp).violations
+        assert got == _ref_cone_violations([ORIGIN, y], cp) == [(0, 1), (1, 0)]
+
+    def test_overflowing_displacement_rejected(self):
+        with pytest.raises(ValueError):
+            cone_property_check([Point(1e308, 0.0, 0.0), Point(-1e308, 0.0, 0.0)],
+                                ConeParams(1.0, 1.0))
+
+    def test_empty_samples(self):
+        report = cone_property_check([], ConeParams(1.0, 1.0))
+        assert report.ok and report.n_samples == 0
 
 
 class TestGradientMargin:
