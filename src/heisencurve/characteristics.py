@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flowtrace import PathSample, Rect, integrate_through, _anchored_grid
+from .flowtrace import PathSample, Rect, integrate_through, _anchored_grid, _clamped
 from .hgroup import Point, VerticalCoords, hnorm
 from .hsurface import GraphPatch, SurfaceHandle, y_derivatives
 
@@ -41,12 +41,12 @@ class CharField:
     """The characteristic field of a graph patch in vertical-plane coordinates.
 
     rhs(eta, tau) is the characteristic speed beta * phi2hat; source(eta, tau)
-    is the forcing -(Y2 f2 / Y1 f2) evaluated at the graph point.  Both clamp
-    their arguments into the patch window, which extends them continuously and
-    keeps the margin certificate in force.  Each graph solve starts Newton
-    from the previous solve's root.  That warm start moves the root only by
-    rounding, so a value depends, in its last bits, on what the field solved
-    before.
+    is the forcing -(Y2 f2 / Y1 f2) at the graph point.  Both evaluate only
+    inside the patch window, as GraphPatch.solve_scalar does; a march that can
+    step past it clamps the field through flowtrace._clamped.  Each graph
+    solve starts Newton from the previous solve's root.  That warm start moves
+    the root only by rounding, so a value depends, in its last bits, on what
+    the field solved before.
     """
 
     def __init__(self, patch: GraphPatch):
@@ -54,23 +54,17 @@ class CharField:
         self.beta = 2.0 * patch.frame.detC
         self._hint: float | None = None
 
-    def _clamp(self, eta: float, tau: float) -> tuple[float, float]:
-        (emin, emax), (tmin, tmax) = self.patch.window
-        return min(max(eta, emin), emax), min(max(tau, tmin), tmax)
-
     def phi(self, eta: float, tau: float) -> float:
         """The graph scalar phi2hat at a planar point."""
-        self._hint = self.patch.solve_scalar(self._clamp(eta, tau), self._hint)
+        self._hint = self.patch.solve_scalar((eta, tau), self._hint)
         return self._hint
 
     def rhs(self, eta: float, tau: float) -> float:
         return self.beta * self.phi(eta, tau)
 
     def graph_coords(self, eta: float, tau: float) -> tuple[float, float, float]:
-        """Coordinates of the graph point above the clamped (eta, tau)."""
-        n = self._clamp(eta, tau)
-        self._hint = self.patch.solve_scalar(n, self._hint)
-        return self.patch.line_coords(*n, self._hint)
+        """Coordinates of the graph point above (eta, tau)."""
+        return self.patch.line_coords(eta, tau, self.phi(eta, tau))
 
     def graph_point(self, eta: float, tau: float) -> Point:
         return Point(*self.graph_coords(eta, tau))
@@ -83,12 +77,13 @@ class CharField:
 
 def characteristic(cf: CharField, tau0: float, window: Rect | None = None,
                    step: float = 1e-3) -> PathSample:
-    """The characteristic through (0, tau0) sampled across the window."""
-    window = window or Rect(*cf.patch.window)
+    """The characteristic through (0, tau0) across the window, on the clamped field."""
+    box = Rect(*cf.patch.window)
+    window = window or box
     if not window.contains(0.0, tau0):
         raise ValueError(f"(0, {tau0!r}) outside the window")
     grid = _anchored_grid(0.0, window, step)
-    return integrate_through(cf.rhs, 0.0, tau0, grid, window.tau)
+    return integrate_through(_clamped(cf.rhs, box), 0.0, tau0, grid, window.tau)
 
 
 def system_residual(cf: CharField, path: PathSample) -> float:
@@ -99,12 +94,13 @@ def system_residual(cf: CharField, path: PathSample) -> float:
     defect |delta nu / delta eta - source|.  Second order small for certified
     characteristics, order one for impostors.
     """
-    nus = np.array([cf.phi(e, t) for e, t in zip(path.etas, path.values)])
+    taus = path.values.tolist()
+    nus = np.array([cf.phi(e, t) for e, t in zip(path.etas.tolist(), taus)])
     worst = 0.0
     for i in range(len(path) - 1):
         slope = (nus[i + 1] - nus[i]) / path.step
-        e_mid = path.eta0 + (i + 0.5) * path.step
-        t_mid = 0.5 * (path.values[i] + path.values[i + 1])
+        e_mid = float(path.eta0 + (i + 0.5) * path.step)
+        t_mid = 0.5 * (taus[i] + taus[i + 1])
         worst = max(worst, abs(slope - cf.source(e_mid, t_mid)))
     return worst
 
@@ -154,6 +150,7 @@ def chain_rule_check(f1: SurfaceHandle, cf: CharField, path: PathSample,
     characteristic through each sample point, so the difference quotient sees
     the curve itself rather than the path's linear interpolation.
     """
+    rhs = _clamped(cf.rhs, Rect(*cf.patch.window))
     h_sweep = tuple(h_sweep)
     h_max = max(h_sweep)
     lo = path.eta0 + h_max * 1.01
@@ -167,8 +164,9 @@ def chain_rule_check(f1: SurfaceHandle, cf: CharField, path: PathSample,
         for eta in etas:
             eta = float(eta)
             formula = chain_rule_rhs(f1, cf, eta, path)
-            # tau(eta + h) and tau(eta - h), eight Heun steps each way
-            local = integrate_through(cf.rhs, eta, path.tau_at(eta),
+            # tau(eta + h) and tau(eta - h), eight Heun steps each way on the
+            # field clamped into the patch window
+            local = integrate_through(rhs, eta, path.tau_at(eta),
                                       (eta - h, h / 8, 17))
             gp = f1.eval(cf.graph_point(eta + h, float(local.values[-1])))
             gm = f1.eval(cf.graph_point(eta - h, float(local.values[0])))

@@ -342,9 +342,14 @@ class FlowFamily:
         return worst
 
 
-def _clamped(h, tau_lo: float, tau_hi: float):
+def _clamped(h, box: Rect):
+    """h continued past box by clamping (eta, tau) into it; the only such extension."""
+    (emin, emax), (tmin, tmax) = box.eta, box.tau
+
     def hc(eta, tau):
-        return h(eta, min(max(tau, tau_lo), tau_hi))
+        if emin <= eta <= emax and tmin <= tau <= tmax:  # min/max would pass it as is
+            return h(eta, tau)
+        return h(min(max(eta, emin), emax), min(max(tau, tmin), tmax))
     return hc
 
 
@@ -470,7 +475,8 @@ def monotone_root(F, path: PathSample, root_tol: float = 1e-10):
     root is (eta, tau), or None when F keeps one sign over the whole path,
     and values holds F at the path's nodes.
     """
-    vals = np.array([F(e, t) for e, t in zip(path.etas, path.values)])
+    etas = path.etas.tolist()
+    vals = np.array([F(e, t) for e, t in zip(etas, path.values.tolist())])
     if len(vals) < 2:
         return None, vals
     d = np.diff(vals)
@@ -485,13 +491,12 @@ def monotone_root(F, path: PathSample, root_tol: float = 1e-10):
     hits = np.nonzero(np.abs(vals) <= root_tol)[0]
     if len(hits):
         i = int(hits[0])
-        return (float(path.etas[i]), float(path.values[i])), vals
+        return (etas[i], float(path.values[i])), vals
     cross = np.nonzero((g[:-1] < 0.0) & (g[1:] > 0.0))[0]
     if not len(cross):
         return None, vals
     i = int(cross[0])
-    a, b = path.etas[i], path.etas[i + 1]
-    ga = g[i]
+    a, b, ga = etas[i], etas[i + 1], g[i]
     for _ in range(200):
         m = 0.5 * (a + b)
         gm = sign * F(m, path.tau_at(m))
@@ -555,7 +560,7 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None) -> TraceR
     n_half = max(1, min(int(math.ceil(delta / params.step - 1e-9)),
                         MAX_NODES // 2))
     step = delta / n_half
-    hc = _clamped(h, -b, b)
+    hc = _clamped(h, Rect.centered(a, b))
     # the clamped field is bounded, so trajectories stay tame without a tau cap
     ibox = Rect((-delta, delta))
     grid = (-delta, step, 2 * n_half + 1)

@@ -171,18 +171,17 @@ class PolySurface:
     def scaled(self, a: float) -> "PolySurface":
         return PolySurface({k: a * c for k, c in self.coefficients.items()})
 
+    def termwise_bound(self, box) -> float:
+        """Upper bound for |p| on a box: sum |c| x11^i x12^j t^k at its largest |coordinates|."""
+        reach = [max(abs(lo), abs(hi)) for lo, hi in box]
+        return PolySurface({e: abs(c) for e, c in self.coefficients.items()}).value_at(*reach)
+
     def max_euclidean_gradient(self, box) -> float:
         """Upper bound for |grad p| (all three coordinate partials) over a box.
 
-        Each partial is bounded term by term: |c| times the largest absolute
-        value of each coordinate on the box to the term's exponent.
+        Each partial is bounded term by term (termwise_bound).
         """
-        reach = [max(abs(lo), abs(hi)) for lo, hi in box]
-        bounds = [
-            PolySurface({e: abs(c) for e, c in self.partial(v).coefficients.items()})
-            .value_at(*reach)
-            for v in range(3)
-        ]
+        bounds = [self.partial(v).termwise_bound(box) for v in range(3)]
         return math.sqrt(sum(b * b for b in bounds))
 
 

@@ -27,7 +27,7 @@ from .hgroup import (
     make_frame,
     mul,
 )
-from .hsurface import GraphPatch, PolySurface, SurfaceHandle, horiz_grad_poly
+from .hsurface import GraphPatch, SurfaceHandle, horiz_grad_poly
 
 __all__ = [
     "IntersectionProblem",
@@ -281,9 +281,7 @@ def brute_force_zero_cloud(f1: SurfaceHandle, f2: SurfaceHandle, box,
     spacing = max((hi - lo) / (grid_n - 1) for lo, hi in box)
     g1, g2 = (p.max_euclidean_gradient(box) for p in polys)
     eps = 2.0 * spacing * max(0.0, g1, g2)
-    reach = [max(abs(lo), abs(hi)) for lo, hi in box]
-    m1, m2 = (PolySurface({e: abs(c) for e, c in p.coefficients.items()}).value_at(*reach)
-              for p in polys)
+    m1, m2 = (p.termwise_bound(box) for p in polys)
     (ix, vx, cx, hx), (iy, vy, cy, hy), (it, vt, ct, ht) = map(_cubes, axes)
     r = np.sqrt(hx[:, None, None] ** 2 + hy[None, :, None] ** 2 + ht[None, None, :] ** 2)
     spread = (g1 + g2) * r

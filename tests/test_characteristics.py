@@ -7,6 +7,7 @@ import pytest
 from conftest import POLY_X11, POLY_X12, graph_point, solution_residual
 
 from heisencurve.characteristics import (
+    CharField,
     TaylorBasePoint,
     chain_rule_check,
     chain_rule_rhs,
@@ -16,8 +17,8 @@ from heisencurve.characteristics import (
     taylor_remainder,
 )
 from heisencurve.flowtrace import PathSample, Rect, integrate_through
-from heisencurve.hgroup import VerticalCoords, dist
-from heisencurve.hsurface import PolySurface, SurfaceHandle
+from heisencurve.hgroup import VerticalCoords, dist, make_frame
+from heisencurve.hsurface import WINDOW_SLACK, GraphPatch, PolySurface, SurfaceHandle
 
 RIGHT_HALF = Rect((0.0, 0.5), (-0.5, 0.5))
 
@@ -73,6 +74,31 @@ class TestCharacteristic:
     def test_outside_window_rejected(self, affine_field):
         with pytest.raises(ValueError):
             characteristic(affine_field, 2.0)
+
+    def test_heun_predictor_past_patch_edge(self):
+        # f2 = x11 + x12 + t: the characteristic through (0, 0.2) peaks near
+        # tau = 0.2504, and at step 0.1 the Heun predictor before the peak
+        # reaches tau = 0.2578, past a patch edge at 0.254 that every node stays below
+        f2 = SurfaceHandle.from_polynomial(
+            PolySurface({(1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 1): 1.0}))
+        cf = CharField(GraphPatch(make_frame((1.0, 0.0)), f2,
+                                  window=((-0.5, 0.5), (-0.5, 0.254))))
+        p = characteristic(cf, 0.2, step=0.1)
+        assert len(p) == 11 and np.max(p.values) <= 0.254
+        with pytest.raises(ValueError):  # the field itself rejects the predictor
+            integrate_through(cf.rhs, 0.0, 0.2, (-0.5, 0.1, 11))
+
+
+class TestCharFieldWindow:
+    @pytest.mark.parametrize("eta, tau", [
+        (0.5 + 10 * WINDOW_SLACK, 0.0), (-0.5 - 10 * WINDOW_SLACK, 0.0),
+        (0.0, 0.5 + 10 * WINDOW_SLACK), (0.0, -0.5 - 10 * WINDOW_SLACK),
+        (math.nan, 0.0), (0.0, math.nan),
+    ])
+    def test_outside_or_nan_rejected(self, affine_field, eta, tau):
+        for evaluate in (affine_field.rhs, affine_field.graph_coords):
+            with pytest.raises(ValueError):
+                evaluate(eta, tau)
 
 
 class TestFirstOrderSystem:

@@ -2,10 +2,13 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from conftest import solution_residual
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisencurve import flowtrace
 from heisencurve.errors import (
@@ -402,7 +405,54 @@ class TestMonotoneRoot:
             monotone_root(lambda e, t: e * e, p)
 
 
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def box_and_point(draw):
+    """A box with non-NaN edges and a point: any floats, its edges, +-0, +-inf or NaN."""
+    edges = st.floats(allow_nan=False)
+    box = [tuple(sorted((draw(edges), draw(edges)))) for _ in range(2)]
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    point = [draw(st.one_of(st.floats(), st.sampled_from([*edge, *special])))
+             for edge in box]
+    return Rect(*box), point
+
+
+class TestClamped:
+    @given(box_and_point())
+    @settings(max_examples=200)
+    def test_same_bits_as_min_max(self, case):
+        box, point = case
+        seen = []
+        flowtrace._clamped(lambda e, t: seen.append((e, t)), box)(*point)
+        expected = [min(max(x, lo), hi) for x, (lo, hi) in zip(point, (box.eta, box.tau))]
+        assert [_bits(x) for x in seen[0]] == [_bits(x) for x in expected]
+
+
 class TestLevelTrace:
+    def test_field_and_F_get_plain_floats(self):
+        # F = eta + 0.3 tau vanishes between the nodes of most members, so the
+        # node harvest and the bisection both call it
+        fields, calls = set(), []
+
+        def h(e, t):
+            fields.add((type(e), type(t)))
+            return 0.0
+
+        def F(e, t):
+            calls.append((e, (type(e), type(t))))
+            return e + 0.3 * t
+
+        res = level_trace(h, F, Rect.centered(0.5, 1.0), TraceParams(depth=3))
+        grid = res.band[0]
+        on_node = [abs(u - round(u)) <= 1e-6
+                   for u in ((e - grid.eta0) / grid.step for e, _ in calls)]
+        nodes = {kind for (_, kind), node in zip(calls, on_node) if node}
+        bisection = {kind for (_, kind), node in zip(calls, on_node) if not node}
+        assert fields == nodes == bisection == {(float, float)}
+
     def test_vertical_segment(self):
         res = level_trace(lambda e, t: 0.0, lambda e, t: e,
                           Rect.centered(0.5, 1.0), TraceParams(depth=5))

@@ -105,6 +105,11 @@ class TestPolySurface:
         norm = np.sqrt(sum(p.partial(v).eval_coords(X, Y, T) ** 2 for v in range(3)))
         assert np.max(norm) <= bound * (1.0 + 1e-12)
 
+    def test_termwise_bound_at_largest_coordinates(self):
+        # 2 x11^2 t - 3 x12 at |x11|, |x12|, |t| = 1, 2, 3: 2 * 1 * 3 + 3 * 2
+        p = PolySurface({(2, 0, 1): 2.0, (0, 1, 0): -3.0})
+        assert p.termwise_bound(((-1.0, 0.5), (0.2, 2.0), (-3.0, -1.0))) == 12.0
+
     def test_gradient_bound_exact_on_linear(self):
         box = ((-0.2, 0.2),) * 3
         assert X11.max_euclidean_gradient(box) == 1.0
