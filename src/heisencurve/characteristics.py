@@ -77,9 +77,18 @@ class CharField:
 
 def characteristic(cf: CharField, tau0: float, window: Rect | None = None,
                    step: float = 1e-3) -> PathSample:
-    """The characteristic through (0, tau0) across the window, on the clamped field."""
+    """The characteristic through (0, tau0) across the window, on the clamped field.
+
+    The window (the patch window by default) must lie inside the patch
+    window, or ValueError is raised: past it the clamped field is not the
+    characteristic field.  The clamp only continues the field for Heun
+    predictors that step past the window.
+    """
     box = Rect(*cf.patch.window)
     window = window or box
+    corners = ((window.eta[0], window.tau[0]), (window.eta[1], window.tau[1]))
+    if not all(box.contains(*c) for c in corners):
+        raise ValueError(f"window {window} is not inside the patch window {box}")
     if not window.contains(0.0, tau0):
         raise ValueError(f"(0, {tau0!r}) outside the window")
     grid = _anchored_grid(0.0, window, step)

@@ -254,19 +254,37 @@ def _aitken(seq: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def extremal_solutions(h, eta_a: float, tau_a: float, window: Rect, step: float):
+def extremal_solutions(h, eta_a: float, tau_a: float, window: Rect, step: float,
+                       tau_lipschitz: float | None = None):
     """Approximate minimal and maximal solutions through (eta_a, tau_a).
 
-    For each eps the data and the field are shifted by -eps (minimal side)
-    or +eps (maximal side); the shifted problems bound the extremal
-    solutions from below/above and converge to them as eps -> 0.  Marching
-    against the eta direction flips the field shift so that the bound keeps
-    its side.  The EPS_SEQUENCE paths are extrapolated pointwise; the
-    convergence gaps are reported in the returned diagnostics dict.
+    tau_lipschitz states a property of h, not a tuning option: a bound on
+    |dh/dtau| over the window, or None when there is none.  A finite bound
+    makes the solution through each point unique (Picard-Lindelof), so the
+    minimal and maximal solutions are both the natural march through the
+    anchor, returned as two copies, with empty eps lists and converged True
+    in the diagnostics.
+
+    Otherwise, for each eps the data and the field are shifted by -eps
+    (minimal side) or +eps (maximal side); the shifted problems bound the
+    extremal solutions from below/above and converge to them as eps -> 0.
+    Marching against the eta direction flips the field shift so that the
+    bound keeps its side.  The EPS_SEQUENCE paths are extrapolated
+    pointwise; the convergence gaps are reported in the returned diagnostics
+    dict.  diagnostics["tau_lipschitz"] is the finite bound used, or None.
     """
     grid = _anchored_grid(eta_a, window, step)
     eta0, step_g, n = grid
     k = round((eta_a - eta0) / step_g)
+    if tau_lipschitz is not None and not math.isfinite(tau_lipschitz):
+        tau_lipschitz = None
+    natural = integrate_through(h, eta_a, tau_a, grid, window.tau).values
+    if tau_lipschitz is not None:
+        diagnostics = {"eps": (), "gap_min": [], "gap_max": [], "dropped_min": [],
+                       "dropped_max": [], "converged": True,
+                       "tau_lipschitz": float(tau_lipschitz)}
+        return (PathSample(eta0, step_g, natural), PathSample(eta0, step_g, natural.copy()),
+                diagnostics)
 
     def shifted_path(sign: float, eps: float) -> np.ndarray:
         # sign = -1 for the minimal side, +1 for the maximal side
@@ -276,7 +294,6 @@ def extremal_solutions(h, eta_a: float, tau_a: float, window: Rect, step: float)
         return _march_both(field(1), field(-1), eta_a, tau_a + sign * eps, k, n,
                            step_g, *window.tau)
 
-    natural = integrate_through(h, eta_a, tau_a, grid, window.tau).values
     # A shifted path that crosses the natural trajectory on the wrong side has
     # gone unstable (the shift is too small for the step near a degenerate
     # zero of the field); such eps values are dropped, not extrapolated.
@@ -308,6 +325,7 @@ def extremal_solutions(h, eta_a: float, tau_a: float, window: Rect, step: float)
         (not gaps or gaps[-1] <= max(gaps[0], 1e-12))
         and not diagnostics["dropped_min"] and not diagnostics["dropped_max"]
     )
+    diagnostics["tau_lipschitz"] = None
     min_path = PathSample(eta0, step_g, np.minimum(lo, hi))
     max_path = PathSample(eta0, step_g, np.maximum(lo, hi))
     return min_path, max_path, diagnostics
@@ -534,7 +552,8 @@ class TraceResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def level_trace(h, F, window: Rect, params: TraceParams | None = None) -> TraceResult:
+def level_trace(h, F, window: Rect, params: TraceParams | None = None,
+                tau_lipschitz: float | None = None) -> TraceResult:
     """Trace the zero set of F near the origin along a monotone flow of h.
 
     F must vanish at the origin and be strictly monotone along every
@@ -543,6 +562,9 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None) -> TraceR
     (0, +-b/2), fills both gaps with integral-parametrized families, takes
     the unique zero of F along each member, and collapses parameter
     intervals on which the zero stalls, so consecutive samples are distinct.
+    tau_lipschitz is a bound on |dh/dtau| over the window, or None; a
+    finite one makes the extremal solutions the one march through the
+    origin (extremal_solutions).
     """
     params = params or TraceParams()
     if abs(F(0.0, 0.0)) > max(params.root_tol, 1e-10):
@@ -565,7 +587,7 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None) -> TraceR
     ibox = Rect((-delta, delta))
     grid = (-delta, step, 2 * n_half + 1)
 
-    tau_bar, tau_hat, ext_diag = extremal_solutions(hc, 0.0, 0.0, ibox, step)
+    tau_bar, tau_hat, ext_diag = extremal_solutions(hc, 0.0, 0.0, ibox, step, tau_lipschitz)
     tau_plus = pointwise_max(integrate_through(hc, 0.0, b / 2.0, grid), tau_hat)
     tau_minus = pointwise_min(integrate_through(hc, 0.0, -b / 2.0, grid), tau_bar)
 

@@ -13,13 +13,18 @@ in coordinates.  Each polynomial compiles, on first use, into a
 straight-line evaluator that computes each power x**e once and makes the
 products and sums of the term-by-term sum in the same order, so it rounds
 exactly as that sum does.  The same code generator gives each graph patch
-of a polynomial f2 two line kernels, compiled when the patch is built:
+of a polynomial f2 three line kernels, compiled when the patch is built:
 g(eta, tau, s) = f2 and y1(eta, tau, s) = Y1 f2 at n * (s b1), each
 computing the line coordinates inline and y1 sharing the powers of X1 f2
-and X2 f2.  They round exactly like the line coordinates followed by the
-compiled evaluators.  Left translation of a polynomial is again a
+and X2 f2, and newton(eta, tau, s), the whole Newton loop built from the
+same statements.  They round exactly like the line coordinates followed by
+the compiled evaluators.  Left translation of a polynomial is again a
 polynomial, so translated handles keep that fast path; any other handle
-evaluates at a Point.
+evaluates at a Point, through the same generated Newton loop.
+
+For a polynomial f2 the graph function is C^1 (implicit function theorem),
+and each patch bounds its slope in tau once (GraphPatch.tau_lipschitz), so
+the characteristic through a point is unique.
 """
 
 from __future__ import annotations
@@ -51,6 +56,10 @@ MARGIN = 1e-6
 MARGIN_GRID = 7
 # Residual |f2| at which a graph solve stops.
 GTOL = 1e-13
+# Residual |f2| at which Newton accepts the root after its last step.
+NEWTON_ACCEPT = 1e-10
+# How far outside the bracket a Newton step may land.
+BRACKET_SLACK = 1e-9
 # How far outside its window a graph patch still accepts a point.
 WINDOW_SLACK = 1e-9
 
@@ -233,28 +242,75 @@ def _sum_lines(coefficients: dict, acc: str, powers: dict, consts: dict) -> list
     return lines
 
 
-def _straight_line(name: str, args: str, head, sums: dict, result: str,
-                   consts: dict) -> Callable:
-    """Compile the function name(args): the head statements, the sums, then result.
+def _sum_block(sums: dict, consts: dict, bound: set) -> list[str]:
+    """Statements that set each accumulator of sums to its polynomial.
 
     sums maps each accumulator name to the coefficients of its polynomial in
-    the variables x11, x12, t, which args or head must define; the powers the
-    sums share are bound once, after head.  The constants and coefficients
-    enter as arguments of the factory ``make``, so the source holds only fixed
-    names and int exponents, and popping ``make`` from its namespace leaves
-    the compiled function in no reference cycle.
+    the variables x11, x12, t.  The powers the sums use are bound first, once
+    each, skipping those already in bound, which gains them.
     """
-    consts = dict(consts)
     powers: dict[str, str] = {}
     body = [line for acc, coefficients in sums.items()
             for line in _sum_lines(coefficients, acc, powers, consts)]
-    statements = [*head, *(f"{var} = {power}" for var, power in powers.items()),
-                  *body, f"return {result}"]
+    fresh = [f"{var} = {power}" for var, power in powers.items() if var not in bound]
+    bound.update(powers)
+    return [*fresh, *body]
+
+
+def _compile_kernel(name: str, args: str, statements: list[str], consts: dict) -> Callable:
+    """Compile the function name(args) with the given body statements.
+
+    The constants and coefficients enter as arguments of the factory
+    ``make``, so the source holds only fixed names and int exponents, and
+    popping ``make`` from its namespace leaves the compiled function in no
+    reference cycle.
+    """
     source = [f"def make({', '.join(consts)}):", f"    def {name}({args}):",
               *(f"        {line}" for line in statements), f"    return {name}"]
     namespace: dict = {}
     exec("\n".join(source), namespace)
     return namespace.pop("make")(*consts.values())
+
+
+def _straight_line(name: str, args: str, head, sums: dict, result: str,
+                   consts: dict) -> Callable:
+    """Compile the function name(args): the head statements, the sums, then result.
+
+    args or head must define x11, x12, t (see _sum_block).
+    """
+    consts = dict(consts)
+    return _compile_kernel(name, args, [*head, *_sum_block(sums, consts, set()),
+                                        f"return {result}"], consts)
+
+
+def _newton_lines(evaluate: list[str], slope: list[str]) -> list[str]:
+    """Newton's method on s -> g(eta, tau, s) from s, as kernel statements.
+
+    evaluate sets f = g(eta, tau, s) and slope sets y1, the s-derivative
+    Y1 f2 there.  Up to 12 steps s -> s - f / y1; the root is s once
+    |f| <= gtol, or after the last step once |f| <= accept.  None when
+    |y1| < margin, a step lands outside [slo, shi] or is not finite, or the
+    last step leaves |f| > accept.  The names are those of _newton_consts.
+    """
+    step = [*evaluate,
+            "if abs(f) <= gtol:",
+            "    return s",
+            *slope,
+            "if abs(y1) < margin:",
+            "    return None",
+            "s_next = s - f / y1",
+            "if not (slo <= s_next <= shi) or not isfinite(s_next):",
+            "    return None",
+            "s = s_next"]
+    return ["for _ in range(12):", *(f"    {line}" for line in step), *evaluate,
+            "return s if abs(f) <= accept else None"]
+
+
+def _newton_consts(bracket) -> dict:
+    smin, smax = bracket
+    return {"gtol": GTOL, "margin": MARGIN, "accept": NEWTON_ACCEPT,
+            "slo": smin - BRACKET_SLACK, "shi": smax + BRACKET_SLACK,
+            "isfinite": math.isfinite}
 
 
 # The point n * (s b1) of the graph line for n = (eta, tau), as statements of
@@ -264,6 +320,10 @@ _LINE = (
     "x12 = eta * b2y + s * b1y",
     "t = tau - eta * s * detc",
 )
+
+
+# Y1 f = b1 . (X1 f, X2 f) from the sums g1 = X1 f and g2 = X2 f.
+_Y1 = "g1 * b1x + g2 * b1y"
 
 
 def _line_consts(line) -> dict:
@@ -354,35 +414,47 @@ class SurfaceHandle:
         x1f, x2f = self._grad_poly
         return (x1f.value_at(x11, x12, t), x2f.value_at(x11, x12, t))
 
-    def along_line(self, line) -> tuple[Callable, Callable]:
-        """f and Y1 f = b1 . (X1 f, X2 f) on the graph line, as functions of (eta, tau, s).
+    def along_line(self, line, bracket) -> tuple[Callable, Callable, Callable]:
+        """f and Y1 f on the graph line, and Newton's method for f = 0 on it.
 
         line is (b1x, b1y, b2x, b2y, detC) and the point is n * (s b1) for
-        n = (eta, tau).  A polynomial handle compiles both into straight-line
-        kernels that compute the line coordinates inline, and Y1 f with the
-        powers of X1 f and X2 f shared; they round exactly like line_coords
-        followed by value_at and grad_at, which is what any other handle runs.
+        n = (eta, tau); g(eta, tau, s) is f there and y1(eta, tau, s) is
+        Y1 f = b1 . (X1 f, X2 f).  newton(eta, tau, s) runs Newton's method
+        on s -> g(eta, tau, s) from s within bracket (_newton_lines) and
+        returns the root or None.  A polynomial handle compiles all three
+        into straight-line kernels that compute the line coordinates inline,
+        with Y1 f sharing the powers of X1 f and X2 f and newton holding the
+        statements of g and y1 in its loop; they round exactly like
+        line_coords followed by value_at and grad_at, which is what any other
+        handle runs, with newton's loop calling its g and y1.
         """
+        consts = _newton_consts(bracket)
         if self.poly is not None:
-            consts = _line_consts(line)
-            x1f, x2f = self._grad_poly
-            g = _straight_line("g", "eta, tau, s", _LINE,
-                               {"f": self.poly.coefficients}, "f", consts)
-            y1 = _straight_line("y1", "eta, tau, s", _LINE,
-                                {"g1": x1f.coefficients, "g2": x2f.coefficients},
-                                "g1 * b1x + g2 * b1y", consts)
-            return g, y1
-        b1x, b1y = line[:2]
-        coords = _compile_line(line)
+            line_consts = _line_consts(line)
+            sums = {"f": self.poly.coefficients}
+            slopes = dict(zip(("g1", "g2"), (q.coefficients for q in self._grad_poly)))
+            g = _straight_line("g", "eta, tau, s", _LINE, sums, "f", line_consts)
+            y1 = _straight_line("y1", "eta, tau, s", _LINE, slopes, _Y1, line_consts)
+            consts.update(line_consts)
+            bound: set = set()
+            evaluate = [*_LINE, *_sum_block(sums, consts, bound)]
+            slope = [*_sum_block(slopes, consts, bound), f"y1 = {_Y1}"]
+        else:
+            b1x, b1y = line[:2]
+            coords = _compile_line(line)
 
-        def g(eta: float, tau: float, s: float) -> float:
-            return self.value_at(*coords(eta, tau, s))
+            def g(eta: float, tau: float, s: float) -> float:
+                return self.value_at(*coords(eta, tau, s))
 
-        def y1(eta: float, tau: float, s: float) -> float:
-            g1, g2 = self.grad_at(*coords(eta, tau, s))
-            return g1 * b1x + g2 * b1y
+            def y1(eta: float, tau: float, s: float) -> float:
+                g1, g2 = self.grad_at(*coords(eta, tau, s))
+                return g1 * b1x + g2 * b1y
 
-        return g, y1
+            consts.update(g_at=g, y1_at=y1)
+            evaluate, slope = ["f = g_at(eta, tau, s)"], ["y1 = y1_at(eta, tau, s)"]
+        newton = _compile_kernel("newton", "eta, tau, s", _newton_lines(evaluate, slope),
+                                 consts)
+        return g, y1, newton
 
     def translated(self, p: Point) -> "SurfaceHandle":
         """The handle of x -> f(p * x); gradients translate along for free.
@@ -425,9 +497,19 @@ class GraphPatch:
 
     Every solve and the certificate evaluate the graph equation
     g(eta, tau, s) = f2(n * (s b1)) and its slope Y1 f2 there through the
-    pair f2.along_line returns, built once here: two compiled straight-line
-    kernels for a polynomial f2, line_coords composed with f2's value_at and
-    grad_at for any other.
+    kernels f2.along_line returns, built once here: g, y1 and Newton's
+    method, compiled straight-line code for a polynomial f2, line_coords
+    composed with f2's value_at and grad_at for any other.
+
+    tau_lipschitz bounds |d phi2hat / d tau| over the window, computed once
+    here.  The graph function solves g(eta, tau, phi2hat) = 0 with
+    dg/ds = Y1 f2 away from zero, so by the implicit function theorem it is
+    C^1 with d phi2hat / d tau = -(dt f2) / (Y1 f2) at the graph point.  The
+    bound is dt f2 bounded term by term (PolySurface.termwise_bound) over
+    the reach of the line coordinates on window x bracket, divided by
+    MARGIN.  It rests on the margin certificate, so it is sampled as that
+    certificate is, not certified.  A handle without a polynomial, or a
+    bound that overflows, gives None.
 
     Parameters
     ----------
@@ -443,12 +525,13 @@ class GraphPatch:
         self.frame = frame
         self.f2 = f2
         line = (*frame.b1, *frame.b2, frame.detC)
-        self._g, self._y1 = f2.along_line(line)
-        # line_coords(eta, tau, s): coordinates of n * (s b1) for n = (eta, tau)
-        self.line_coords = _compile_line(line)
         self.window = (tuple(window[0]), tuple(window[1]))
         self.bracket = (float(bracket[0]), float(bracket[1]))
+        self._g, self._y1, self._newton_from = f2.along_line(line, self.bracket)
+        # line_coords(eta, tau, s): coordinates of n * (s b1) for n = (eta, tau)
+        self.line_coords = _compile_line(line)
         self._certify_margin()
+        self.tau_lipschitz = self._tau_bound(line)
         # the base solve starts at s = 0; later cold solves start from its root
         self._s_base = 0.0
         self._s_base = self.solve_scalar((0.0, 0.0))
@@ -481,6 +564,16 @@ class GraphPatch:
                         )
         self.y1_min_sampled = worst
 
+    def _tau_bound(self, line) -> float | None:
+        if self.f2.poly is None:
+            return None
+        # the largest |x11|, |x12|, |t| of n * (s b1): the line with |b| and -|det C|
+        # at the largest |eta|, |tau|, |s|
+        reach = _compile_line((*map(abs, line[:4]), -abs(line[4])))(
+            *(max(map(abs, r)) for r in (*self.window, self.bracket)))
+        bound = self.f2.poly.partial(2).termwise_bound([(0.0, r) for r in reach]) / MARGIN
+        return bound if math.isfinite(bound) else None
+
     # -- graph solves ----------------------------------------------------------
 
     def contains(self, eta: float, tau: float) -> bool:
@@ -502,30 +595,15 @@ class GraphPatch:
             raise ValueError(f"n = ({eta!r}, {tau!r}) outside the patch window")
 
         if hint is not None:
-            s = self._newton(eta, tau, hint)
+            s = self._newton_from(eta, tau, hint)
             if s is not None:
                 return s
 
         s0 = hint if hint is not None else self._s_base
         lo, hi = self._expand_bracket(eta, tau, s0)
         s = self._bisect(eta, tau, lo, hi)
-        polished = self._newton(eta, tau, s)
+        polished = self._newton_from(eta, tau, s)
         return polished if polished is not None else s
-
-    def _newton(self, eta: float, tau: float, s: float) -> float | None:
-        smin, smax = self.bracket
-        for _ in range(12):
-            g = self._g(eta, tau, s)
-            if abs(g) <= GTOL:
-                return s
-            y1 = self._y1(eta, tau, s)
-            if abs(y1) < MARGIN:
-                return None
-            s_next = s - g / y1
-            if not (smin - 1e-9 <= s_next <= smax + 1e-9) or not math.isfinite(s_next):
-                return None
-            s = s_next
-        return s if abs(self._g(eta, tau, s)) <= 1e-10 else None
 
     def _expand_bracket(self, eta: float, tau: float, s0: float) -> tuple[float, float]:
         smin, smax = self.bracket

@@ -189,7 +189,10 @@ def intersect_surfaces(prob: IntersectionProblem) -> Curve:
     interval collapse keeps.  meta["trace"]["raw_xi"] holds the raw means.
     Every meta value is JSON-ready: meta["frame"] holds the graph frame's
     b1 and b2, and meta["neighborhood"] the eta and tau ranges of the
-    certified planar rectangle.
+    certified planar rectangle.  The trace is given the field's bound
+    |beta| * patch.tau_lipschitz on its tau-slope, so for a polynomial f2
+    the extremal solutions are the one characteristic through the origin;
+    meta["trace"]["extremal"]["tau_lipschitz"] holds that bound, or None.
     """
     prob.validate()
     f1t = _translated(prob.f1, prob.p, "f1")
@@ -199,7 +202,9 @@ def intersect_surfaces(prob: IntersectionProblem) -> Curve:
         return f1t.value_at(*cf.graph_coords(eta, tau))
 
     w = prob.window_half
-    res = level_trace(cf.rhs, F, Rect.centered(w, w), prob.trace)
+    lip = cf.patch.tau_lipschitz
+    res = level_trace(cf.rhs, F, Rect.centered(w, w), prob.trace,
+                      None if lip is None else abs(cf.beta) * lip)
 
     planar = [VerticalCoords(e, t) for e, t in res.zeta]
     points = [mul(prob.p, cf.graph_point(n.eta, n.tau)) for n in planar]

@@ -52,6 +52,16 @@ class TestCharacteristic:
             exact = tau0 * (1.0 - p.etas) ** 2
             assert np.max(np.abs(p.values - exact)) <= 5e-6
 
+    @pytest.mark.parametrize("window", [Rect((0.0, 0.9), (-0.5, 0.5)),
+                                        Rect((-0.6, 0.5), (-0.5, 0.5)),
+                                        Rect((0.0, 0.5), (-0.5, 0.7)),
+                                        Rect((0.0, 0.5)),
+                                        Rect((0.0, math.nan), (-0.5, 0.5))])
+    def test_window_must_lie_in_the_patch_window(self, affine_field, window):
+        # past eta = 0.5 the march would run on the field clamped at the patch edge
+        with pytest.raises(ValueError, match="not inside the patch window"):
+            characteristic(affine_field, 0.1, window=window, step=0.01)
+
     def test_zero_initial_value_fixed_point(self, affine_field):
         p = characteristic(affine_field, 0.0, window=RIGHT_HALF, step=1e-2)
         assert np.max(np.abs(p.values)) <= 1e-14

@@ -183,6 +183,82 @@ class TestExtremalSolutions:
         assert np.all(lo.values <= hi.values + 1e-15)
 
 
+def counting(h, calls):
+    def field(e, t):
+        calls.append((e, t))
+        return h(e, t)
+    return field
+
+
+def same_bits(a, b):
+    return a.tobytes() == b.tobytes()
+
+
+class TestUniqueCharacteristicShortcut:
+    """A finite tau-Lipschitz bound: the extremal pair is the one natural march."""
+
+    @staticmethod
+    def field(e, t):
+        return 0.5 * math.sin(t) + e
+
+    def test_one_march_two_copies(self):
+        window, step = Rect((-0.3, 0.4)), 1e-3
+        calls = []
+        lo, hi, diag = extremal_solutions(counting(self.field, calls), 0.0, 0.1, window,
+                                          step, tau_lipschitz=0.5)
+        natural = integrate_through(self.field, 0.0, 0.1, (lo.eta0, lo.step, len(lo)))
+        assert len(calls) == 2 * (len(lo) - 1)
+        assert same_bits(lo.values, natural.values) and same_bits(hi.values, natural.values)
+        assert lo.values is not hi.values
+        assert diag == {"eps": (), "gap_min": [], "gap_max": [], "dropped_min": [],
+                        "dropped_max": [], "converged": True, "tau_lipschitz": 0.5}
+
+    @pytest.mark.parametrize("bound", [None, math.inf, math.nan])
+    def test_no_finite_bound_keeps_the_eps_paths(self, bound):
+        window, step = Rect((0.0, 0.5)), 1e-3
+        calls = []
+        lo, hi, diag = extremal_solutions(counting(cubic_field, calls), 0.0, 0.0, window,
+                                          step, tau_lipschitz=bound)
+        ref_lo, ref_hi, ref_diag = extremal_solutions(cubic_field, 0.0, 0.0, window, step)
+        assert len(calls) == (1 + 2 * len(flowtrace.EPS_SEQUENCE)) * 2 * (len(lo) - 1)
+        assert same_bits(lo.values, ref_lo.values) and same_bits(hi.values, ref_hi.values)
+        assert diag == ref_diag and diag["tau_lipschitz"] is None
+        assert set(diag) == {"eps", "gap_min", "gap_max", "dropped_min", "dropped_max",
+                             "converged", "tau_lipschitz"}
+        json.dumps(diag, allow_nan=False)
+
+    def test_level_trace_marches_once(self, monkeypatch):
+        seen = []
+        real = flowtrace.extremal_solutions
+
+        def spy(h, *args):
+            calls = []
+            out = real(counting(h, calls), *args)
+            seen.append((h, calls, out))
+            return out
+
+        monkeypatch.setattr(flowtrace, "extremal_solutions", spy)
+        window = Rect.centered(0.5, 1.0)
+        res = level_trace(self.field, lambda e, t: e, window, TraceParams(depth=3),
+                          tau_lipschitz=0.5)
+        (hc, calls, (tau_bar, tau_hat, diag)), = seen
+        grid = (tau_bar.eta0, tau_bar.step, len(tau_bar))
+        natural = integrate_through(hc, 0.0, 0.0, grid)
+        assert len(calls) == 2 * (len(tau_bar) - 1)
+        assert same_bits(tau_bar.values, natural.values)
+        assert same_bits(tau_hat.values, natural.values)
+        assert res.diagnostics["extremal"] is diag and diag["tau_lipschitz"] == 0.5
+        json.dumps(res.diagnostics, allow_nan=False)
+
+    def test_funnel_trace_unchanged_without_a_bound(self):
+        window, params = Rect.centered(0.5, 1.0), TraceParams(depth=4)
+        plain = level_trace(cubic_field, lambda e, t: e, window, params)
+        none = level_trace(cubic_field, lambda e, t: e, window, params, tau_lipschitz=None)
+        assert np.array(plain.zeta).tobytes() == np.array(none.zeta).tobytes()
+        assert json.dumps(plain.diagnostics) == json.dumps(none.diagnostics)
+        assert plain.diagnostics["extremal"]["eps"] == flowtrace.EPS_SEQUENCE
+
+
 def linear_field(e, t):
     return -t
 

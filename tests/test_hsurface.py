@@ -345,7 +345,7 @@ class TestFloatEvaluation:
                         Point(s * fr.b1[0], s * fr.b1[1], 0.0))
         for a, b in zip(coords, (reference.x11, reference.x12, reference.t)):
             assert_close(a, b)
-        g, y1 = patch.f2.along_line(line)
+        g, y1, _ = patch.f2.along_line(line, patch.bracket)
         assert_close(g(eta, tau, s), patch.f2.eval(q))
         assert_close(g(eta, tau, s), f2.eval(mul(p, reference)))
         assert_close(y1(eta, tau, s), y_derivatives(f2, mul(p, reference), fr)[0])
@@ -527,7 +527,7 @@ def handle_or_overflow(p):
 def assert_kernels_match(f, line, eta, tau, s):
     if f is None:
         return
-    g, y1 = f.along_line(line)
+    g, y1, _ = f.along_line(line, (-2.0, 2.0))
     assert_same_or_raises(g, lambda *a: g_reference(f, line, *a), eta, tau, s)
     assert_same_or_raises(y1, lambda *a: y1_reference(f, line, *a), eta, tau, s)
 
@@ -564,7 +564,7 @@ class TestLineKernels:
     @pytest.mark.parametrize("coefficients", [{}, {(0, 0, 0): -2.5}])
     def test_zero_and_constant(self, coefficients):
         f = SurfaceHandle.from_polynomial(PolySurface(coefficients))
-        g, y1 = f.along_line(frame_line(0.3, 2.0))
+        g, y1, _ = f.along_line(frame_line(0.3, 2.0), (-2.0, 2.0))
         for x in SPECIAL:
             assert same_float(g(x, x, x), coefficients.get((0, 0, 0), 0.0))
             assert same_float(y1(x, x, x), 0.0)
@@ -589,3 +589,163 @@ class TestLineKernels:
                 warm = [patch.solve_scalar(n, hint)
                         for patch, hint in zip((fast, slow), warm)]
                 assert same_float(*warm)
+
+
+# -- the compiled Newton kernel against the Python loop it replaced ------------
+
+def newton_reference(g, y1, bracket, eta, tau, s):
+    """Reference only: the Newton loop of graph solves before it was compiled."""
+    smin, smax = bracket
+    for _ in range(12):
+        gv = g(eta, tau, s)
+        if abs(gv) <= hsurface.GTOL:
+            return s
+        slope = y1(eta, tau, s)
+        if abs(slope) < hsurface.MARGIN:
+            return None
+        s_next = s - gv / slope
+        if not (smin - 1e-9 <= s_next <= smax + 1e-9) or not math.isfinite(s_next):
+            return None
+        s = s_next
+    return s if abs(g(eta, tau, s)) <= 1e-10 else None
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError) as e:  # a power overflows; a Point is not finite
+        return type(e)
+
+
+def assert_newton_matches(f, line, bracket, eta, tau, s):
+    """f's kernel and the reference on f's own g and y1 agree bit for bit, None with None."""
+    if f is None:
+        return None
+    g, y1, newton = f.along_line(line, bracket)
+    got = outcome(newton, eta, tau, s)
+    expected = outcome(newton_reference, g, y1, bracket, eta, tau, s)
+    if isinstance(expected, float):
+        assert isinstance(got, float) and same_float(got, expected)
+    else:
+        assert got is expected
+    return got
+
+
+brackets = st.tuples(st.floats(-3.0, 0.0), st.floats(0.0, 3.0))
+
+
+def near_linear(pert, line):
+    """Y1 of the linear part is 1 on the line; the scaled perturbation keeps it near 1."""
+    linear = PolySurface({(1, 0, 0): line[0], (0, 1, 0): line[1]})
+    return SurfaceHandle.from_polynomial(linear + pert.scaled(0.05))
+
+
+def wrapped(f):
+    """The same surface as a handle without its polynomial."""
+    return SurfaceHandle(eval=f.eval, grad_h=f.grad_h)
+
+
+class TestNewtonKernel:
+    def test_graph_patch_has_one_newton_path(self):
+        assert not hasattr(GraphPatch, "_newton")
+
+    @given(st.one_of(polys, high_polys), frame_lines, brackets,
+           coordinates, coordinates, coordinates)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_any_polynomial(self, p, line, br, eta, tau, s):
+        assert_newton_matches(handle_or_overflow(p), line, br, eta, tau, s)
+
+    @given(polys, frame_lines, brackets, window, window, st.floats(-4.0, 4.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_near_a_root(self, pert, line, br, eta, tau, s):
+        # hints inside and outside the bracket; most steps converge
+        f = near_linear(pert, line)
+        root = assert_newton_matches(f, line, br, eta, tau, s)
+        assert_newton_matches(wrapped(f), line, br, eta, tau, s)
+        if isinstance(root, float):
+            assert br[0] - 1e-9 <= root <= br[1] + 1e-9
+
+    def test_converges_on_a_cubic_in_skewed_frames(self):
+        rng = np.random.default_rng(15)
+        converged = 0
+        for _ in range(40):
+            a = rng.uniform(0.0, 2.0 * math.pi)
+            line = frame_line(a, a + rng.uniform(0.3, 2.8))
+            assert line[4] != 1.0
+            pert = PolySurface({m: float(c) for m, c in
+                                zip(MONOMIALS, rng.uniform(-1.0, 1.0, len(MONOMIALS)))})
+            f = near_linear(pert, line)
+            for eta, tau, s in rng.uniform(-0.5, 0.5, (5, 3)):
+                for handle in (f, wrapped(f)):
+                    root = assert_newton_matches(handle, line, (-2.0, 2.0), eta, tau, s)
+                    converged += isinstance(root, float)
+        assert converged >= 300
+
+    @pytest.mark.parametrize("coefficients", [{}, {(0, 0, 0): -2.5}, {(0, 0, 1): 1.0}])
+    def test_margin_failure_gives_none(self, coefficients):
+        # Y1 f = 0 on the line: no Newton step can be taken
+        f = SurfaceHandle.from_polynomial(PolySurface(coefficients))
+        for handle in (f, wrapped(f)):
+            root = assert_newton_matches(handle, frame_line(0.0, 1.5), (-2.0, 2.0),
+                                         0.0, 0.3, 0.1)
+            assert root is (None if coefficients else 0.1)
+
+    @pytest.mark.parametrize("hint", [math.nan, math.inf, -math.inf, 1e300])
+    def test_non_finite_and_far_hints(self, hint):
+        f = near_linear(PolySurface({(0, 0, 2): 0.5, (1, 1, 0): -0.3}), frame_line(0.4, 2.0))
+        for handle in (f, wrapped(f)):
+            got = assert_newton_matches(handle, frame_line(0.4, 2.0), (-2.0, 2.0),
+                                        0.1, 0.2, hint)
+            assert not isinstance(got, float)
+
+    def test_accepts_after_the_last_step(self):
+        # Newton on |s|^1.5 divides s by 3 per step: from 5.3e-3, twelve steps
+        # end at 1e-8, where |f| = 1e-12 lies between GTOL and the final test
+        f = SurfaceHandle(eval=lambda x: math.copysign(abs(x.x11) ** 1.5, x.x11),
+                          grad_h=lambda x: (1.5 * math.sqrt(abs(x.x11)), 0.0))
+        root = assert_newton_matches(f, frame_line(0.0, 0.5 * math.pi), (-2.0, 2.0),
+                                     0.0, 0.0, 5.3e-3)
+        assert root == pytest.approx(5.3e-3 / 3**12)
+        assert hsurface.GTOL < abs(root) ** 1.5 <= 1e-10
+
+    def test_callable_fallback_matches_compiled(self):
+        rng = np.random.default_rng(4)
+        line = frame_line(0.7, 2.9)
+        f = near_linear(PolySurface({(2, 1, 0): 0.4, (0, 0, 3): -0.8, (1, 0, 1): 0.6}), line)
+        fast = f.along_line(line, (-1.0, 1.5))[2]
+        slow = wrapped(f).along_line(line, (-1.0, 1.5))[2]
+        for eta, tau, s in rng.uniform(-0.5, 0.5, (50, 3)):
+            assert same_float(fast(eta, tau, s), slow(eta, tau, s))
+
+
+# -- the bound on the tau-slope of the graph function --------------------------
+
+class TestTauLipschitz:
+    def test_callable_handle_has_none(self):
+        f = SurfaceHandle.from_polynomial(X11_PLUS_T)
+        assert GraphPatch(make_frame((1.0, 0.0)), wrapped(f)).tau_lipschitz is None
+
+    def test_affine_patch(self):
+        # dt f2 = 1 and MARGIN bounds |Y1 f2| = |1 - eta| from below
+        assert patch_affine().tau_lipschitz == 1.0 / hsurface.MARGIN
+        assert patch_flat().tau_lipschitz == 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bounds_finite_differences_on_random_cubics(self, seed):
+        rng = np.random.default_rng([15, seed])
+        a = rng.uniform(0.0, 2.0 * math.pi)
+        fr = make_frame((math.cos(a), math.sin(a)))
+        pert = PolySurface({m: float(c) for m, c in
+                            zip(MONOMIALS, rng.uniform(-1.0, 1.0, len(MONOMIALS)))})
+        linear = PolySurface({(1, 0, 0): fr.b1[0], (0, 1, 0): fr.b1[1]})
+        patch = GraphPatch(fr, SurfaceHandle.from_polynomial(linear + pert.scaled(0.05)))
+        bound = patch.tau_lipschitz
+        assert bound is not None and math.isfinite(bound)
+        h = 1e-4
+        worst = 0.0
+        for eta in np.linspace(-0.5, 0.5, 9):
+            for tau in np.linspace(-0.5 + h, 0.5 - h, 9):
+                up, down = (patch.solve_scalar((float(eta), float(tau + d))) for d in (h, -h))
+                worst = max(worst, abs(up - down) / (2.0 * h))
+        assert 0.0 < worst <= bound

@@ -178,6 +178,22 @@ class TestIntersectSurfaces:
     def test_trace_report_is_json(self, curve_b):
         json.dumps(curve_b.meta)
 
+    def test_extremal_report(self, curve_b):
+        # a polynomial f2: the tau-slope bound of its field replaces the eps paths
+        cf = intersect.graph_field(F_X11_T, ORIGIN, 0.5, (-2.0, 2.0))
+        ext = json.loads(json.dumps(curve_b.meta, allow_nan=False))["trace"]["extremal"]
+        assert ext == {"eps": [], "gap_min": [], "gap_max": [], "dropped_min": [],
+                       "dropped_max": [], "converged": True,
+                       "tau_lipschitz": abs(cf.beta) * cf.patch.tau_lipschitz}
+        assert math.isfinite(ext["tau_lipschitz"])
+
+    def test_callable_handles_keep_the_eps_paths(self, curve_b):
+        f1, f2 = (SurfaceHandle(eval=f.eval, grad_h=f.grad_h) for f in (F_X12, F_X11_T))
+        curve = intersect_surfaces(IntersectionProblem(f1, f2, trace=TraceParams(depth=2)))
+        ext = json.loads(json.dumps(curve.meta, allow_nan=False))["trace"]["extremal"]
+        assert ext["tau_lipschitz"] is None
+        assert ext["eps"] and set(ext) == set(curve_b.meta["trace"]["extremal"])
+
     def test_params_normalized(self, curve_a):
         curve = curve_a
         assert curve.params[0] == 0.0
