@@ -194,12 +194,11 @@ def horizontal_derivative(f, x: Point, direction: tuple[float, float], h: float 
     """Central difference of s -> f(x * (s*direction)) at s = 0.
 
     Numeric stand-in for the left-invariant derivative of f at x along a
-    horizontal direction; second-order accurate in h.  Accepts either a
-    plain callable Point -> real or any object with an ``eval`` attribute.
+    horizontal direction, for f a callable Point -> real; second-order
+    accurate in h.
     """
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h!r}")
-    fe = getattr(f, "eval", f)
-    fp = fe(mul(x, _horizontal_point(direction, h)))
-    fm = fe(mul(x, _horizontal_point(direction, -h)))
+    fp = f(mul(x, _horizontal_point(direction, h)))
+    fm = f(mul(x, _horizontal_point(direction, -h)))
     return (fp - fm) / (2.0 * h)

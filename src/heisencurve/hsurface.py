@@ -1,7 +1,7 @@
-"""Level-set surfaces with horizontal gradients and their intrinsic graphs.
+"""Polynomial level-set surfaces, their horizontal gradients and intrinsic graphs.
 
-A surface is the zero set (or a general level set) of a scalar function on
-the group with nonvanishing horizontal gradient.  Over a window of the
+A surface is the zero set (or a general level set) of a polynomial on the
+group with nonvanishing horizontal gradient.  Over a window of the
 vertical subgroup N the surface is the image of a graph map
 Phi2(n) = n * (phi2hat(n) * b1): for each n the scalar graph coordinate
 phi2hat(n) is the unique root of a strictly monotone one-variable function,
@@ -13,14 +13,13 @@ in coordinates.  Each polynomial compiles, on first use, into a
 straight-line evaluator that computes each power x**e once and makes the
 products and sums of the term-by-term sum in the same order, so it rounds
 exactly as that sum does.  The same code generator gives each graph patch
-of a polynomial f2 three line kernels, compiled when the patch is built:
+of f2 three line kernels, compiled when the patch is built:
 g(eta, tau, s) = f2 and y1(eta, tau, s) = Y1 f2 at n * (s b1), each
 computing the line coordinates inline and y1 sharing the powers of X1 f2
 and X2 f2, and newton(eta, tau, s), the whole Newton loop built from the
 same statements.  They round exactly like the line coordinates followed by
 the compiled evaluators.  Left translation of a polynomial is again a
-polynomial, so translated handles keep that fast path; any other handle
-evaluates at a Point, through the same generated Newton loop.
+polynomial, so a translated handle is one more polynomial handle.
 
 For a polynomial f2 the graph function is C^1 (implicit function theorem),
 and each patch bounds its slope in tau once (GraphPatch.tau_lipschitz), so
@@ -37,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MarginViolated, NoSignChange
-from .hgroup import Frame, Point, mul
+from .hgroup import Frame, Point
 
 __all__ = [
     "PolySurface",
@@ -289,8 +288,9 @@ def _newton_lines(evaluate: list[str], slope: list[str]) -> list[str]:
     evaluate sets f = g(eta, tau, s) and slope sets y1, the s-derivative
     Y1 f2 there.  Up to 12 steps s -> s - f / y1; the root is s once
     |f| <= gtol, or after the last step once |f| <= accept.  None when
-    |y1| < margin, a step lands outside [slo, shi] or is not finite, or the
-    last step leaves |f| > accept.  The names are those of _newton_consts.
+    |y1| < margin, a step lands outside [slo, shi] (a NaN or infinite step
+    does too, the bracket being finite), or the last step leaves
+    |f| > accept.  The names are those of _newton_consts.
     """
     step = [*evaluate,
             "if abs(f) <= gtol:",
@@ -299,7 +299,7 @@ def _newton_lines(evaluate: list[str], slope: list[str]) -> list[str]:
             "if abs(y1) < margin:",
             "    return None",
             "s_next = s - f / y1",
-            "if not (slo <= s_next <= shi) or not isfinite(s_next):",
+            "if not (slo <= s_next <= shi):",
             "    return None",
             "s = s_next"]
     return ["for _ in range(12):", *(f"    {line}" for line in step), *evaluate,
@@ -309,8 +309,7 @@ def _newton_lines(evaluate: list[str], slope: list[str]) -> list[str]:
 def _newton_consts(bracket) -> dict:
     smin, smax = bracket
     return {"gtol": GTOL, "margin": MARGIN, "accept": NEWTON_ACCEPT,
-            "slo": smin - BRACKET_SLACK, "shi": smax + BRACKET_SLACK,
-            "isfinite": math.isfinite}
+            "slo": smin - BRACKET_SLACK, "shi": smax + BRACKET_SLACK}
 
 
 # The point n * (s b1) of the graph line for n = (eta, tau), as statements of
@@ -369,48 +368,40 @@ def horiz_grad_poly(p: PolySurface) -> tuple[PolySurface, PolySurface]:
 
 @dataclass(frozen=True)
 class SurfaceHandle:
-    """A surface as an evaluator plus its horizontal gradient (X1 f, X2 f).
+    """A polynomial surface f with its horizontal gradient (X1 f, X2 f).
 
-    value_at and grad_at evaluate at plain coordinates (x11, x12, t): by
-    PolySurface.value_at when the handle carries its polynomial, otherwise
-    through eval and grad_h at a Point.  The gradient of a polynomial is
-    exact algebra (horiz_grad_poly); a coefficient of the polynomial or of its
-    gradient that overflowed (is not finite) raises OverflowError.
+    The gradient is exact algebra (horiz_grad_poly), derived once here; a
+    coefficient of f or of its gradient that overflowed (is not finite)
+    raises OverflowError.  eval and grad_h evaluate at a Point, value_at and
+    grad_at at plain coordinates (x11, x12, t), all through the compiled
+    PolySurface.value_at.
     """
 
-    eval: Callable[[Point], float]
-    grad_h: Callable[[Point], tuple[float, float]]
-    poly: PolySurface | None = None
-    _grad_poly: tuple[PolySurface, PolySurface] | None = field(
-        init=False, repr=False, compare=False)
+    poly: PolySurface
+    _grad_poly: tuple[PolySurface, PolySurface] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grad_poly = None
-        if self.poly is not None:
-            grad_poly = horiz_grad_poly(self.poly)
-            for name, q in zip(("f", "X1 f", "X2 f"), (self.poly, *grad_poly)):
-                bad = [key for key, c in q.coefficients.items() if not math.isfinite(c)]
-                if bad:
-                    raise OverflowError(f"the coefficient of {bad[0]} in {name} overflows")
+        grad_poly = horiz_grad_poly(self.poly)
+        for name, q in zip(("f", "X1 f", "X2 f"), (self.poly, *grad_poly)):
+            bad = [key for key, c in q.coefficients.items() if not math.isfinite(c)]
+            if bad:
+                raise OverflowError(f"the coefficient of {bad[0]} in {name} overflows")
         object.__setattr__(self, "_grad_poly", grad_poly)
 
     @classmethod
     def from_polynomial(cls, p: PolySurface) -> "SurfaceHandle":
-        def grad(x: Point) -> tuple[float, float]:
-            # handle is assigned below, before grad can run
-            return handle.grad_at(x.x11, x.x12, x.t)
+        return cls(p)
 
-        handle = cls(eval=p, grad_h=grad, poly=p)
-        return handle
+    def eval(self, x: Point) -> float:
+        return self.poly(x)
+
+    def grad_h(self, x: Point) -> tuple[float, float]:
+        return self.grad_at(x.x11, x.x12, x.t)
 
     def value_at(self, x11: float, x12: float, t: float) -> float:
-        if self.poly is None:
-            return self.eval(Point(x11, x12, t))
         return self.poly.value_at(x11, x12, t)
 
     def grad_at(self, x11: float, x12: float, t: float) -> tuple[float, float]:
-        if self._grad_poly is None:
-            return self.grad_h(Point(x11, x12, t))
         x1f, x2f = self._grad_poly
         return (x1f.value_at(x11, x12, t), x2f.value_at(x11, x12, t))
 
@@ -421,57 +412,28 @@ class SurfaceHandle:
         n = (eta, tau); g(eta, tau, s) is f there and y1(eta, tau, s) is
         Y1 f = b1 . (X1 f, X2 f).  newton(eta, tau, s) runs Newton's method
         on s -> g(eta, tau, s) from s within bracket (_newton_lines) and
-        returns the root or None.  A polynomial handle compiles all three
-        into straight-line kernels that compute the line coordinates inline,
-        with Y1 f sharing the powers of X1 f and X2 f and newton holding the
-        statements of g and y1 in its loop; they round exactly like
-        line_coords followed by value_at and grad_at, which is what any other
-        handle runs, with newton's loop calling its g and y1.
+        returns the root or None.  All three are compiled straight-line
+        kernels that compute the line coordinates inline, with Y1 f sharing
+        the powers of X1 f and X2 f and newton holding the statements of g
+        and y1 in its loop; they round exactly like line_coords followed by
+        value_at and grad_at.
         """
-        consts = _newton_consts(bracket)
-        if self.poly is not None:
-            line_consts = _line_consts(line)
-            sums = {"f": self.poly.coefficients}
-            slopes = dict(zip(("g1", "g2"), (q.coefficients for q in self._grad_poly)))
-            g = _straight_line("g", "eta, tau, s", _LINE, sums, "f", line_consts)
-            y1 = _straight_line("y1", "eta, tau, s", _LINE, slopes, _Y1, line_consts)
-            consts.update(line_consts)
-            bound: set = set()
-            evaluate = [*_LINE, *_sum_block(sums, consts, bound)]
-            slope = [*_sum_block(slopes, consts, bound), f"y1 = {_Y1}"]
-        else:
-            b1x, b1y = line[:2]
-            coords = _compile_line(line)
-
-            def g(eta: float, tau: float, s: float) -> float:
-                return self.value_at(*coords(eta, tau, s))
-
-            def y1(eta: float, tau: float, s: float) -> float:
-                g1, g2 = self.grad_at(*coords(eta, tau, s))
-                return g1 * b1x + g2 * b1y
-
-            consts.update(g_at=g, y1_at=y1)
-            evaluate, slope = ["f = g_at(eta, tau, s)"], ["y1 = y1_at(eta, tau, s)"]
+        line_consts = _line_consts(line)
+        sums = {"f": self.poly.coefficients}
+        slopes = dict(zip(("g1", "g2"), (q.coefficients for q in self._grad_poly)))
+        g = _straight_line("g", "eta, tau, s", _LINE, sums, "f", line_consts)
+        y1 = _straight_line("y1", "eta, tau, s", _LINE, slopes, _Y1, line_consts)
+        consts = {**_newton_consts(bracket), **line_consts}
+        bound: set = set()
+        evaluate = [*_LINE, *_sum_block(sums, consts, bound)]
+        slope = [*_sum_block(slopes, consts, bound), f"y1 = {_Y1}"]
         newton = _compile_kernel("newton", "eta, tau, s", _newton_lines(evaluate, slope),
                                  consts)
         return g, y1, newton
 
     def translated(self, p: Point) -> "SurfaceHandle":
-        """The handle of x -> f(p * x); gradients translate along for free.
-
-        A polynomial handle stays polynomial: the translate is the
-        substituted polynomial, with its exact gradient.
-        """
-        if self.poly is not None:
-            return SurfaceHandle.from_polynomial(self.poly.translated(p))
-
-        def ev(x: Point) -> float:
-            return self.eval(mul(p, x))
-
-        def grad(x: Point) -> tuple[float, float]:
-            return self.grad_h(mul(p, x))
-
-        return SurfaceHandle(eval=ev, grad_h=grad)
+        """The handle of x -> f(p * x): the substituted polynomial, with its exact gradient."""
+        return SurfaceHandle(self.poly.translated(p))
 
 
 def y_derivatives(f: SurfaceHandle, x: Point, fr: Frame) -> tuple[float, float]:
@@ -498,8 +460,7 @@ class GraphPatch:
     Every solve and the certificate evaluate the graph equation
     g(eta, tau, s) = f2(n * (s b1)) and its slope Y1 f2 there through the
     kernels f2.along_line returns, built once here: g, y1 and Newton's
-    method, compiled straight-line code for a polynomial f2, line_coords
-    composed with f2's value_at and grad_at for any other.
+    method, compiled straight-line code.
 
     tau_lipschitz bounds |d phi2hat / d tau| over the window, computed once
     here.  The graph function solves g(eta, tau, phi2hat) = 0 with
@@ -508,8 +469,8 @@ class GraphPatch:
     bound is dt f2 bounded term by term (PolySurface.termwise_bound) over
     the reach of the line coordinates on window x bracket, divided by
     MARGIN.  It rests on the margin certificate, so it is sampled as that
-    certificate is, not certified.  A handle without a polynomial, or a
-    bound that overflows, gives None.
+    certificate is, not certified.  A bound that overflows is inf, which
+    flowtrace.extremal_solutions treats as no bound.
 
     Parameters
     ----------
@@ -564,15 +525,12 @@ class GraphPatch:
                         )
         self.y1_min_sampled = worst
 
-    def _tau_bound(self, line) -> float | None:
-        if self.f2.poly is None:
-            return None
+    def _tau_bound(self, line) -> float:
         # the largest |x11|, |x12|, |t| of n * (s b1): the line with |b| and -|det C|
         # at the largest |eta|, |tau|, |s|
         reach = _compile_line((*map(abs, line[:4]), -abs(line[4])))(
             *(max(map(abs, r)) for r in (*self.window, self.bracket)))
-        bound = self.f2.poly.partial(2).termwise_bound([(0.0, r) for r in reach]) / MARGIN
-        return bound if math.isfinite(bound) else None
+        return self.f2.poly.partial(2).termwise_bound([(0.0, r) for r in reach]) / MARGIN
 
     # -- graph solves ----------------------------------------------------------
 

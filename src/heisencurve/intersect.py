@@ -190,9 +190,9 @@ def intersect_surfaces(prob: IntersectionProblem) -> Curve:
     Every meta value is JSON-ready: meta["frame"] holds the graph frame's
     b1 and b2, and meta["neighborhood"] the eta and tau ranges of the
     certified planar rectangle.  The trace is given the field's bound
-    |beta| * patch.tau_lipschitz on its tau-slope, so for a polynomial f2
-    the extremal solutions are the one characteristic through the origin;
-    meta["trace"]["extremal"]["tau_lipschitz"] holds that bound, or None.
+    |beta| * patch.tau_lipschitz on its tau-slope; when it is finite the
+    extremal solutions are the one characteristic through the origin.
+    meta["trace"]["extremal"]["tau_lipschitz"] holds a finite bound, or None.
     """
     prob.validate()
     f1t = _translated(prob.f1, prob.p, "f1")
@@ -202,9 +202,8 @@ def intersect_surfaces(prob: IntersectionProblem) -> Curve:
         return f1t.value_at(*cf.graph_coords(eta, tau))
 
     w = prob.window_half
-    lip = cf.patch.tau_lipschitz
     res = level_trace(cf.rhs, F, Rect.centered(w, w), prob.trace,
-                      None if lip is None else abs(cf.beta) * lip)
+                      abs(cf.beta) * cf.patch.tau_lipschitz)
 
     planar = [VerticalCoords(e, t) for e, t in res.zeta]
     points = [mul(prob.p, cf.graph_point(n.eta, n.tau)) for n in planar]
@@ -247,7 +246,7 @@ def brute_force_zero_cloud(f1: SurfaceHandle, f2: SurfaceHandle, box,
 
     box is ((x11_lo, x11_hi), (x12_lo, x12_hi), (t_lo, t_hi)), and eps is
     (grid spacing) * (max gradient bound) * 2, a first-order band around the
-    common zero set.  Both surfaces must be polynomial.
+    common zero set.
 
     The index grid is tiled into cubes of CLOUD_CUBE points per axis (fewer
     at the far faces), and |f1| + |f2| is evaluated once at each cube's
@@ -279,8 +278,6 @@ def brute_force_zero_cloud(f1: SurfaceHandle, f2: SurfaceHandle, box,
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2 per axis")
-    if f1.poly is None or f2.poly is None:
-        raise ValueError("brute_force_zero_cloud needs polynomial surfaces")
     polys = (f1.poly, f2.poly)
     xs, ys, ts = axes = _axes(box, grid_n)
     spacing = max((hi - lo) / (grid_n - 1) for lo, hi in box)
@@ -501,12 +498,10 @@ def pair_lipschitz_bound(handles, box) -> float:
     """Crude Lipschitz bound for the horizontal gradients over the box.
 
     Combines the term-wise bounds on the Euclidean gradient of each symbolic
-    gradient component; requires polynomial surfaces.
+    gradient component.
     """
     worst = 0.0
     for h in handles:
-        if h.poly is None:
-            raise ValueError("pair_lipschitz_bound needs polynomial surfaces")
         g1, g2 = horiz_grad_poly(h.poly)
         worst = max(
             worst,

@@ -187,13 +187,6 @@ class TestIntersectSurfaces:
                        "tau_lipschitz": abs(cf.beta) * cf.patch.tau_lipschitz}
         assert math.isfinite(ext["tau_lipschitz"])
 
-    def test_callable_handles_keep_the_eps_paths(self, curve_b):
-        f1, f2 = (SurfaceHandle(eval=f.eval, grad_h=f.grad_h) for f in (F_X12, F_X11_T))
-        curve = intersect_surfaces(IntersectionProblem(f1, f2, trace=TraceParams(depth=2)))
-        ext = json.loads(json.dumps(curve.meta, allow_nan=False))["trace"]["extremal"]
-        assert ext["tau_lipschitz"] is None
-        assert ext["eps"] and set(ext) == set(curve_b.meta["trace"]["extremal"])
-
     def test_params_normalized(self, curve_a):
         curve = curve_a
         assert curve.params[0] == 0.0
@@ -213,14 +206,7 @@ class TestIntersectSurfaces:
         from heisencurve.hgroup import inv
 
         q = inv(p)
-        f1 = SurfaceHandle(
-            eval=lambda x: F_X12.eval(mul(p, x)),
-            grad_h=lambda x: F_X12.grad_h(mul(p, x)),
-        )
-        f2 = SurfaceHandle(
-            eval=lambda x: F_X11_T.eval(mul(p, x)),
-            grad_h=lambda x: F_X11_T.grad_h(mul(p, x)),
-        )
+        f1, f2 = F_X12.translated(p), F_X11_T.translated(p)
         curve = intersect_surfaces(IntersectionProblem(f1, f2, p=q,
                                                        trace=TraceParams(depth=4)))
         for x in curve.points[::16]:
@@ -376,18 +362,6 @@ def planted_polys(draw, degree, zero):
     coeffs = draw(st.dictionaries(exps, st.floats(-3.0, 3.0), min_size=1, max_size=10))
     coeffs[(0, 0, 0)] = -PolySurface(coeffs).value_at(*zero)
     return SurfaceHandle.from_polynomial(PolySurface(coeffs))
-
-
-@pytest.mark.parametrize("oracle", [
-    lambda f: brute_force_zero_cloud(F_X11, f, BOX_SMALL, grid_n=11),
-    lambda f: pair_lipschitz_bound((F_X11, f), BOX_SMALL),
-], ids=["zero_cloud", "lipschitz_bound"])
-def test_oracle_needs_polynomial_handles(oracle):
-    # a handle built from callables alone carries no polynomial
-    plain = SurfaceHandle(eval=F_X12.eval, grad_h=F_X12.grad_h)
-    assert plain.poly is None
-    with pytest.raises(ValueError, match="polynomial surfaces"):
-        oracle(plain)
 
 
 class TestConeProperty:
