@@ -5,8 +5,9 @@ group with nonvanishing horizontal gradient.  Over a window of the
 vertical subgroup N the surface is the image of a graph map
 Phi2(n) = n * (phi2hat(n) * b1): for each n the scalar graph coordinate
 phi2hat(n) is the unique root of a strictly monotone one-variable function,
-found here by Newton's method from a warm start (the previous root), with
-bracketed bisection and a Newton polish as the fallback.
+found here by Newton's method from a hint (the previous root) or from the
+root at the origin, with bisection of the whole bracket and a Newton polish
+as the fallback when Newton fails.
 
 The solve runs on plain floats: the graph line n * (s b1) has a closed form
 in coordinates.  Each polynomial compiles, on first use, into a
@@ -452,10 +453,12 @@ def y_derivatives(f: SurfaceHandle, x: Point, fr: Frame) -> tuple[float, float]:
 class GraphPatch:
     """A window of the vertical subgroup over which f2 admits an intrinsic graph.
 
-    Construction certifies, on a MARGIN_GRID sample of window x bracket,
-    that the graph direction derivative Y1 f2 keeps one sign and stays above
-    MARGIN in absolute value; that makes the per-point root problem
-    strictly monotone and bisection safe.
+    Construction certifies, on a MARGIN_GRID sample of window x bracket
+    evaluated in one kernel call on arrays, that the graph direction
+    derivative Y1 f2 keeps one sign and stays above MARGIN in absolute
+    value; that makes the per-point root problem strictly monotone and
+    bisection safe.  It then solves for the root at the origin, the start
+    of every solve given no hint.
 
     Every solve and the certificate evaluate the graph equation
     g(eta, tau, s) = f2(n * (s b1)) and its slope Y1 f2 there through the
@@ -493,37 +496,29 @@ class GraphPatch:
         self.line_coords = _compile_line(line)
         self._certify_margin()
         self.tau_lipschitz = self._tau_bound(line)
-        # the base solve starts at s = 0; later cold solves start from its root
-        self._s_base = 0.0
-        self._s_base = self.solve_scalar((0.0, 0.0))
+        # the root at the origin, from which solves without a hint start
+        self._s_base = self.solve_scalar((0.0, 0.0), 0.0)
 
     # -- margin certificate --------------------------------------------------
 
     def _certify_margin(self):
-        (emin, emax), (tmin, tmax) = self.window
-        smin, smax = self.bracket
-        etas = np.linspace(emin, emax, MARGIN_GRID)
-        taus = np.linspace(tmin, tmax, MARGIN_GRID)
-        ss = np.linspace(smin, smax, MARGIN_GRID)
-        sign = 0.0
-        worst = math.inf
-        for eta in etas:
-            for tau in taus:
-                for s in ss:
-                    y1 = self._y1(float(eta), float(tau), float(s))
-                    worst = min(worst, abs(y1))
-                    if not abs(y1) >= MARGIN:  # NaN fails here too
-                        raise MarginViolated(
-                            f"|Y1 f2| = {abs(y1):.3e} < margin {MARGIN:.3e} "
-                            f"at n=({eta:.3g},{tau:.3g}), s={s:.3g}"
-                        )
-                    if sign == 0.0:
-                        sign = math.copysign(1.0, y1)
-                    elif math.copysign(1.0, y1) != sign:
-                        raise MarginViolated(
-                            "Y1 f2 changes sign on the sampled window"
-                        )
-        self.y1_min_sampled = worst
+        # the samples in the order of nested loops over eta, tau, s
+        samples = np.meshgrid(*(np.linspace(lo, hi, MARGIN_GRID)
+                                for lo, hi in (*self.window, self.bracket)), indexing="ij")
+        with np.errstate(over="ignore", invalid="ignore"):
+            y1 = np.broadcast_to(self._y1(*samples), samples[0].shape).ravel()
+        small = ~(np.abs(y1) >= MARGIN)  # NaN is small too
+        failed = np.flatnonzero(small | (np.signbit(y1) != np.signbit(y1[0])))
+        if failed.size:
+            i = failed[0]
+            if not small[i]:
+                raise MarginViolated("Y1 f2 changes sign on the sampled window")
+            eta, tau, s = (float(a.flat[i]) for a in samples)
+            raise MarginViolated(
+                f"|Y1 f2| = {abs(y1[i]):.3e} < margin {MARGIN:.3e} "
+                f"at n=({eta:.3g},{tau:.3g}), s={s:.3g}"
+            )
+        self.y1_min_sampled = float(np.abs(y1).min())
 
     def _tau_bound(self, line) -> float:
         # the largest |x11|, |x12|, |t| of n * (s b1): the line with |b| and -|det C|
@@ -543,64 +538,43 @@ class GraphPatch:
     def solve_scalar(self, n: tuple[float, float], hint: float | None = None) -> float:
         """The graph coordinate phi2hat(n): unique root of s -> f2(n * s b1).
 
-        n is the pair (eta, tau).  Newton runs from the hint; without one, or
-        when Newton fails, the root is bracketed around the hint or the base
-        coordinate, bisected, and polished by Newton.  A point outside the
+        n is the pair (eta, tau).  Newton runs from the hint, or from the base
+        root without one; only when Newton fails is the whole bracket bisected
+        (_bisect) and the result polished by Newton.  A point outside the
         window, or a NaN one, raises ValueError.
         """
         eta, tau = n
         if not self.contains(eta, tau):
             raise ValueError(f"n = ({eta!r}, {tau!r}) outside the patch window")
-
-        if hint is not None:
-            s = self._newton_from(eta, tau, hint)
-            if s is not None:
-                return s
-
-        s0 = hint if hint is not None else self._s_base
-        lo, hi = self._expand_bracket(eta, tau, s0)
-        s = self._bisect(eta, tau, lo, hi)
+        s = self._newton_from(eta, tau, self._s_base if hint is None else hint)
+        if s is not None:
+            return s
+        s = self._bisect(eta, tau)
         polished = self._newton_from(eta, tau, s)
         return polished if polished is not None else s
 
-    def _expand_bracket(self, eta: float, tau: float, s0: float) -> tuple[float, float]:
-        smin, smax = self.bracket
-        s0 = min(max(s0, smin), smax)
-        w = max(1e-3, 0.0625 * (smax - smin))
-        g0 = self._g(eta, tau, s0)
-        if g0 == 0.0:
-            return s0, s0
-        while True:
-            lo = max(smin, s0 - w)
-            hi = min(smax, s0 + w)
-            glo = self._g(eta, tau, lo)
-            ghi = self._g(eta, tau, hi)
-            if glo == 0.0:
-                return lo, lo
-            if ghi == 0.0:
-                return hi, hi
-            if glo * g0 < 0.0:
-                return lo, s0
-            if ghi * g0 < 0.0:
-                return s0, hi
-            if lo == smin and hi == smax:
-                if glo * ghi < 0.0:
-                    return lo, hi
-                raise NoSignChange(
-                    f"no sign change for the graph equation over bracket "
-                    f"[{smin}, {smax}] at n=({eta:.3g},{tau:.3g})"
-                )
-            w *= 2.0
+    def _bisect(self, eta: float, tau: float) -> float:
+        """Bisection for the root of s -> g(eta, tau, s) over the whole bracket.
 
-    def _bisect(self, eta: float, tau: float, lo: float, hi: float) -> float:
-        if lo == hi:
+        Ends where g has one sign (or is NaN) raise NoSignChange, and an end
+        where |Y1 f2| is below MARGIN raises MarginViolated.
+        """
+        lo, hi = self.bracket
+        glo, ghi = self._g(eta, tau, lo), self._g(eta, tau, hi)
+        if glo == 0.0:
             return lo
+        if ghi == 0.0:
+            return hi
+        if not glo * ghi < 0.0:
+            raise NoSignChange(
+                f"no sign change for the graph equation over bracket "
+                f"[{lo}, {hi}] at n=({eta:.3g},{tau:.3g})"
+            )
         for s_end in (lo, hi):
             if abs(self._y1(eta, tau, s_end)) < MARGIN:
                 raise MarginViolated(
                     f"|Y1 f2| below margin {MARGIN:.3e} inside the solve bracket"
                 )
-        glo = self._g(eta, tau, lo)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             gm = self._g(eta, tau, mid)

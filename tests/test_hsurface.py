@@ -277,6 +277,50 @@ class TestGraphSolve:
         with pytest.raises(NoSignChange):
             GraphPatch(make_frame((1.0, 0.0)), SurfaceHandle.from_polynomial(p))
 
+    def test_no_root_in_the_bracket_raises_from_the_solve(self):
+        # Y1 f2 = 1 - eta >= 0.5 certifies the patch and the origin has the
+        # root s = 0, but the root -tau / (1 - eta) = -1 at n = (0.5, 0.5)
+        # lies outside the bracket: Newton leaves it, and its ends share a sign
+        patch = GraphPatch(make_frame((1.0, 0.0)), SurfaceHandle.from_polynomial(X11_PLUS_T),
+                           bracket=(-0.5, 0.5))
+        for hint in (None, -0.4):
+            with pytest.raises(NoSignChange, match=r"bracket \[-0.5, 0.5\] at n=\(0.5,0.5\)"):
+                patch.solve_scalar((0.5, 0.5), hint)
+
+    def test_one_solve_path(self):
+        assert not hasattr(GraphPatch, "_expand_bracket")
+
+    def test_hintless_solves_need_no_bisection(self, monkeypatch):
+        # Newton from the base root converges at every point of both grids
+        patches = (patch_flat(), patch_affine())
+
+        def refuse(*args):
+            raise AssertionError("a hint-less solve bisected")
+
+        monkeypatch.setattr(GraphPatch, "_bisect", refuse)
+        grid = np.linspace(-0.5, 0.5, 50)
+        for patch in patches:
+            for eta in grid:
+                for tau in grid:
+                    patch.solve_scalar((float(eta), float(tau)))
+
+    @pytest.mark.parametrize("hint", [1e300, math.nan, math.inf, -math.inf])
+    def test_any_hint_gives_the_hintless_root(self, hint, monkeypatch):
+        patches = (patch_flat(), patch_affine())
+        bisected = []
+        bisect = GraphPatch._bisect
+        monkeypatch.setattr(GraphPatch, "_bisect",
+                            lambda patch, *n: bisected.append(n) or bisect(patch, *n))
+        rng = np.random.default_rng(3)
+        for patch in patches:
+            for eta, tau in rng.uniform(-0.5, 0.5, (20, 2)):
+                n = (float(eta), float(tau))
+                assert abs(patch.solve_scalar(n, hint) - patch.solve_scalar(n)) <= 1e-12
+        # a non-finite hint makes Newton fail at once: the whole bracket is
+        # bisected; from 1e300 the first step lands in the bracket or not
+        if not math.isfinite(hint):
+            assert len(bisected) == 40
+
     def test_margin_violation_detected(self):
         # Y1 f2 = 1 - eta vanishes at the sample node eta = 1 of a window reaching it
         with pytest.raises(MarginViolated):
@@ -689,6 +733,88 @@ class TestNewtonKernel:
                                      0.0, 0.0, 4.096e-3)
         assert root == pytest.approx(4.096e-3 / 2**12)
         assert hsurface.GTOL < root**2 <= 1e-10
+
+
+# -- the margin certificate against the sample loop it replaced ----------------
+
+def certificate_reference(y1, window, bracket):
+    """Reference only: the margin certificate's loop over its samples, on floats.
+
+    The smallest sampled |Y1 f2|, or the message of the first failing sample.
+    """
+    axes = [np.linspace(lo, hi, hsurface.MARGIN_GRID) for lo, hi in (*window, bracket)]
+    sign = 0.0
+    worst = math.inf
+    for eta in axes[0]:
+        for tau in axes[1]:
+            for s in axes[2]:
+                v = y1(float(eta), float(tau), float(s))
+                worst = min(worst, abs(v))
+                if not abs(v) >= hsurface.MARGIN:
+                    return (f"|Y1 f2| = {abs(v):.3e} < margin {hsurface.MARGIN:.3e} "
+                            f"at n=({eta:.3g},{tau:.3g}), s={s:.3g}")
+                if sign == 0.0:
+                    sign = math.copysign(1.0, v)
+                elif math.copysign(1.0, v) != sign:
+                    return "Y1 f2 changes sign on the sampled window"
+    return worst
+
+
+def certificate(f, line, window, bracket):
+    """GraphPatch's certificate alone: the smallest sampled |Y1 f2|, or its message."""
+    patch = GraphPatch.__new__(GraphPatch)
+    patch.window, patch.bracket = window, bracket
+    _, patch._y1, _ = f.along_line(line, bracket)
+    try:
+        patch._certify_margin()
+    except MarginViolated as e:
+        return str(e)
+    return patch.y1_min_sampled
+
+
+half_widths = st.floats(0.0, 0.6)
+
+
+class TestMarginCertificate:
+    @given(st.one_of(polys, high_polys, polys.map(lambda p: p.scaled(1e-6))), frame_lines,
+           half_widths, half_widths, brackets)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_sample_loop(self, p, line, we, wt, br):
+        f = handle_or_overflow(p)
+        if f is None:
+            return
+        window = ((-we, we), (-wt, wt))
+        expected = certificate_reference(f.along_line(line, br)[1], window, br)
+        got = certificate(f, line, window, br)
+        assert type(got) is type(expected)
+        assert got == expected
+
+    @given(polys, frame_lines, half_widths, half_widths, brackets)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_sample_loop_near_linear(self, pert, line, we, wt, br):
+        # the certificate passes on most of these, so the minima are compared
+        f = near_linear(pert, line)
+        window = ((-we, we), (-wt, wt))
+        assert certificate(f, line, window, br) == \
+            certificate_reference(f.along_line(line, br)[1], window, br)
+
+    def test_one_kernel_call(self, monkeypatch):
+        calls = []
+        along_line = SurfaceHandle.along_line
+
+        def counted(f, line, bracket):
+            g, y1, newton = along_line(f, line, bracket)
+            return g, lambda *args: calls.append(args) or y1(*args), newton
+
+        monkeypatch.setattr(SurfaceHandle, "along_line", counted)
+        patch = patch_affine()
+        assert [np.shape(a) for a in calls[0]] == [(hsurface.MARGIN_GRID,) * 3] * 3
+        assert len(calls) == 1
+        assert patch.y1_min_sampled == 0.5
+
+    def test_constant_slope_is_broadcast(self):
+        # Y1 f2 = 1 on the flat patch: the kernel returns one float
+        assert patch_flat().y1_min_sampled == 1.0
 
 
 # -- the bound on the tau-slope of the graph function --------------------------
