@@ -153,14 +153,15 @@ def _heun_march(h, eta_a: float, tau_a: float, direction: int, n_steps: int,
     dt = direction * step
     vals = [tau_a]
     eta, tau = eta_a, tau_a
-    for _ in range(n_steps):
+    for j in range(1, n_steps + 1):
+        # node etas from the anchor, so rounding does not drift along the march
+        eta_next = eta_a + j * dt
         k1 = h(eta, tau)
-        k2 = h(eta + dt, tau + dt * k1)
+        k2 = h(eta_next, tau + dt * k1)
         tau_next = tau + 0.5 * dt * (k1 + k2)
         if not (tau_lo <= tau_next <= tau_hi) or not math.isfinite(tau_next):
             break
-        eta += dt
-        tau = tau_next
+        eta, tau = eta_next, tau_next
         vals.append(tau)
     return np.array(vals)
 

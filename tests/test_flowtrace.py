@@ -73,6 +73,17 @@ class TestIntegrate:
         assert p.eta0 == pytest.approx(-1.0)
         assert np.max(np.abs(p.values - p.etas**2)) <= 1e-12
 
+    def test_field_sees_the_grid_nodes(self):
+        # each eta is the anchor plus j steps, not a running sum: a 500-step
+        # march at step 1e-3 from 0 ends at 0.5, not 0.5000000000000003
+        seen = []
+        integrate_through(lambda e, t: seen.append(e) or 0.0, 0.0, 0.0, (0.0, 1e-3, 501))
+        assert max(seen) == 0.5
+        assert set(seen) == {j * 1e-3 for j in range(501)}
+        seen.clear()
+        integrate_through(lambda e, t: seen.append(e) or 0.0, 0.0, 0.0, (-0.5, 1e-3, 1001))
+        assert set(seen) == {s * j * 1e-3 for s in (1, -1) for j in range(501)}
+
     def test_residual_bound(self):
         def h(e, t):
             return -2.0 * t / (1.0 - e)
