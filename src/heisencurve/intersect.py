@@ -471,26 +471,21 @@ def cone_property_check(samples, cp: ConeParams) -> ConeReport:
     return ConeReport(params=cp, n_samples=len(samples), violations=bad)
 
 
-def gradient_margin(f, box, grid_n: int = 5) -> float:
-    """Worst-case lower bound of the horizontal gradient over a grid of the box.
+def gradient_margin(pair, box, grid_n: int = 5) -> float:
+    """Worst-case lower bound of the pair's horizontal gradients over a grid of the box.
 
-    For a single handle this is min |grad_H f|; for a pair (f1, f2) it is the
-    smaller singular value of the stacked 2x2 horizontal gradient matrix,
-    i.e. min over unit horizontal v of |(grad f1 . v, grad f2 . v)|.
+    For the pair (f1, f2) this is the smaller singular value of the stacked
+    2x2 horizontal gradient matrix, minimized over the grid, i.e. min over
+    unit horizontal v of |(grad f1 . v, grad f2 . v)|.
     """
-    handles = f if isinstance(f, (tuple, list)) else (f,)
     xs, ys, ts = _axes(box, grid_n)
     worst = math.inf
     for x in xs:
         for y in ys:
             for t in ts:
                 q = Point(float(x), float(y), float(t))
-                rows = [h.grad_h(q) for h in handles]
-                if len(rows) == 1:
-                    val = math.hypot(*rows[0])
-                else:
-                    val = float(np.linalg.svd(np.array(rows), compute_uv=False)[-1])
-                worst = min(worst, val)
+                rows = np.array([f.grad_h(q) for f in pair])
+                worst = min(worst, float(np.linalg.svd(rows, compute_uv=False)[-1]))
     return worst
 
 

@@ -521,9 +521,6 @@ class TestGradientMargin:
         assert val == pytest.approx(expected, abs=1e-12)
         assert 0.85 <= val <= 1.0
 
-    def test_single_surface(self):
-        assert gradient_margin(F_X12, BOX_SMALL) == pytest.approx(1.0)
-
 
 class TestCurveCloudAgreement:
     def test_problem_a_small_grid(self, curve_a):
