@@ -13,7 +13,7 @@ front end can aggregate them; hard assertions live in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -70,8 +70,7 @@ class CharField:
         return Point(*self.graph_coords(eta, tau))
 
     def source(self, eta: float, tau: float) -> float:
-        x = self.graph_point(eta, tau)
-        y1, y2 = y_derivatives(self.patch.f2, x, self.patch.frame)
+        y1, y2 = y_derivatives(self.patch.f2, self.graph_coords(eta, tau), self.patch.frame)
         return -y2 / y1
 
 
@@ -114,7 +113,8 @@ def system_residual(cf: CharField, path: PathSample) -> float:
     return worst
 
 
-def _pair_determinant(f1: SurfaceHandle, cf: CharField, x: Point) -> tuple[float, float]:
+def _pair_determinant(f1: SurfaceHandle, cf: CharField, x: tuple) -> tuple[float, float]:
+    """det([[Y1 f1, Y2 f1], [Y1 f2, Y2 f2]]) and Y1 f2 at the coordinates x."""
     y11, y21 = y_derivatives(f1, x, cf.patch.frame)
     y12, y22 = y_derivatives(cf.patch.f2, x, cf.patch.frame)
     return y11 * y22 - y21 * y12, y12
@@ -127,8 +127,7 @@ def chain_rule_rhs(f1: SurfaceHandle, cf: CharField, eta: float,
     Evaluates -det([[Y1 f1, Y2 f1], [Y1 f2, Y2 f2]]) / Y1 f2 at the graph
     point above (eta, tau(eta)).
     """
-    x = cf.graph_point(eta, path.tau_at(eta))
-    det, y1f2 = _pair_determinant(f1, cf, x)
+    det, y1f2 = _pair_determinant(f1, cf, cf.graph_coords(eta, path.tau_at(eta)))
     return -det / y1f2
 
 
@@ -177,8 +176,8 @@ def chain_rule_check(f1: SurfaceHandle, cf: CharField, path: PathSample,
             # field clamped into the patch window
             local = integrate_through(rhs, eta, path.tau_at(eta),
                                       (eta - h, h / 8, 17))
-            gp = f1.eval(cf.graph_point(eta + h, float(local.values[-1])))
-            gm = f1.eval(cf.graph_point(eta - h, float(local.values[0])))
+            gp = f1.value_at(*cf.graph_coords(eta + h, float(local.values[-1])))
+            gm = f1.value_at(*cf.graph_coords(eta - h, float(local.values[0])))
             fd = (gp - gm) / (2.0 * h)
             err = abs(fd - formula)
             worst_abs = max(worst_abs, err)
@@ -223,8 +222,8 @@ def taylor_remainder(f1: SurfaceHandle, cf: CharField, base: TaylorBasePoint,
     offset tau' = tau - tau_bar - 2 eta eta1_bar det C + eta1_bar eta2_bar det C.
     The ratio remainder / scale vanishes as n approaches the base point.
     """
-    det, y1f2 = _pair_determinant(f1, cf, base.x_bar)
-    value_n = f1.eval(cf.graph_point(n.eta, n.tau))
+    det, y1f2 = _pair_determinant(f1, cf, astuple(base.x_bar))
+    value_n = f1.value_at(*cf.graph_coords(n.eta, n.tau))
     value_b = f1.eval(base.x_bar)
     d_eta = n.eta - base.n_bar.eta
     remainder = value_n - value_b + d_eta / y1f2 * det
@@ -245,7 +244,7 @@ def directional_derivative_check(f1: SurfaceHandle, cf: CharField,
     z_bar = b2 + 2 eta1_bar det(C) e3; in (eta, tau) coordinates the probe
     moves along (1, 2 eta1_bar det C).
     """
-    det, y1f2 = _pair_determinant(f1, cf, base.x_bar)
+    det, y1f2 = _pair_determinant(f1, cf, astuple(base.x_bar))
     formula = -det / y1f2
     slope = 2.0 * base.eta1_bar * cf.patch.frame.detC
     abs_errs = []
@@ -253,8 +252,8 @@ def directional_derivative_check(f1: SurfaceHandle, cf: CharField,
     for h in h_sweep:
         vals = []
         for s in (h, -h):
-            vals.append(f1.eval(cf.graph_point(base.n_bar.eta + s,
-                                               base.n_bar.tau + slope * s)))
+            vals.append(f1.value_at(*cf.graph_coords(base.n_bar.eta + s,
+                                                     base.n_bar.tau + slope * s)))
         fd = (vals[0] - vals[1]) / (2.0 * h)
         err = abs(fd - formula)
         abs_errs.append(err)

@@ -572,7 +572,7 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None,
         raise ValueError(f"F(0,0) = {F(0.0, 0.0)!r}: the trace must start at a zero")
     a = min(-window.eta[0], window.eta[1])
     b = min(-window.tau[0], window.tau[1])
-    if not (a > 0.0 and b > 0.0 and math.isfinite(b)):
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError("window must be a finite rectangle around the origin")
 
     # field bound and the safe half-width delta = min(a, b / (2 M))

@@ -14,13 +14,13 @@ in coordinates.  Each polynomial compiles, on first use, into a
 straight-line evaluator that computes each power x**e once and makes the
 products and sums of the term-by-term sum in the same order, so it rounds
 exactly as that sum does.  The same code generator gives each graph patch
-of f2 three line kernels, compiled when the patch is built:
-g(eta, tau, s) = f2 and y1(eta, tau, s) = Y1 f2 at n * (s b1), each
-computing the line coordinates inline and y1 sharing the powers of X1 f2
-and X2 f2, and newton(eta, tau, s), the whole Newton loop built from the
-same statements.  They round exactly like the line coordinates followed by
-the compiled evaluators.  Left translation of a polynomial is again a
-polynomial, so a translated handle is one more polynomial handle.
+of f2 one kernel, compiled when the patch is built: newton(eta, tau, s),
+the whole Newton loop, computing the line coordinates and f2 and Y1 f2
+there inline.  It rounds exactly like line_coords followed by the compiled
+evaluators, through which everything else (bisection, the margin
+certificate, y_derivatives) evaluates f2 at coordinates, floats or numpy
+arrays.  Left translation of a polynomial is again a polynomial, so a
+translated handle is one more polynomial handle.
 
 For a polynomial f2 the graph function is C^1 (implicit function theorem),
 and each patch bounds its slope in tau once (GraphPatch.tau_lipschitz), so
@@ -288,9 +288,9 @@ def _newton_lines(evaluate: list[str], slope: list[str]) -> list[str]:
 
     evaluate sets f = g(eta, tau, s) and slope sets y1, the s-derivative
     Y1 f2 there.  Up to 12 steps s -> s - f / y1; the root is s once
-    |f| <= gtol, or after the last step once |f| <= accept.  None when
-    |y1| < margin, a step lands outside [slo, shi] (a NaN or infinite step
-    does too, the bracket being finite), or the last step leaves
+    |f| <= gtol, or after the last step once |f| <= accept.  None when the
+    start or a step lies outside [slo, shi] (a NaN or infinite one does too,
+    the bracket being finite), |y1| < margin, or the last step leaves
     |f| > accept.  The names are those of _newton_consts.
     """
     step = [*evaluate,
@@ -303,7 +303,8 @@ def _newton_lines(evaluate: list[str], slope: list[str]) -> list[str]:
             "if not (slo <= s_next <= shi):",
             "    return None",
             "s = s_next"]
-    return ["for _ in range(12):", *(f"    {line}" for line in step), *evaluate,
+    return ["if not (slo <= s <= shi):", "    return None",
+            "for _ in range(12):", *(f"    {line}" for line in step), *evaluate,
             "return s if abs(f) <= accept else None"]
 
 
@@ -320,10 +321,6 @@ _LINE = (
     "x12 = eta * b2y + s * b1y",
     "t = tau - eta * s * detc",
 )
-
-
-# Y1 f = b1 . (X1 f, X2 f) from the sums g1 = X1 f and g2 = X2 f.
-_Y1 = "g1 * b1x + g2 * b1y"
 
 
 def _line_consts(line) -> dict:
@@ -371,15 +368,15 @@ def horiz_grad_poly(p: PolySurface) -> tuple[PolySurface, PolySurface]:
 class SurfaceHandle:
     """A polynomial surface f with its horizontal gradient (X1 f, X2 f).
 
-    The gradient is exact algebra (horiz_grad_poly), derived once here; a
-    coefficient of f or of its gradient that overflowed (is not finite)
-    raises OverflowError.  eval and grad_h evaluate at a Point, value_at and
-    grad_at at plain coordinates (x11, x12, t), all through the compiled
-    PolySurface.value_at.
+    The gradient grad_poly is exact algebra (horiz_grad_poly), derived once
+    here; a coefficient of f or of its gradient that overflowed (is not
+    finite) raises OverflowError.  eval and grad_h evaluate at a Point,
+    value_at and grad_at at plain coordinates (x11, x12, t), floats or numpy
+    arrays, all through the compiled PolySurface.value_at.
     """
 
     poly: PolySurface
-    _grad_poly: tuple[PolySurface, PolySurface] = field(init=False, repr=False, compare=False)
+    grad_poly: tuple[PolySurface, PolySurface] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grad_poly = horiz_grad_poly(self.poly)
@@ -387,7 +384,7 @@ class SurfaceHandle:
             bad = [key for key, c in q.coefficients.items() if not math.isfinite(c)]
             if bad:
                 raise OverflowError(f"the coefficient of {bad[0]} in {name} overflows")
-        object.__setattr__(self, "_grad_poly", grad_poly)
+        object.__setattr__(self, "grad_poly", grad_poly)
 
     @classmethod
     def from_polynomial(cls, p: PolySurface) -> "SurfaceHandle":
@@ -403,43 +400,35 @@ class SurfaceHandle:
         return self.poly.value_at(x11, x12, t)
 
     def grad_at(self, x11: float, x12: float, t: float) -> tuple[float, float]:
-        x1f, x2f = self._grad_poly
+        x1f, x2f = self.grad_poly
         return (x1f.value_at(x11, x12, t), x2f.value_at(x11, x12, t))
 
-    def along_line(self, line, bracket) -> tuple[Callable, Callable, Callable]:
-        """f and Y1 f on the graph line, and Newton's method for f = 0 on it.
+    def along_line(self, line, bracket) -> Callable:
+        """Newton's method for f = 0 on the graph line, as one compiled kernel.
 
         line is (b1x, b1y, b2x, b2y, detC) and the point is n * (s b1) for
-        n = (eta, tau); g(eta, tau, s) is f there and y1(eta, tau, s) is
-        Y1 f = b1 . (X1 f, X2 f).  newton(eta, tau, s) runs Newton's method
-        on s -> g(eta, tau, s) from s within bracket (_newton_lines) and
-        returns the root or None.  All three are compiled straight-line
-        kernels that compute the line coordinates inline, with Y1 f sharing
-        the powers of X1 f and X2 f and newton holding the statements of g
-        and y1 in its loop; they round exactly like line_coords followed by
-        value_at and grad_at.
+        n = (eta, tau).  newton(eta, tau, s) runs Newton's method on
+        s -> f(n * (s b1)) from s within bracket (_newton_lines), with the
+        slope Y1 f = b1 . (X1 f, X2 f), and returns the root or None.  It is
+        straight-line code that computes the line coordinates, f and Y1 f
+        inline, Y1 f sharing the powers of f; it rounds exactly like
+        line_coords followed by value_at and grad_at.
         """
-        line_consts = _line_consts(line)
-        sums = {"f": self.poly.coefficients}
-        slopes = dict(zip(("g1", "g2"), (q.coefficients for q in self._grad_poly)))
-        g = _straight_line("g", "eta, tau, s", _LINE, sums, "f", line_consts)
-        y1 = _straight_line("y1", "eta, tau, s", _LINE, slopes, _Y1, line_consts)
-        consts = {**_newton_consts(bracket), **line_consts}
+        consts = {**_newton_consts(bracket), **_line_consts(line)}
         bound: set = set()
-        evaluate = [*_LINE, *_sum_block(sums, consts, bound)]
-        slope = [*_sum_block(slopes, consts, bound), f"y1 = {_Y1}"]
-        newton = _compile_kernel("newton", "eta, tau, s", _newton_lines(evaluate, slope),
-                                 consts)
-        return g, y1, newton
+        evaluate = [*_LINE, *_sum_block({"f": self.poly.coefficients}, consts, bound)]
+        slopes = dict(zip(("g1", "g2"), (q.coefficients for q in self.grad_poly)))
+        slope = [*_sum_block(slopes, consts, bound), "y1 = g1 * b1x + g2 * b1y"]
+        return _compile_kernel("newton", "eta, tau, s", _newton_lines(evaluate, slope), consts)
 
     def translated(self, p: Point) -> "SurfaceHandle":
         """The handle of x -> f(p * x): the substituted polynomial, with its exact gradient."""
         return SurfaceHandle(self.poly.translated(p))
 
 
-def y_derivatives(f: SurfaceHandle, x: Point, fr: Frame) -> tuple[float, float]:
-    """Derivatives (Y1 f, Y2 f) along the frame directions b1, b2."""
-    g1, g2 = f.grad_h(x)
+def y_derivatives(f: SurfaceHandle, x: tuple, fr: Frame) -> tuple[float, float]:
+    """(Y1 f, Y2 f) along the frame's b1, b2 at x = (x11, x12, t), floats or arrays."""
+    g1, g2 = f.grad_at(*x)
     return (
         g1 * fr.b1[0] + g2 * fr.b1[1],
         g1 * fr.b2[0] + g2 * fr.b2[1],
@@ -454,16 +443,15 @@ class GraphPatch:
     """A window of the vertical subgroup over which f2 admits an intrinsic graph.
 
     Construction certifies, on a MARGIN_GRID sample of window x bracket
-    evaluated in one kernel call on arrays, that the graph direction
+    evaluated in one y_derivatives call on arrays, that the graph direction
     derivative Y1 f2 keeps one sign and stays above MARGIN in absolute
     value; that makes the per-point root problem strictly monotone and
     bisection safe.  It then solves for the root at the origin, the start
     of every solve given no hint.
 
-    Every solve and the certificate evaluate the graph equation
-    g(eta, tau, s) = f2(n * (s b1)) and its slope Y1 f2 there through the
-    kernels f2.along_line returns, built once here: g, y1 and Newton's
-    method, compiled straight-line code.
+    The patch compiles one kernel, Newton's method (f2.along_line); bisection
+    and the certificate evaluate the graph equation g(eta, tau, s) =
+    f2(n * (s b1)) and its slope Y1 f2 through line_coords and f2's evaluators.
 
     tau_lipschitz bounds |d phi2hat / d tau| over the window, computed once
     here.  The graph function solves g(eta, tau, phi2hat) = 0 with
@@ -491,7 +479,7 @@ class GraphPatch:
         line = (*frame.b1, *frame.b2, frame.detC)
         self.window = (tuple(window[0]), tuple(window[1]))
         self.bracket = (float(bracket[0]), float(bracket[1]))
-        self._g, self._y1, self._newton_from = f2.along_line(line, self.bracket)
+        self._newton_from = f2.along_line(line, self.bracket)
         # line_coords(eta, tau, s): coordinates of n * (s b1) for n = (eta, tau)
         self.line_coords = _compile_line(line)
         self._certify_margin()
@@ -506,7 +494,8 @@ class GraphPatch:
         samples = np.meshgrid(*(np.linspace(lo, hi, MARGIN_GRID)
                                 for lo, hi in (*self.window, self.bracket)), indexing="ij")
         with np.errstate(over="ignore", invalid="ignore"):
-            y1 = np.broadcast_to(self._y1(*samples), samples[0].shape).ravel()
+            y1 = y_derivatives(self.f2, self.line_coords(*samples), self.frame)[0]
+            y1 = np.broadcast_to(y1, samples[0].shape).ravel()
         small = ~(np.abs(y1) >= MARGIN)  # NaN is small too
         failed = np.flatnonzero(small | (np.signbit(y1) != np.signbit(y1[0])))
         if failed.size:
@@ -559,8 +548,11 @@ class GraphPatch:
         Ends where g has one sign (or is NaN) raise NoSignChange, and an end
         where |Y1 f2| is below MARGIN raises MarginViolated.
         """
+        def g(s):
+            return self.f2.value_at(*self.line_coords(eta, tau, s))
+
         lo, hi = self.bracket
-        glo, ghi = self._g(eta, tau, lo), self._g(eta, tau, hi)
+        glo, ghi = g(lo), g(hi)
         if glo == 0.0:
             return lo
         if ghi == 0.0:
@@ -571,13 +563,14 @@ class GraphPatch:
                 f"[{lo}, {hi}] at n=({eta:.3g},{tau:.3g})"
             )
         for s_end in (lo, hi):
-            if abs(self._y1(eta, tau, s_end)) < MARGIN:
+            if abs(y_derivatives(self.f2, self.line_coords(eta, tau, s_end),
+                                 self.frame)[0]) < MARGIN:
                 raise MarginViolated(
                     f"|Y1 f2| below margin {MARGIN:.3e} inside the solve bracket"
                 )
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            gm = self._g(eta, tau, mid)
+            gm = g(mid)
             if abs(gm) <= GTOL or hi - lo < 1e-15:
                 return mid
             if glo * gm < 0.0:

@@ -27,7 +27,7 @@ from .hgroup import (
     make_frame,
     mul,
 )
-from .hsurface import GraphPatch, SurfaceHandle, horiz_grad_poly
+from .hsurface import GraphPatch, SurfaceHandle
 
 __all__ = [
     "IntersectionProblem",
@@ -476,17 +476,18 @@ def gradient_margin(pair, box, grid_n: int = 5) -> float:
 
     For the pair (f1, f2) this is the smaller singular value of the stacked
     2x2 horizontal gradient matrix, minimized over the grid, i.e. min over
-    unit horizontal v of |(grad f1 . v, grad f2 . v)|.
+    unit horizontal v of |(grad f1 . v, grad f2 . v)|.  The gradients are
+    evaluated on the whole grid at once; one that overflows (is not finite)
+    raises OverflowError.
     """
-    xs, ys, ts = _axes(box, grid_n)
-    worst = math.inf
-    for x in xs:
-        for y in ys:
-            for t in ts:
-                q = Point(float(x), float(y), float(t))
-                rows = np.array([f.grad_h(q) for f in pair])
-                worst = min(worst, float(np.linalg.svd(rows, compute_uv=False)[-1]))
-    return worst
+    X, Y, T = np.meshgrid(*_axes(box, grid_n), indexing="ij")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.array([np.broadcast_to(g, X.shape) for f in pair for g in f.grad_at(X, Y, T)])
+    if not np.isfinite(rows).all():
+        raise OverflowError("a horizontal gradient overflows on the grid")
+    # one matrix per grid point, its row i the gradient of pair[i]
+    matrices = rows.reshape(len(pair), 2, -1).transpose(2, 0, 1)
+    return float(np.linalg.svd(matrices, compute_uv=False)[:, -1].min())
 
 
 def pair_lipschitz_bound(handles, box) -> float:
@@ -497,7 +498,7 @@ def pair_lipschitz_bound(handles, box) -> float:
     """
     worst = 0.0
     for h in handles:
-        g1, g2 = horiz_grad_poly(h.poly)
+        g1, g2 = h.grad_poly
         worst = max(
             worst,
             math.hypot(g1.max_euclidean_gradient(box), g2.max_euclidean_gradient(box)),

@@ -200,7 +200,7 @@ def suite_graph(scale: Scale) -> list[dict]:
             n = (float(eta), float(tau))
             for patch, exact in ((flat, 0.0), (affine, -tau / (1.0 - eta))):
                 s = patch.solve_scalar(n)
-                res = max(res, abs(patch.f2.eval(Point(*patch.line_coords(*n, s)))))
+                res = max(res, abs(patch.f2.value_at(*patch.line_coords(*n, s))))
                 closed = max(closed, abs(s - exact))
     section = 0.0
     for eta in np.linspace(-0.4, 0.4, 9):

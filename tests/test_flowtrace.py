@@ -573,6 +573,11 @@ class TestLevelTrace:
         with pytest.raises(ValueError):
             level_trace(lambda e, t: 0.0, lambda e, t: e + 1.0, Rect.centered(0.5, 1.0))
 
+    @pytest.mark.parametrize("h", [lambda e, t: e - t, lambda e, t: -t], ids=["e-t", "-t"])
+    def test_rejects_an_infinite_eta_half_width(self, h):
+        with pytest.raises(ValueError, match="window must be a finite rectangle"):
+            level_trace(h, lambda e, t: t, Rect((-math.inf, math.inf), (-1.0, 1.0)))
+
     def test_no_zero_is_typed(self, monkeypatch):
         monkeypatch.setattr(flowtrace, "monotone_root", lambda F, path, root_tol:
                             (None, monotone_root(F, path, root_tol)[1]))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -176,24 +177,24 @@ class TestYDerivatives:
     def test_rotated_frame(self):
         fr = make_frame((0.0, 1.0))
         f = SurfaceHandle.from_polynomial(X12)
-        y1, _ = y_derivatives(f, Point(0.2, 0.4, -0.1), fr)
+        y1, _ = y_derivatives(f, (0.2, 0.4, -0.1), fr)
         assert abs(y1 - 1.0) <= 1e-14
 
     def test_identity_frame_is_horizontal_gradient(self):
         fr = make_frame((1.0, 0.0))
         p = PolySurface({(2, 0, 0): 1.0, (0, 0, 1): 3.0})
         f = SurfaceHandle.from_polynomial(p)
-        x = Point(0.7, -0.2, 0.1)
-        assert y_derivatives(f, x, fr) == f.grad_h(x)
+        x = (0.7, -0.2, 0.1)
+        assert y_derivatives(f, x, fr) == f.grad_at(*x)
 
     def test_affine_surface_value(self):
         fr = make_frame((1.0, 0.0))
         f = SurfaceHandle.from_polynomial(X11_PLUS_T)
         eta = 0.3
-        x = Point(0.1, eta, 0.05)
-        y1, y2 = y_derivatives(f, x, fr)
+        x11 = 0.1
+        y1, y2 = y_derivatives(f, (x11, eta, 0.05), fr)
         assert abs(y1 - (1.0 - eta)) <= 1e-14
-        assert abs(y2 - x.x11) <= 1e-14
+        assert abs(y2 - x11) <= 1e-14
 
 
 def patch_flat():
@@ -316,10 +317,17 @@ class TestGraphSolve:
             for eta, tau in rng.uniform(-0.5, 0.5, (20, 2)):
                 n = (float(eta), float(tau))
                 assert abs(patch.solve_scalar(n, hint) - patch.solve_scalar(n)) <= 1e-12
-        # a non-finite hint makes Newton fail at once: the whole bracket is
-        # bisected; from 1e300 the first step lands in the bracket or not
-        if not math.isfinite(hint):
-            assert len(bisected) == 40
+        # every hint lies outside the bracket, so Newton fails at once and
+        # the whole bracket is bisected
+        assert len(bisected) == 40
+
+    def test_far_hint_bisects_instead_of_overflowing(self):
+        # Newton's first evaluation from 1e300 would cube it; a start outside
+        # the bracket counts as a failed Newton instead
+        f2 = SurfaceHandle.from_polynomial(X11_PLUS_T + PolySurface({(3, 0, 0): 0.1}))
+        patch = GraphPatch(make_frame((1.0, 0.0)), f2)
+        assert abs(patch.solve_scalar((0.1, 0.2), 1e300)
+                   - patch.solve_scalar((0.1, 0.2))) <= 1e-12
 
     def test_margin_violation_detected(self):
         # Y1 f2 = 1 - eta vanishes at the sample node eta = 1 of a window reaching it
@@ -397,15 +405,28 @@ class TestFloatEvaluation:
         coords = patch.line_coords(eta, tau, s)
         line = (*fr.b1, *fr.b2, fr.detC)
         assert coords == line_reference(line, eta, tau, s)
-        q = Point(*coords)
         reference = mul(embed_N(VerticalCoords(eta, tau), fr),
                         Point(s * fr.b1[0], s * fr.b1[1], 0.0))
         for a, b in zip(coords, (reference.x11, reference.x12, reference.t)):
             assert_close(a, b)
-        g, y1, _ = patch.f2.along_line(line, patch.bracket)
-        assert_close(g(eta, tau, s), patch.f2.eval(q))
-        assert_close(g(eta, tau, s), f2.eval(mul(p, reference)))
-        assert_close(y1(eta, tau, s), y_derivatives(f2, mul(p, reference), fr)[0])
+        assert_close(patch.f2.value_at(*coords), f2.eval(mul(p, reference)))
+        assert_close(y_derivatives(patch.f2, coords, fr)[0],
+                     y_derivatives(f2, astuple(mul(p, reference)), fr)[0])
+
+    @given(polys, angles, st.lists(st.tuples(*[st.integers(-64, 64)] * 3), min_size=1,
+                                   max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_y_derivatives_on_arrays_match_per_point_floats(self, p, theta, lattice):
+        # The coordinates are multiples of 1/64, so every power of a cubic is
+        # exact and numpy's array power, which may round differently from the
+        # scalar power, computes the same powers as it
+        f = SurfaceHandle.from_polynomial(p)
+        fr = make_frame((math.cos(theta), math.sin(theta)))
+        x = np.array(lattice, dtype=float).T / 64.0
+        arrays = [np.broadcast_to(a, x[0].shape) for a in y_derivatives(f, tuple(x), fr)]
+        for i, point in enumerate(x.T.tolist()):
+            for a, b in zip(arrays, y_derivatives(f, point, fr)):
+                assert same_float(float(a[i]), b)
 
 
 # -- the compiled evaluator against the term loop it replaced ------------------
@@ -525,7 +546,7 @@ class TestCompiledEvaluator:
         q = p.translated(Point(0.3, -0.2, 0.1))
         handle = SurfaceHandle.from_polynomial(q)
         assert compiled == []
-        for r in (p, x1p, x2p, q, *handle._grad_poly):
+        for r in (p, x1p, x2p, q, *handle.grad_poly):
             assert "value_at" not in vars(r)
         handle.value_at(0.1, 0.2, 0.3)
         assert len(compiled) == 1 and "value_at" in vars(q)
@@ -550,16 +571,6 @@ def y1_reference(f, line, eta, tau, s):
     return g1 * line[0] + g2 * line[1]
 
 
-def assert_same_or_raises(kernel, reference, *args):
-    try:
-        expected = reference(*args)
-    except OverflowError:
-        with pytest.raises(OverflowError):
-            kernel(*args)
-        return
-    assert same_float(kernel(*args), expected)
-
-
 def frame_line(a, b):
     fr = Frame(b1=(math.cos(a), math.sin(a)), b2=(math.cos(b), math.sin(b)))
     return (*fr.b1, *fr.b2, fr.detC)
@@ -581,20 +592,7 @@ def handle_or_overflow(p):
         return None
 
 
-def assert_kernels_match(f, line, eta, tau, s):
-    if f is None:
-        return
-    g, y1, _ = f.along_line(line, (-2.0, 2.0))
-    assert_same_or_raises(g, lambda *a: g_reference(f, line, *a), eta, tau, s)
-    assert_same_or_raises(y1, lambda *a: y1_reference(f, line, *a), eta, tau, s)
-
-
 class TestLineKernels:
-    @given(st.one_of(polys, high_polys), frame_lines, coordinates, coordinates, coordinates)
-    @settings(max_examples=300, deadline=None)
-    def test_match_composition(self, p, line, eta, tau, s):
-        assert_kernels_match(handle_or_overflow(p), line, eta, tau, s)
-
     @given(st.tuples(*[st.floats(-3.0, 3.0)] * 5) | frame_lines,
            coordinates, coordinates, coordinates)
     @settings(max_examples=300, deadline=None)
@@ -602,66 +600,67 @@ class TestLineKernels:
         got = hsurface._compile_line(line)(eta, tau, s)
         assert all(map(same_float, got, line_reference(line, eta, tau, s)))
 
-    @given(polys, st.tuples(*[st.floats(-3.0, 3.0)] * 5), window, window, bracket)
-    @settings(max_examples=100, deadline=None)
-    def test_match_composition_on_any_line(self, p, line, eta, tau, s):
-        assert_kernels_match(SurfaceHandle.from_polynomial(p),
-                             line, eta, tau, s)
-
     def test_sums_longer_than_a_chunk(self):
+        # the Newton kernel holds the sums of f, X1 f and X2 f, each longer
+        # than one statement
         f = SurfaceHandle.from_polynomial(full_degree_16())
-        assert min(len(f.poly.coefficients), *(len(q.coefficients) for q in f._grad_poly)) \
+        assert min(len(f.poly.coefficients), *(len(q.coefficients) for q in f.grad_poly)) \
             > hsurface.SUM_CHUNK
         rng = np.random.default_rng(3)
         for a, b in rng.uniform(0.0, 2.0 * math.pi, (2, 2)):
             line = frame_line(a, b + 0.5)
             for eta, tau, s in rng.uniform(-1.0, 1.0, (10, 3)):
-                assert_kernels_match(f, line, eta, tau, s)
+                assert_newton_matches(f, line, (-2.0, 2.0), eta, tau, s)
 
     @pytest.mark.parametrize("coefficients", [{}, {(0, 0, 0): -2.5}])
     def test_zero_and_constant(self, coefficients):
+        # f = 0 is solved wherever Newton starts in the bracket; a constant
+        # f != 0 has Y1 f = 0 and fails
         f = SurfaceHandle.from_polynomial(PolySurface(coefficients))
-        g, y1, _ = f.along_line(frame_line(0.3, 2.0), (-2.0, 2.0))
         for x in SPECIAL:
-            assert same_float(g(x, x, x), coefficients.get((0, 0, 0), 0.0))
-            assert same_float(y1(x, x, x), 0.0)
-            assert_kernels_match(f, frame_line(0.3, 2.0), x, x, x)
+            got = assert_newton_matches(f, frame_line(0.3, 2.0), (-2.0, 2.0), x, x, x)
+            if coefficients or not -2.0 <= x <= 2.0:
+                assert got is None
+            else:
+                assert same_float(got, x)
 
 
 # -- the compiled Newton kernel against the Python loop it replaced ------------
 
-def newton_reference(g, y1, bracket, eta, tau, s):
+def newton_reference(f, line, bracket, eta, tau, s):
     """Reference only: the Newton loop of graph solves before it was compiled."""
     smin, smax = bracket
+    if not (smin - 1e-9 <= s <= smax + 1e-9):
+        return None
     for _ in range(12):
-        gv = g(eta, tau, s)
+        gv = g_reference(f, line, eta, tau, s)
         if abs(gv) <= hsurface.GTOL:
             return s
-        slope = y1(eta, tau, s)
+        slope = y1_reference(f, line, eta, tau, s)
         if abs(slope) < hsurface.MARGIN:
             return None
         s_next = s - gv / slope
         if not (smin - 1e-9 <= s_next <= smax + 1e-9) or not math.isfinite(s_next):
             return None
         s = s_next
-    return s if abs(g(eta, tau, s)) <= 1e-10 else None
+    return s if abs(g_reference(f, line, eta, tau, s)) <= 1e-10 else None
 
 
 def outcome(fn, *args):
     """fn(*args), or the type of the exception it raises."""
     try:
         return fn(*args)
-    except (OverflowError, ValueError) as e:  # a power overflows; a Point is not finite
+    except OverflowError as e:  # a power overflows
         return type(e)
 
 
 def assert_newton_matches(f, line, bracket, eta, tau, s):
-    """f's kernel and the reference on f's own g and y1 agree bit for bit, None with None."""
+    """f's kernel and the reference on g_reference and y1_reference agree bit
+    for bit, None with None."""
     if f is None:
         return None
-    g, y1, newton = f.along_line(line, bracket)
-    got = outcome(newton, eta, tau, s)
-    expected = outcome(newton_reference, g, y1, bracket, eta, tau, s)
+    got = outcome(f.along_line(line, bracket), eta, tau, s)
+    expected = outcome(newton_reference, f, line, bracket, eta, tau, s)
     if isinstance(expected, float):
         assert isinstance(got, float) and same_float(got, expected)
     else:
@@ -681,6 +680,19 @@ def near_linear(pert, line):
 class TestNewtonKernel:
     def test_graph_patch_has_one_newton_path(self):
         assert not hasattr(GraphPatch, "_newton")
+
+    def test_a_patch_compiles_one_kernel(self, monkeypatch):
+        # Newton is the one kernel; line_coords and the reach line of
+        # tau_lipschitz are the others.  Each polynomial compiles its own
+        # evaluator, value_at, on first use.
+        names = []
+        compile_kernel = hsurface._compile_kernel
+        monkeypatch.setattr(hsurface, "_compile_kernel",
+                            lambda name, *args: names.append(name) or compile_kernel(name, *args))
+        patch = patch_affine()
+        assert sorted(n for n in names if n != "value_at") == ["line_coords", "line_coords",
+                                                              "newton"]
+        assert patch.solve_scalar((0.25, -0.3)) == pytest.approx(0.3 / 0.75, abs=1e-12)
 
     @given(st.one_of(polys, high_polys), frame_lines, brackets,
            coordinates, coordinates, coordinates)
@@ -721,9 +733,10 @@ class TestNewtonKernel:
 
     @pytest.mark.parametrize("hint", [math.nan, math.inf, -math.inf, 1e300])
     def test_non_finite_and_far_hints(self, hint):
+        # a start outside the bracket fails before f is evaluated there
         f = near_linear(PolySurface({(0, 0, 2): 0.5, (1, 1, 0): -0.3}), frame_line(0.4, 2.0))
-        got = assert_newton_matches(f, frame_line(0.4, 2.0), (-2.0, 2.0), 0.1, 0.2, hint)
-        assert not isinstance(got, float)
+        assert assert_newton_matches(f, frame_line(0.4, 2.0), (-2.0, 2.0), 0.1, 0.2, hint) \
+            is None
 
     def test_accepts_after_the_last_step(self):
         # Newton on s^2 halves s per step: from 4.096e-3, twelve steps end
@@ -737,7 +750,7 @@ class TestNewtonKernel:
 
 # -- the margin certificate against the sample loop it replaced ----------------
 
-def certificate_reference(y1, window, bracket):
+def certificate_reference(f, line, window, bracket):
     """Reference only: the margin certificate's loop over its samples, on floats.
 
     The smallest sampled |Y1 f2|, or the message of the first failing sample.
@@ -748,7 +761,7 @@ def certificate_reference(y1, window, bracket):
     for eta in axes[0]:
         for tau in axes[1]:
             for s in axes[2]:
-                v = y1(float(eta), float(tau), float(s))
+                v = y1_reference(f, line, float(eta), float(tau), float(s))
                 worst = min(worst, abs(v))
                 if not abs(v) >= hsurface.MARGIN:
                     return (f"|Y1 f2| = {abs(v):.3e} < margin {hsurface.MARGIN:.3e} "
@@ -763,8 +776,9 @@ def certificate_reference(y1, window, bracket):
 def certificate(f, line, window, bracket):
     """GraphPatch's certificate alone: the smallest sampled |Y1 f2|, or its message."""
     patch = GraphPatch.__new__(GraphPatch)
-    patch.window, patch.bracket = window, bracket
-    _, patch._y1, _ = f.along_line(line, bracket)
+    patch.window, patch.bracket, patch.f2 = window, bracket, f
+    patch.frame = Frame(b1=line[:2], b2=line[2:4])
+    patch.line_coords = hsurface._compile_line(line)
     try:
         patch._certify_margin()
     except MarginViolated as e:
@@ -784,7 +798,7 @@ class TestMarginCertificate:
         if f is None:
             return
         window = ((-we, we), (-wt, wt))
-        expected = certificate_reference(f.along_line(line, br)[1], window, br)
+        expected = certificate_reference(f, line, window, br)
         got = certificate(f, line, window, br)
         assert type(got) is type(expected)
         assert got == expected
@@ -796,24 +810,21 @@ class TestMarginCertificate:
         f = near_linear(pert, line)
         window = ((-we, we), (-wt, wt))
         assert certificate(f, line, window, br) == \
-            certificate_reference(f.along_line(line, br)[1], window, br)
+            certificate_reference(f, line, window, br)
 
     def test_one_kernel_call(self, monkeypatch):
+        # one y_derivatives call on the sample arrays
         calls = []
-        along_line = SurfaceHandle.along_line
-
-        def counted(f, line, bracket):
-            g, y1, newton = along_line(f, line, bracket)
-            return g, lambda *args: calls.append(args) or y1(*args), newton
-
-        monkeypatch.setattr(SurfaceHandle, "along_line", counted)
+        y_derivatives = hsurface.y_derivatives
+        monkeypatch.setattr(hsurface, "y_derivatives",
+                            lambda f, x, fr: calls.append(x) or y_derivatives(f, x, fr))
         patch = patch_affine()
         assert [np.shape(a) for a in calls[0]] == [(hsurface.MARGIN_GRID,) * 3] * 3
         assert len(calls) == 1
         assert patch.y1_min_sampled == 0.5
 
     def test_constant_slope_is_broadcast(self):
-        # Y1 f2 = 1 on the flat patch: the kernel returns one float
+        # Y1 f2 = 1 on the flat patch: the evaluators return one float
         assert patch_flat().y1_min_sampled == 1.0
 
 

@@ -505,7 +505,61 @@ class TestConeArrays:
         assert report.ok and report.n_samples == 0
 
 
+def _ref_gradient_margin(pair, box, grid_n=5):
+    """The loop over grid points, one Point and one SVD each, that gradient_margin replaced."""
+    worst = math.inf
+    for x in np.linspace(*box[0], grid_n):
+        for y in np.linspace(*box[1], grid_n):
+            for t in np.linspace(*box[2], grid_n):
+                q = Point(float(x), float(y), float(t))
+                rows = np.array([f.grad_h(q) for f in pair])
+                worst = min(worst, float(np.linalg.svd(rows, compute_uv=False)[-1]))
+    return worst
+
+
+CUBIC_MONOMIALS = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)
+                   if i + j + k <= 3]
+cubics = st.dictionaries(st.sampled_from(CUBIC_MONOMIALS), st.floats(-1.0, 1.0),
+                         max_size=8).map(lambda c: SurfaceHandle.from_polynomial(PolySurface(c)))
+
+
+def _dyadic_box(corners):
+    """The box with corners k / 16: every power of a cubic on its 5-point grid is exact."""
+    return tuple((lo / 16.0, (lo + size) / 16.0) for lo, size in corners)
+
+
+dyadic_boxes = st.lists(st.tuples(st.integers(-16, 16), st.integers(0, 16)),
+                        min_size=3, max_size=3).map(_dyadic_box)
+
+
 class TestGradientMargin:
+    @given(cubics, cubics, dyadic_boxes)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_point_loop(self, f1, f2, box):
+        # numpy's array power may round differently from the scalar power;
+        # on these grids every power is exact, so the two agree bit for bit
+        assert gradient_margin((f1, f2), box) == _ref_gradient_margin((f1, f2), box)
+
+    @given(cubics, cubics, st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0)),
+                                    min_size=3, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_point_loop_to_rounding(self, f1, f2, corners):
+        # elsewhere a power may differ by an ulp or so; by Weyl's inequality
+        # the smallest singular value moves by no more than the gradients do
+        box = tuple((lo, lo + size) for lo, size in corners)
+        scale = sum(q.termwise_bound(box) for f in (f1, f2) for q in f.grad_poly)
+        eps = float(np.finfo(float).eps)
+        assert abs(gradient_margin((f1, f2), box) - _ref_gradient_margin((f1, f2), box)) \
+            <= 64.0 * eps * (1.0 + scale)
+
+    def test_overflow_raises(self):
+        # X1 of x11^3 is 3 x11^2, which overflows at x11 = 1e200
+        steep = SurfaceHandle.from_polynomial(PolySurface({(3, 0, 0): 1.0}))
+        box = ((0.0, 1e200), (0.0, 1.0), (0.0, 1.0))
+        for margin in (gradient_margin, _ref_gradient_margin):
+            with pytest.raises(OverflowError):
+                margin((steep, F_X12), box)
+
     def test_identity_pair(self):
         assert gradient_margin((F_X11, F_X12), BOX_SMALL) == pytest.approx(1.0)
 
