@@ -224,7 +224,7 @@ def taylor_remainder(f1: SurfaceHandle, cf: CharField, base: TaylorBasePoint,
     """
     det, y1f2 = _pair_determinant(f1, cf, astuple(base.x_bar))
     value_n = f1.value_at(*cf.graph_coords(n.eta, n.tau))
-    value_b = f1.eval(base.x_bar)
+    value_b = f1.value_at(*astuple(base.x_bar))
     d_eta = n.eta - base.n_bar.eta
     remainder = value_n - value_b + d_eta / y1f2 * det
     detc = cf.patch.frame.detC

@@ -35,6 +35,8 @@ from .verify import INTERACTIVE
 # Cap on the nodes of one characteristic, 2 * window / step + 1; the default
 # window and step take 1,001.
 MAX_CHARACTERISTIC_NODES = 100_001
+# Cap on grid, the zero cloud's points per axis: it holds (grid / 8)^3 cube centres.
+MAX_GRID = 1001
 
 _FAILURE_HINTS = {
     NotCommonZero: "the construction starts from a common zero of both "
@@ -129,7 +131,8 @@ _KEYS = {
                 lambda v: (float(v[0]), float(v[1]))),
     "step": (_positive, "invalid value {!r}", float),
     "depth": (lambda v: _integral(v) and 0 <= v <= 12, "invalid value {!r}", int),
-    "grid": (lambda v: _integral(v) and v >= 2, "invalid value {!r}", int),
+    "grid": (lambda v: _integral(v) and 2 <= v <= MAX_GRID,
+             f"invalid value {{!r}}: expected an integer in [2, {MAX_GRID}]", int),
     "tolerance": (_positive, "invalid value {!r}", float),
     "seed": (lambda v: _integral(v) and v >= 0, "invalid value {!r}", int),
     "tau0": (_finite_numbers, "expected a list of finite initial values",
@@ -251,13 +254,6 @@ def _run_characteristics(cfg: RunConfig, out: str) -> None:
     print(f"wrote {len(rows)} characteristic samples to {out}")
 
 
-def _run_trace(cfg: RunConfig, out: str) -> None:
-    curve = intersect_surfaces(cfg.problem())
-    rows = [(xi, n.eta, n.tau) for xi, n in zip(curve.meta["family_xi"], curve.planar)]
-    _write_rows(out, ["xi", "eta", "tau"], rows)
-    print(f"wrote {len(rows)} planar trace samples to {out}")
-
-
 def _run_verify(cfg: RunConfig, out: str | None) -> int:
     report = verify_suites.run_suites(cfg.suite, seed=cfg.seed, grid_n=cfg.grid)
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -280,7 +276,6 @@ def _run_verify(cfg: RunConfig, out: str | None) -> int:
 COMMANDS = {
     "intersect": (_run_intersect, 2, "curve.csv"),
     "characteristics": (_run_characteristics, 1, "characteristics.csv"),
-    "trace": (_run_trace, 2, "trace.csv"),
     "verify": (_run_verify, 0, None),
 }
 

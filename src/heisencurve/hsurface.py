@@ -112,17 +112,11 @@ class PolySurface:
         """The evaluator p(x11, x12, t), compiled on first use.
 
         It runs the operations of the term sum in term order, so it rounds
-        exactly like that sum on floats and on numpy arrays.
+        exactly like that sum per argument type: floats and numpy arrays may
+        differ in the last bit, as their x**e do.  On arrays its result
+        broadcasts against them (a term free of an argument lacks its axes).
         """
         return _compile(self.coefficients)
-
-    def eval_coords(self, x11, x12, t):
-        """Evaluate at coordinates; works elementwise on numpy arrays."""
-        acc = self.value_at(x11, x12, t)
-        if any(isinstance(x, np.ndarray) for x in (x11, x12, t)):
-            # terms free of some array argument still give its full shape
-            acc = acc + np.zeros(np.broadcast(x11, x12, t).shape)
-        return acc
 
     def translated(self, p: Point) -> "PolySurface":
         """The polynomial x -> self(p * x), by substituting the coordinates of p * x.
@@ -370,9 +364,9 @@ class SurfaceHandle:
 
     The gradient grad_poly is exact algebra (horiz_grad_poly), derived once
     here; a coefficient of f or of its gradient that overflowed (is not
-    finite) raises OverflowError.  eval and grad_h evaluate at a Point,
-    value_at and grad_at at plain coordinates (x11, x12, t), floats or numpy
-    arrays, all through the compiled PolySurface.value_at.
+    finite) raises OverflowError.  value_at and grad_at evaluate at
+    coordinates (x11, x12, t), floats or numpy arrays, through the compiled
+    PolySurface.value_at; poly(x) evaluates at a Point.
     """
 
     poly: PolySurface
@@ -389,12 +383,6 @@ class SurfaceHandle:
     @classmethod
     def from_polynomial(cls, p: PolySurface) -> "SurfaceHandle":
         return cls(p)
-
-    def eval(self, x: Point) -> float:
-        return self.poly(x)
-
-    def grad_h(self, x: Point) -> tuple[float, float]:
-        return self.grad_at(x.x11, x.x12, x.t)
 
     def value_at(self, x11: float, x12: float, t: float) -> float:
         return self.poly.value_at(x11, x12, t)

@@ -11,7 +11,7 @@ curve-cloud agreement, cone property) live alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import astuple, dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "intersect_surfaces",
     "brute_force_zero_cloud",
     "curve_cloud_agreement",
-    "cone_contains",
     "cone_property_check",
     "gradient_margin",
     "cone_width_for",
@@ -79,14 +78,14 @@ class IntersectionProblem:
         horizontal gradient that does raises DependentNormals; both name the
         surface.
         """
-        v1, v2 = (_at_base(f.eval, self.p, name, NotCommonZero)
+        v1, v2 = (_at_base(f.value_at, astuple(self.p), name, NotCommonZero)
                   for name, f in (("f1", self.f1), ("f2", self.f2)))
         tol = self.trace.root_tol
         if not (abs(v1) <= tol and abs(v2) <= tol):
             raise NotCommonZero(
                 f"base point is not a common zero: f1 = {v1:.3e}, f2 = {v2:.3e}"
             )
-        g1, g2 = (_at_base(f.grad_h, self.p, f"the horizontal gradient of {name}",
+        g1, g2 = (_at_base(f.grad_at, astuple(self.p), f"the horizontal gradient of {name}",
                            DependentNormals)
                   for name, f in (("f1", self.f1), ("f2", self.f2)))
         n1 = math.hypot(*g1)
@@ -101,10 +100,10 @@ class IntersectionProblem:
             )
 
 
-def _at_base(fn, p: Point, what: str, error: type[Exception]):
-    """fn(p), raising error when it overflows or has a non-finite entry."""
+def _at_base(fn, x: tuple, what: str, error: type[Exception]):
+    """fn(*x), raising error when it overflows or has a non-finite entry."""
     try:
-        v = fn(p)
+        v = fn(*x)
     except OverflowError:
         raise error(f"{what} overflows at the base point") from None
     if not np.isfinite(v).all():
@@ -153,7 +152,7 @@ def choose_frame(f2: SurfaceHandle, p: Point) -> Frame:
     which gives the root solver the largest possible margin.  A vanishing
     gradient leaves Y1 f2(p) = 0 in every frame, below any graph margin.
     """
-    g = f2.grad_h(p)
+    g = f2.grad_at(*astuple(p))
     n = math.hypot(*g)
     if n < 1e-12:
         raise MarginViolated("horizontal gradient of f2 vanishes at the base point")
@@ -170,7 +169,7 @@ def graph_field(f2: SurfaceHandle, p: Point, window_half: float,
     A value of f2 at p, or a coefficient of its translate, that overflows
     raises NotCommonZero.
     """
-    _at_base(f2.eval, p, "f2", NotCommonZero)
+    _at_base(f2.value_at, astuple(p), "f2", NotCommonZero)
     f2t = _translated(f2, p, "f2")
     w = window_half
     patch = GraphPatch(choose_frame(f2t, ORIGIN), f2t, window=((-w, w), (-w, w)),
@@ -217,8 +216,8 @@ def intersect_surfaces(prob: IntersectionProblem) -> Curve:
         acc += s
         params.append(acc / total if total > 0.0 else 0.0)
 
-    res1 = max((abs(prob.f1.eval(q)) for q in points), default=0.0)
-    res2 = max((abs(prob.f2.eval(q)) for q in points), default=0.0)
+    res1, res2 = (max((abs(f.value_at(*astuple(q))) for q in points), default=0.0)
+                  for f in (prob.f1, prob.f2))
     frame = cf.patch.frame
     meta = {
         "family_xi": res.xi,
@@ -273,7 +272,7 @@ def brute_force_zero_cloud(f1: SurfaceHandle, f2: SurfaceHandle, box,
     so a NaN or infinite centre value, bound or allowance keeps it.
 
     The points of the kept cubes are evaluated exactly as on the full grid,
-    with eval_coords and the same < eps, in chunks of at most CLOUD_BLOCK
+    with value_at and the same < eps, in chunks of at most CLOUD_BLOCK
     points (at least one cube), so memory stays bounded for any grid.
     """
     if grid_n < 2:
@@ -307,7 +306,7 @@ def brute_force_zero_cloud(f1: SurfaceHandle, f2: SurfaceHandle, box,
 
 def _zero_total(f1: SurfaceHandle, f2: SurfaceHandle, X, Y, T) -> np.ndarray:
     """|f1| + |f2| on the broadcast coordinate arrays X, Y, T."""
-    return np.abs(f1.poly.eval_coords(X, Y, T)) + np.abs(f2.poly.eval_coords(X, Y, T))
+    return np.abs(f1.value_at(X, Y, T)) + np.abs(f2.value_at(X, Y, T))
 
 
 def _cubes(axis: np.ndarray):
@@ -412,25 +411,17 @@ def curve_cloud_agreement(curve_points, cloud, box) -> float:
 # Cone property
 # ---------------------------------------------------------------------------
 
-def cone_contains(vertex: Point, y: Point, cp: ConeParams) -> bool:
-    """Whether y lies in the closed cone of opening alpha and width r at vertex.
-
-    With z = vertex^-1 * y, membership reads sqrt(|z_t|) <= alpha |z_1| <= alpha r:
-    the vertical part is measured on the homogeneous scale, which is what
-    separates a curve with the cone property from its neighbours.  This is
-    the one-pair case of _in_cone.
-    """
-    return bool(_in_cone(_coord_array([vertex]), _coord_array([y]), cp)[0])
-
-
 def _in_cone(v: np.ndarray, y: np.ndarray, cp: ConeParams) -> np.ndarray:
-    """cone_contains for the rows of v and y, broadcast against each other.
+    """Whether the rows of y lie in the closed cones (opening alpha, width r)
+    at the rows of v, the two broadcast against each other.
 
-    z = v^-1 * y = (y_1 - v_1, y_t - v_t + y_11 v_12 - v_11 y_12), rounded as
-    the group product rounds it.  |z_1| is math.hypot per entry, which is
-    correctly rounded; numpy's hypot is not always, and a last-bit
-    difference can move a pair across a cone face.  A displacement that
-    overflows raises ValueError.
+    With z = v^-1 * y, membership reads sqrt(|z_t|) <= alpha |z_1| <= alpha r:
+    the vertical part is measured on the homogeneous scale, which is what
+    separates a curve with the cone property from its neighbours.  Here
+    z = (y_1 - v_1, y_t - v_t + y_11 v_12 - v_11 y_12), rounded as the group
+    product rounds it.  |z_1| is math.hypot per entry, which is correctly
+    rounded; numpy's hypot is not always, and a last-bit difference can move
+    a pair across a cone face.  A displacement that overflows raises ValueError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         z11, z12 = y[..., 0] - v[..., 0], y[..., 1] - v[..., 1]

@@ -166,11 +166,11 @@ def suite_group(scale: Scale) -> list[dict]:
     handle = SurfaceHandle.from_polynomial(poly)
     for x in xs[:50]:
         q = Point(x.x11 / 10.0, x.x12 / 10.0, x.t / 10.0)
-        g1, g2 = handle.grad_h(q)
+        g1, g2 = handle.grad_at(q.x11, q.x12, q.t)
         fields = max(
             fields,
-            abs(g1 - horizontal_derivative(handle.eval, q, (1.0, 0.0), 1e-5)),
-            abs(g2 - horizontal_derivative(handle.eval, q, (0.0, 1.0), 1e-5)),
+            abs(g1 - horizontal_derivative(handle.poly, q, (1.0, 0.0), 1e-5)),
+            abs(g2 - horizontal_derivative(handle.poly, q, (0.0, 1.0), 1e-5)),
         )
     return [
         _check("associativity", assoc, 1e-12),
@@ -210,8 +210,8 @@ def suite_graph(scale: Scale) -> list[dict]:
         section = max(section, abs(back.eta - eta), abs(back.tau - tau))
     handle = SurfaceHandle.from_polynomial(PolySurface({(3, 0, 0): 1.0, (0, 2, 1): -1.0}))
     x = Point(0.4, -0.3, 0.2)
-    g1 = handle.grad_h(x)[0]
-    errs = [abs(horizontal_derivative(handle.eval, x, (1.0, 0.0), h) - g1)
+    g1 = handle.grad_at(x.x11, x.x12, x.t)[0]
+    errs = [abs(horizontal_derivative(handle.poly, x, (1.0, 0.0), h) - g1)
             for h in (1e-2, 5e-3, 2.5e-3)]
     order = min(math.log2(errs[i] / errs[i + 1]) for i in range(2))
     return [

@@ -126,6 +126,12 @@ class TestParseConfig:
             cli.parse_config(json.dumps(doc))
         cli.parse_config(intersect_config(**over))  # intersect caps its own grid
 
+    def test_grid_cap(self):
+        for grid in (201, cli.MAX_GRID):
+            assert cli.parse_config(json.dumps({"command": "verify", "grid": grid})).grid == grid
+        with pytest.raises(ConfigError, match=rf"^grid: .*\[2, {cli.MAX_GRID}\]"):
+            cli.parse_config(json.dumps({"command": "verify", "grid": cli.MAX_GRID + 1}))
+
 
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
@@ -144,16 +150,6 @@ def outputs(tmp_path_factory):
     code1 = cli.main(["intersect", "--config", str(cfg_path), "--out", str(out1)])
     code2 = cli.main(["intersect", "--config", str(cfg_path), "--out", str(out2)])
     return code1, code2, out1, out2
-
-
-@pytest.fixture(scope="module")
-def trace_output(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("trace")
-    cfg_path = tmp / "trace.json"
-    cfg_path.write_text(intersect_config(command="trace"))
-    out = tmp / "trace.csv"
-    code = cli.main(["trace", "--config", str(cfg_path), "--out", str(out)])
-    return code, out
 
 
 class TestRunIntersect:
@@ -235,23 +231,7 @@ class TestOtherCommands:
         assert code == 1
         assert "WindowExit" in err and "tau0 toward 0" in err
 
-    def test_trace_csv(self, trace_output):
-        code, out = trace_output
-        assert code == 0
-        header, rows = read_csv(out)
-        assert header == ["xi", "eta", "tau"]
-        assert all(abs(r[1]) <= 1e-9 for r in rows)  # zeros of F sit at eta = 0
-
-    def test_trace_is_planar_preimage_of_intersect(self, trace_output, outputs):
-        # the same config as intersect: trace writes intersect's (eta, tau) columns
-        code, out = trace_output
-        *_, curve_csv, _ = outputs
-        assert code == 0
-        _, trace_rows = read_csv(out)
-        _, curve_rows = read_csv(curve_csv)
-        assert [r[1:3] for r in trace_rows] == [r[1:3] for r in curve_rows]
-
-    @pytest.mark.parametrize("command", ["intersect", "trace"])
+    @pytest.mark.parametrize("command", ["intersect"])
     def test_base_point_off_surfaces_exit_one(self, tmp_path, capsys, command):
         cfg = tmp_path / "off.json"
         cfg.write_text(json.dumps({"command": command, "surfaces": [SURF_X11, SURF_X12],
@@ -405,7 +385,23 @@ class TestOtherCommands:
     def test_command_mismatch(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(intersect_config())
-        assert cli.main(["trace", "--config", str(cfg)]) == 2
+        assert cli.main(["characteristics", "--config", str(cfg)]) == 2
+
+    def test_trace_subcommand_removed(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(intersect_config())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["trace", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_trace_command_in_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(intersect_config(command="trace"))
+        assert cli.main(["intersect", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: command:")
+        assert "('intersect', 'characteristics', 'verify')" in err
 
     def test_config_error_exit_two(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -24,7 +24,6 @@ from heisencurve.intersect import (
     _points_to_polyline,
     brute_force_zero_cloud,
     choose_frame,
-    cone_contains,
     cone_property_check,
     cone_width_for,
     curve_cloud_agreement,
@@ -210,8 +209,8 @@ class TestIntersectSurfaces:
         curve = intersect_surfaces(IntersectionProblem(f1, f2, p=q,
                                                        trace=TraceParams(depth=4)))
         for x in curve.points[::16]:
-            assert abs(f1.eval(x)) <= 1e-8
-            assert abs(f2.eval(x)) <= 1e-8
+            assert abs(f1.poly(x)) <= 1e-8
+            assert abs(f2.poly(x)) <= 1e-8
 
     def test_symmetry_under_swap(self, curve_b):
         trace = TraceParams(depth=6)
@@ -322,10 +321,10 @@ def _ref_zero_cloud(f1, f2, box, grid_n):
     cloud = []
     for rows in intersect._row_blocks(grid_n, grid_n * grid_n, 2**20):
         X = xs[rows, None, None]
-        total = (np.abs(f1.poly.eval_coords(X, Y, T))
-                 + np.abs(f2.poly.eval_coords(X, Y, T)))
+        total = np.abs(f1.value_at(X, Y, T)) + np.abs(f2.value_at(X, Y, T))
+        hits = np.broadcast_to(total < eps, (len(X), grid_n, grid_n))
         cloud += [Point(float(xs[rows.start + i]), float(ys[j]), float(ts[k]))
-                  for i, j, k in np.argwhere(total < eps)]
+                  for i, j, k in np.argwhere(hits)]
     return cloud
 
 
@@ -335,10 +334,9 @@ def _counted_points():
     seen = {"points": 0}
     original = intersect._zero_total
 
-    def counted(*args):
-        out = original(*args)
-        seen["points"] += out.size
-        return out
+    def counted(f1, f2, *coords):
+        seen["points"] += np.broadcast(*coords).size
+        return original(f1, f2, *coords)
 
     with mock.patch.object(intersect, "_zero_total", counted):
         yield seen
@@ -364,19 +362,24 @@ def planted_polys(draw, degree, zero):
     return SurfaceHandle.from_polynomial(PolySurface(coeffs))
 
 
+def in_cone(vertex, y, cp):
+    """Whether y lies in the cone at vertex: _in_cone on one-row arrays."""
+    return bool(intersect._in_cone(_coord_array([vertex]), _coord_array([y]), cp)[0])
+
+
 class TestConeProperty:
     def test_vertex_inside_own_cone(self):
         cp = ConeParams(1.0, 1.0)
-        assert cone_contains(ORIGIN, ORIGIN, cp)
+        assert in_cone(ORIGIN, ORIGIN, cp)
 
     def test_horizontal_offset_inside(self):
-        assert cone_contains(ORIGIN, Point(1.0, 0.0, 0.0), ConeParams(1.0, 2.0))
+        assert in_cone(ORIGIN, Point(1.0, 0.0, 0.0), ConeParams(1.0, 2.0))
 
     def test_vertical_offset_outside(self):
-        assert not cone_contains(ORIGIN, Point(0.0, 0.0, 1.0), ConeParams(1.0, 2.0))
+        assert not in_cone(ORIGIN, Point(0.0, 0.0, 1.0), ConeParams(1.0, 2.0))
 
     def test_width_cut(self):
-        assert not cone_contains(ORIGIN, Point(1.0, 0.0, 0.0), ConeParams(1.0, 0.5))
+        assert not in_cone(ORIGIN, Point(1.0, 0.0, 0.0), ConeParams(1.0, 0.5))
 
     def test_vertical_samples_clean(self):
         samples = [Point(0.0, 0.0, 0.01 * k) for k in range(-10, 11)]
@@ -478,7 +481,7 @@ class TestConeArrays:
         cp = ConeParams(2.0, 0.4)
         for row in rng.uniform(-0.3, 0.3, size=(500, 6)):
             x, y = Point(*map(float, row[:3])), Point(*map(float, row[3:]))
-            assert cone_contains(x, y, cp) == _ref_cone_contains(x, y, cp)
+            assert in_cone(x, y, cp) == _ref_cone_contains(x, y, cp)
 
     def test_face_pair_uses_correctly_rounded_norm(self):
         # y sits on the cone face sqrt(|t|) = |y_1| with |y_1| = hypot(0.5, 0.3)
@@ -491,7 +494,7 @@ class TestConeArrays:
             t = math.nextafter(t, math.inf)
         y = Point(0.5, 0.3, t)
         cp = ConeParams(1.0, 1.0)
-        assert cone_contains(ORIGIN, y, cp) and _ref_cone_contains(ORIGIN, y, cp)
+        assert in_cone(ORIGIN, y, cp) and _ref_cone_contains(ORIGIN, y, cp)
         got = cone_property_check([ORIGIN, y], cp).violations
         assert got == _ref_cone_violations([ORIGIN, y], cp) == [(0, 1), (1, 0)]
 
@@ -512,7 +515,7 @@ def _ref_gradient_margin(pair, box, grid_n=5):
         for y in np.linspace(*box[1], grid_n):
             for t in np.linspace(*box[2], grid_n):
                 q = Point(float(x), float(y), float(t))
-                rows = np.array([f.grad_h(q) for f in pair])
+                rows = np.array([f.grad_at(q.x11, q.x12, q.t) for f in pair])
                 worst = min(worst, float(np.linalg.svd(rows, compute_uv=False)[-1]))
     return worst
 
