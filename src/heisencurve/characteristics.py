@@ -43,10 +43,13 @@ class CharField:
     rhs(eta, tau) is the characteristic speed beta * phi2hat; source(eta, tau)
     is the forcing -(Y2 f2 / Y1 f2) at the graph point.  Both evaluate only
     inside the patch window, as GraphPatch.solve_scalar does; a march that can
-    step past it clamps the field through flowtrace._clamped.  Each graph
-    solve starts Newton from the previous solve's root.  That warm start moves
-    the root only by rounding, so a value depends, in its last bits, on what
-    the field solved before.
+    step past it clamps the field through flowtrace._clamped.  On floats each
+    graph solve starts Newton from the previous float solve's root.  That
+    warm start moves the root only by rounding, so a value depends, in its
+    last bits, on what the field solved before.  phi and graph_coords also
+    take broadcasting float64 arrays, solved at once by
+    GraphPatch.solve_many from the base root, without reading or writing
+    that hint.  rhs takes floats only.
     """
 
     def __init__(self, patch: GraphPatch):
@@ -54,16 +57,19 @@ class CharField:
         self.beta = 2.0 * patch.frame.detC
         self._hint: float | None = None
 
-    def phi(self, eta: float, tau: float) -> float:
-        """The graph scalar phi2hat at a planar point."""
+    def phi(self, eta, tau):
+        """The graph scalar phi2hat at a planar point, or at arrays of them."""
+        if isinstance(eta, np.ndarray) or isinstance(tau, np.ndarray):
+            return self.patch.solve_many(eta, tau)
         self._hint = self.patch.solve_scalar((eta, tau), self._hint)
         return self._hint
 
     def rhs(self, eta: float, tau: float) -> float:
-        return self.beta * self.phi(eta, tau)
+        self._hint = self.patch.solve_scalar((eta, tau), self._hint)
+        return self.beta * self._hint
 
-    def graph_coords(self, eta: float, tau: float) -> tuple[float, float, float]:
-        """Coordinates of the graph point above (eta, tau)."""
+    def graph_coords(self, eta, tau) -> tuple:
+        """Coordinates of the graph point above (eta, tau), floats or arrays."""
         return self.patch.line_coords(eta, tau, self.phi(eta, tau))
 
     def graph_point(self, eta: float, tau: float) -> Point:

@@ -314,6 +314,11 @@ def _load(path: str) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    """Run the command line argv; returns the exit code.
+
+    A command line argparse rejects returns its exit code 2, with the usage
+    on stderr, and --help returns 0, instead of raising SystemExit.
+    """
     parser = argparse.ArgumentParser(
         prog="heisencurve",
         description="intersection curves of level-set surfaces in the first "
@@ -328,7 +333,10 @@ def main(argv=None) -> int:
         else:
             p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        return e.code
 
     try:
         if args.cmd == "verify" and args.config is None:

@@ -443,7 +443,8 @@ def _find_member_with_mean(h, lo: PathSample, hi: PathSample, mu_t: float,
     raise MeanBisectionFailure(mu_t, best_gap)
 
 
-def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int) -> FlowFamily:
+def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int,
+                 paths: dict | None = None) -> FlowFamily:
     """Dyadic family of 2**depth + 1 ordered solutions from tau_minus to tau_plus.
 
     Each new member realizes the midpoint of its bracket's integral range and
@@ -452,7 +453,9 @@ def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int) -> 
     integrates the field h as given (level_trace passes its clamped field),
     so a raw solution kept by its anchor point stays valid for the whole
     call: each member's path, and each endpoint's candidate, is integrated
-    once.
+    once.  paths holds those raw solutions, keyed by anchor point
+    (_find_member_with_mean); a new dict by default.  Families of the same
+    h on the same grid may share one, as level_trace's two families do.
     """
     _require_same_grid(tau_minus, tau_plus)
     if np.any(tau_minus.values > tau_plus.values + 1e-12):
@@ -461,7 +464,7 @@ def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int) -> 
         raise ValueError("depth must be >= 0")
     mu_minus = tau_minus.integral()
     mu_plus = tau_plus.integral()
-    paths: dict = {}
+    paths = {} if paths is None else paths
 
     def recurse(lo, mu_lo, hi, mu_hi, d) -> list[tuple[float, PathSample]]:
         if d == 0:
@@ -489,13 +492,16 @@ def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int) -> 
 def monotone_root(F, path: PathSample, root_tol: float = 1e-10):
     """The unique zero of eta -> F(eta, tau(eta)) along the path, with F's samples.
 
-    The sampled values must be strictly monotone (up to rounding); mixed
-    increment signs raise MonotonicityViolated.  Returns (root, values):
-    root is (eta, tau), or None when F keeps one sign over the whole path,
-    and values holds F at the path's nodes.
+    F must accept floats and broadcasting float64 arrays.  It is called once
+    on the node arrays (path.etas, path.values), then on floats at each
+    bisection point.  The sampled values must be strictly monotone (up to
+    rounding); mixed increment signs raise MonotonicityViolated.  Returns
+    (root, values): root is (eta, tau), or None when F keeps one sign over
+    the whole path, and values holds F at the path's nodes.
     """
-    etas = path.etas.tolist()
-    vals = np.array([F(e, t) for e, t in zip(etas, path.values.tolist())])
+    nodes = path.etas
+    vals = np.array(np.broadcast_to(F(nodes, path.values), nodes.shape), dtype=float)
+    etas = nodes.tolist()
     if len(vals) < 2:
         return None, vals
     d = np.diff(vals)
@@ -558,7 +564,9 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None,
     """Trace the zero set of F near the origin along a monotone flow of h.
 
     F must vanish at the origin and be strictly monotone along every
-    solution of dtau/deta = h.  The construction integrates the extremal
+    solution of dtau/deta = h.  h is called on floats only; F on floats and
+    on broadcasting float64 arrays, once per member on its node arrays
+    (monotone_root).  The construction integrates the extremal
     solutions through the origin, flanks them by solutions through
     (0, +-b/2), fills both gaps with integral-parametrized families, takes
     the unique zero of F along each member, and collapses parameter
@@ -592,8 +600,11 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None,
     tau_plus = pointwise_max(integrate_through(hc, 0.0, b / 2.0, grid), tau_hat)
     tau_minus = pointwise_min(integrate_through(hc, 0.0, -b / 2.0, grid), tau_bar)
 
-    lower = build_family(hc, tau_minus, tau_bar, params.depth)
-    upper = build_family(hc, tau_hat, tau_plus, params.depth)
+    # one dict of raw solutions: with a finite tau_lipschitz, tau_hat is
+    # tau_bar, so the upper family's first candidate is the lower's last
+    paths: dict = {}
+    lower = build_family(hc, tau_minus, tau_bar, params.depth, paths)
+    upper = build_family(hc, tau_hat, tau_plus, params.depth, paths)
 
     raw_xi: list[float] = []
     raw_pts: list[tuple[float, float]] = []

@@ -9,15 +9,21 @@ found here by Newton's method from a hint (the previous root) or from the
 root at the origin, with bisection of the whole bracket and a Newton polish
 as the fallback when Newton fails.
 
-The solve runs on plain floats: the graph line n * (s b1) has a closed form
-in coordinates.  Each polynomial compiles, on first use, into a
-straight-line evaluator that computes each power x**e once and makes the
-products and sums of the term-by-term sum in the same order, so it rounds
-exactly as that sum does.  The same code generator gives each graph patch
-of f2 one kernel, compiled when the patch is built: newton(eta, tau, s),
-the whole Newton loop, computing the line coordinates and f2 and Y1 f2
-there inline.  It rounds exactly like line_coords followed by the compiled
-evaluators, through which everything else (bisection, the margin
+The graph line n * (s b1) has a closed form in coordinates.  A solve runs on
+plain floats (GraphPatch.solve_scalar), or on all points of broadcasting
+float64 arrays at once (GraphPatch.solve_many): Newton from the root at the
+origin on every lane, with the scalar solve as the fallback of a lane that
+fails.  Marches solve point after point on floats; a function of the graph
+point, such as the traced F = f1 o Phi2, must accept both forms.
+
+Each polynomial compiles, on first use, into a straight-line evaluator that
+computes each power x**e once and makes the products and sums of the
+term-by-term sum in the same order, so it rounds exactly as that sum does.
+The same code generator gives each graph patch of f2 one kernel, compiled
+when the patch is built: newton(eta, tau, s), the whole scalar Newton
+loop, computing the line coordinates and f2 and Y1 f2 there inline.  It
+rounds exactly like line_coords followed by the compiled evaluators,
+through which everything else (the array solve, bisection, the margin
 certificate, y_derivatives) evaluates f2 at coordinates, floats or numpy
 arrays.  Left translation of a polynomial is again a polynomial, so a
 translated handle is one more polynomial handle.
@@ -437,9 +443,11 @@ class GraphPatch:
     bisection safe.  It then solves for the root at the origin, the start
     of every solve given no hint.
 
-    The patch compiles one kernel, Newton's method (f2.along_line); bisection
-    and the certificate evaluate the graph equation g(eta, tau, s) =
-    f2(n * (s b1)) and its slope Y1 f2 through line_coords and f2's evaluators.
+    The patch compiles one kernel, Newton's method (f2.along_line), which
+    solve_scalar runs on floats.  solve_many runs the same Newton steps on
+    float64 arrays, and bisection and the certificate evaluate the graph
+    equation g(eta, tau, s) = f2(n * (s b1)) and its slope Y1 f2, through
+    line_coords and f2's evaluators.
 
     tau_lipschitz bounds |d phi2hat / d tau| over the window, computed once
     here.  The graph function solves g(eta, tau, phi2hat) = 0 with
@@ -467,6 +475,10 @@ class GraphPatch:
         line = (*frame.b1, *frame.b2, frame.detC)
         self.window = (tuple(window[0]), tuple(window[1]))
         self.bracket = (float(bracket[0]), float(bracket[1]))
+        # the window up to WINDOW_SLACK, as (eta_lo, eta_hi, tau_lo, tau_hi)
+        (emin, emax), (tmin, tmax) = self.window
+        self._bounds = (emin - WINDOW_SLACK, emax + WINDOW_SLACK,
+                        tmin - WINDOW_SLACK, tmax + WINDOW_SLACK)
         self._newton_from = f2.along_line(line, self.bracket)
         # line_coords(eta, tau, s): coordinates of n * (s b1) for n = (eta, tau)
         self.line_coords = _compile_line(line)
@@ -506,22 +518,18 @@ class GraphPatch:
 
     # -- graph solves ----------------------------------------------------------
 
-    def contains(self, eta: float, tau: float) -> bool:
-        """Whether (eta, tau) lies in the window up to WINDOW_SLACK; NaN never does."""
-        (emin, emax), (tmin, tmax) = self.window
-        return (emin - WINDOW_SLACK <= eta <= emax + WINDOW_SLACK
-                and tmin - WINDOW_SLACK <= tau <= tmax + WINDOW_SLACK)
-
     def solve_scalar(self, n: tuple[float, float], hint: float | None = None) -> float:
         """The graph coordinate phi2hat(n): unique root of s -> f2(n * s b1).
 
-        n is the pair (eta, tau).  Newton runs from the hint, or from the base
-        root without one; only when Newton fails is the whole bracket bisected
-        (_bisect) and the result polished by Newton.  A point outside the
-        window, or a NaN one, raises ValueError.
+        n is the pair (eta, tau) of floats.  Newton runs from the hint, or
+        from the base root without one; only when Newton fails is the whole
+        bracket bisected (_bisect) and the result polished by Newton.  A point
+        outside the window (up to WINDOW_SLACK), or a NaN one, raises
+        ValueError.
         """
         eta, tau = n
-        if not self.contains(eta, tau):
+        elo, ehi, tlo, thi = self._bounds
+        if not (elo <= eta <= ehi and tlo <= tau <= thi):
             raise ValueError(f"n = ({eta!r}, {tau!r}) outside the patch window")
         s = self._newton_from(eta, tau, self._s_base if hint is None else hint)
         if s is not None:
@@ -529,6 +537,55 @@ class GraphPatch:
         s = self._bisect(eta, tau)
         polished = self._newton_from(eta, tau, s)
         return polished if polished is not None else s
+
+    def solve_many(self, eta, tau) -> np.ndarray:
+        """phi2hat at every point of the broadcast float64 arrays eta and tau.
+
+        Newton runs from the base root on all lanes at once, through
+        line_coords, f2's evaluators and y_derivatives, with the tests of the
+        compiled kernel (_newton_lines) per lane: a lane stops at |f| <= GTOL,
+        fails where |Y1 f2| < MARGIN or a step leaves the bracket, and after
+        12 steps is accepted at |f| <= NEWTON_ACCEPT.  A lane that fails is
+        solved by solve_scalar without a hint, so it bisects as a scalar solve
+        does.  Each lane equals solve_scalar(n) within rounding, bit for bit
+        where the powers of f2 are exact.  The first lane outside the window,
+        or NaN, raises the ValueError of solve_scalar.
+        """
+        eta, tau = np.broadcast_arrays(np.asarray(eta, dtype=float),
+                                       np.asarray(tau, dtype=float))
+        shape = eta.shape
+        eta, tau = eta.ravel(), tau.ravel()
+        elo, ehi, tlo, thi = self._bounds
+        outside = np.flatnonzero(~((elo <= eta) & (eta <= ehi) & (tlo <= tau) & (tau <= thi)))
+        if outside.size:
+            i = outside[0]
+            raise ValueError(f"n = ({float(eta[i])!r}, {float(tau[i])!r}) "
+                             "outside the patch window")
+        slo, shi = self.bracket[0] - BRACKET_SLACK, self.bracket[1] + BRACKET_SLACK
+        roots = np.full(eta.shape, np.nan)
+        lanes = np.arange(eta.size)
+        s = np.full(eta.shape, self._s_base)
+        with np.errstate(all="ignore"):
+            for _ in range(12):
+                x = self.line_coords(eta[lanes], tau[lanes], s)
+                # a polynomial free of x11, x12 and t evaluates to one float
+                f = np.broadcast_to(self.f2.value_at(*x), s.shape)
+                going = ~(np.abs(f) <= GTOL)
+                roots[lanes[~going]] = s[~going]
+                lanes, s, f = lanes[going], s[going], f[going]
+                y1 = np.broadcast_to(
+                    y_derivatives(self.f2, [c[going] for c in x], self.frame)[0], s.shape)
+                s = s - f / y1
+                moving = (np.abs(y1) >= MARGIN) & (slo <= s) & (s <= shi)
+                lanes, s = lanes[moving], s[moving]
+                if not lanes.size:
+                    break
+            f = self.f2.value_at(*self.line_coords(eta[lanes], tau[lanes], s))
+            accepted = np.broadcast_to(np.abs(f) <= NEWTON_ACCEPT, s.shape)
+            roots[lanes[accepted]] = s[accepted]
+        for i in np.flatnonzero(np.isnan(roots)).tolist():
+            roots[i] = self.solve_scalar((float(eta[i]), float(tau[i])))
+        return roots.reshape(shape)
 
     def _bisect(self, eta: float, tau: float) -> float:
         """Bisection for the root of s -> g(eta, tau, s) over the whole bracket.

@@ -197,7 +197,8 @@ def intersect_surfaces(prob: IntersectionProblem) -> Curve:
     f1t = _translated(prob.f1, prob.p, "f1")
     cf = graph_field(prob.f2, prob.p, prob.window_half, prob.bracket)
 
-    def F(eta: float, tau: float) -> float:
+    def F(eta, tau):
+        # on floats, or on a member's node arrays (GraphPatch.solve_many)
         return f1t.value_at(*cf.graph_coords(eta, tau))
 
     w = prob.window_half

@@ -1,5 +1,9 @@
 """Shared fixtures: the two analytic surfaces used throughout the suite, and helpers."""
 
+import importlib
+import sys
+from pathlib import Path
+
 import pytest
 
 from heisencurve.characteristics import CharField
@@ -10,6 +14,19 @@ POLY_X11 = PolySurface({(1, 0, 0): 1.0})
 POLY_X12 = PolySurface({(0, 1, 0): 1.0})
 POLY_T = PolySurface({(0, 0, 1): 1.0})
 POLY_X11_PLUS_T = PolySurface({(1, 0, 0): 1.0, (0, 0, 1): 1.0})
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name: str):
+    """A module of bench/, imported without writing under bench/."""
+    path, bytecode = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(BENCH))
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path[:], sys.dont_write_bytecode = path, bytecode
 
 
 def graph_point(patch, eta, tau):

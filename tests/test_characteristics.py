@@ -1,6 +1,7 @@
 """Characteristics, the first-order system check, and the expansion formulas."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -109,6 +110,26 @@ class TestCharFieldWindow:
         for evaluate in (affine_field.rhs, affine_field.graph_coords):
             with pytest.raises(ValueError):
                 evaluate(eta, tau)
+
+
+class TestCharFieldArrays:
+    def test_array_calls_leave_the_hint(self, affine_field):
+        eta, tau = np.linspace(-0.4, 0.4, 9), np.linspace(0.3, -0.3, 9)
+        assert affine_field._hint is None
+        affine_field.phi(eta, tau)
+        affine_field.graph_coords(eta, tau)
+        assert affine_field._hint is None
+        hint = affine_field.rhs(0.1, 0.2) / affine_field.beta
+        assert affine_field._hint == hint
+        affine_field.phi(eta, 0.25)
+        affine_field.graph_coords(0.1, tau)
+        assert affine_field._hint == hint
+
+    def test_arrays_match_floats(self, affine_field):
+        eta, tau = np.linspace(-0.4, 0.4, 9), np.linspace(0.3, -0.3, 9)
+        coords = affine_field.graph_coords(eta, tau)
+        for i, (e, t) in enumerate(zip(eta.tolist(), tau.tolist())):
+            assert [c[i] for c in coords] == list(astuple(graph_point(affine_field.patch, e, t)))
 
 
 class TestFirstOrderSystem:

@@ -390,10 +390,18 @@ class TestOtherCommands:
     def test_trace_subcommand_removed(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(intersect_config())
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["trace", "--config", str(cfg)])
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert cli.main(["trace", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: heisencurve") and "invalid choice" in err
+
+    def test_no_subcommand_exit_two(self, capsys):
+        assert cli.main([]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: heisencurve") and "required" in err
+
+    def test_help_exit_zero(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: heisencurve")
 
     def test_trace_command_in_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

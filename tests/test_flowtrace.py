@@ -519,26 +519,34 @@ class TestClamped:
 
 
 class TestLevelTrace:
-    def test_field_and_F_get_plain_floats(self):
+    def test_field_gets_floats_and_F_node_arrays(self, monkeypatch):
         # F = eta + 0.3 tau vanishes between the nodes of most members, so the
-        # node harvest and the bisection both call it
-        fields, calls = set(), []
+        # node passes and the bisection both call it
+        fields, node_passes, points, members = set(), [], [], []
 
         def h(e, t):
             fields.add((type(e), type(t)))
             return 0.0
 
         def F(e, t):
-            calls.append((e, (type(e), type(t))))
+            if isinstance(e, np.ndarray):
+                node_passes.append((e, t))
+            else:
+                points.append((type(e), type(t)))
             return e + 0.3 * t
 
-        res = level_trace(h, F, Rect.centered(0.5, 1.0), TraceParams(depth=3))
-        grid = res.band[0]
-        on_node = [abs(u - round(u)) <= 1e-6
-                   for u in ((e - grid.eta0) / grid.step for e, _ in calls)]
-        nodes = {kind for (_, kind), node in zip(calls, on_node) if node}
-        bisection = {kind for (_, kind), node in zip(calls, on_node) if not node}
-        assert fields == nodes == bisection == {(float, float)}
+        root = flowtrace.monotone_root
+        monkeypatch.setattr(flowtrace, "monotone_root",
+                            lambda F, path, tol: members.append(path) or root(F, path, tol))
+        level_trace(h, F, Rect.centered(0.5, 1.0), TraceParams(depth=3))
+        assert fields == {(float, float)}
+        # one node pass per member, on its node arrays
+        assert len(node_passes) == len(members) == 2 * (2**3 + 1)
+        for (e, t), path in zip(node_passes, members):
+            assert e.dtype == t.dtype == np.float64
+            assert np.array_equal(e, path.etas) and np.array_equal(t, path.values)
+        # the origin check and the bisection points are floats
+        assert len(points) > 1 and set(points) == {(float, float)}
 
     def test_vertical_segment(self):
         res = level_trace(lambda e, t: 0.0, lambda e, t: e,

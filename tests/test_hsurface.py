@@ -746,6 +746,127 @@ class TestNewtonKernel:
         assert hsurface.GTOL < root**2 <= 1e-10
 
 
+# -- graph solves on arrays against the scalar solve ---------------------------
+
+def patch_or_none(f, line, half=0.3, bracket=(-1.0, 1.0)):
+    """The patch of f over a square window and bracket, or None when its
+    margin certificate or its base solve fails."""
+    try:
+        return GraphPatch(Frame(b1=line[:2], b2=line[2:4]), f,
+                          window=((-half, half), (-half, half)), bracket=bracket)
+    except (MarginViolated, NoSignChange):
+        return None
+
+
+def solve_error(solve, *args):
+    """The exception solve(*args) raises, as (type, message)."""
+    try:
+        solve(*args)
+    except Exception as e:
+        return type(e), str(e)
+    raise AssertionError("the solve raised nothing")
+
+
+lanes = st.lists(st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+                 min_size=1, max_size=24)
+linear_polys = st.dictionaries(st.sampled_from([(0, 0, 0), (0, 0, 1)]), unit).map(PolySurface)
+
+
+class TestSolveMany:
+    @given(polys, st.sampled_from([0.05, 0.3]), frame_lines, lanes)
+    @settings(max_examples=200, deadline=None)
+    def test_each_lane_is_the_scalar_solve(self, pert, scale, line, points):
+        # cubic patches (scale 0.3) and near-linear ones (scale 0.05)
+        linear = PolySurface({(1, 0, 0): line[0], (0, 1, 0): line[1]})
+        patch = patch_or_none(SurfaceHandle.from_polynomial(linear + pert.scaled(scale)), line)
+        if patch is None:
+            return
+        eta, tau = np.array(points).T
+        scalar = []
+        for n in points:
+            try:
+                scalar.append(patch.solve_scalar(n))
+            except (MarginViolated, NoSignChange) as e:  # the bracket fails at n
+                assert solve_error(patch.solve_many, eta, tau) == (type(e), str(e))
+                return
+        many = patch.solve_many(eta, tau)
+        assert many.dtype == np.float64 and many.shape == eta.shape
+        assert all(abs(s - r) <= 1e-12 for s, r in zip(many.tolist(), scalar))
+
+    @given(linear_polys, frame_lines, lanes)
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_when_f2_is_linear(self, rest, line, points):
+        # no power is formed, and arrays round like floats
+        f = SurfaceHandle.from_polynomial(
+            PolySurface({(1, 0, 0): line[0], (0, 1, 0): line[1]}) + rest.scaled(0.5))
+        patch = patch_or_none(f, line)
+        if patch is None:
+            return
+        eta, tau = np.array(points).T
+        many = patch.solve_many(eta, tau)
+        assert all(same_float(s, patch.solve_scalar(n))
+                   for s, n in zip(many.tolist(), points))
+
+    def test_broadcasts_its_arguments(self):
+        patch = patch_affine()
+        eta, tau = np.linspace(-0.4, 0.4, 3)[:, None], np.linspace(-0.5, 0.5, 5)
+        many = patch.solve_many(eta, tau)
+        assert many.shape == (3, 5)
+        assert np.array_equal(many, -tau / (1.0 - eta))
+        assert np.array_equal(patch.solve_many(eta, 0.25), many[:, [3]])
+
+    def test_failed_lanes_bisect_as_scalar_solves(self, monkeypatch):
+        # f2 = x11 + x11^3 + t: from the base root 0, Newton overshoots the
+        # bracket [-0.48, 0.48] where tau is near -0.5, and the solve bisects
+        f = SurfaceHandle.from_polynomial(X11_PLUS_T + PolySurface({(3, 0, 0): 1.0}))
+        patch = GraphPatch(make_frame((1.0, 0.0)), f, bracket=(-0.48, 0.48))
+        bisected = []
+        bisect = GraphPatch._bisect
+        monkeypatch.setattr(GraphPatch, "_bisect",
+                            lambda patch, *n: bisected.append(n) or bisect(patch, *n))
+        eta = np.linspace(-0.5, 0.1, 7)
+        tau = np.array([-0.5, -0.49, -0.3, 0.0, 0.2, -0.5, -0.45])
+        many = patch.solve_many(eta, tau)
+        in_many, bisected[:] = list(bisected), []
+        scalar = [patch.solve_scalar(n) for n in zip(eta.tolist(), tau.tolist())]
+        assert in_many == bisected and len(bisected) >= 2
+        for i, (s, expected) in enumerate(zip(many.tolist(), scalar)):
+            assert abs(s - expected) <= 1e-12
+            if (eta[i], tau[i]) in bisected:
+                assert s == expected
+
+    def test_a_lane_without_a_root_raises_the_scalar_error(self):
+        # at n = (0.5, 0.5) the root -1 lies outside the bracket [-0.5, 0.5]
+        patch = GraphPatch(make_frame((1.0, 0.0)), SurfaceHandle.from_polynomial(X11_PLUS_T),
+                           bracket=(-0.5, 0.5))
+        eta, tau = np.array([0.0, 0.5, 0.1]), np.array([0.1, 0.5, 0.0])
+        expected = solve_error(patch.solve_scalar, (0.5, 0.5))
+        assert expected[0] is NoSignChange
+        assert solve_error(patch.solve_many, eta, tau) == expected
+
+    @pytest.mark.parametrize("eta, tau, first", [
+        ([0.1, 0.9, math.nan], [0.0, 0.0, 0.0], 1),
+        ([math.nan, 0.9], [0.0, 0.0], 0),
+        ([0.0, 0.2, 0.3], [0.1, math.nan, -0.7], 1),
+        ([-0.5 - 1e-8, 0.0], [0.0, 0.5 + 1e-8], 0),
+    ])
+    def test_first_lane_outside_the_window_raises(self, eta, tau, first):
+        patch = patch_affine()
+        expected = solve_error(patch.solve_scalar, (eta[first], tau[first]))
+        assert expected[0] is ValueError and "outside the patch window" in expected[1]
+        assert solve_error(patch.solve_many, np.array(eta), np.array(tau)) == expected
+
+    def test_window_slack_as_in_the_scalar_solve(self):
+        patch = patch_affine()
+        edge = 0.5 + 0.5 * hsurface.WINDOW_SLACK
+        got = patch.solve_many(np.array([edge, -edge]), np.array([-edge, edge]))
+        assert got.tolist() == [patch.solve_scalar((edge, -edge)),
+                                patch.solve_scalar((-edge, edge))]
+
+    def test_window_test_has_one_home(self):
+        assert not hasattr(GraphPatch, "contains")
+
+
 # -- the margin certificate against the sample loop it replaced ----------------
 
 def certificate_reference(f, line, window, bracket):

@@ -7,12 +7,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import POLY_X11, POLY_X11_PLUS_T, POLY_X12, graph_point
+from conftest import POLY_X11, POLY_X11_PLUS_T, POLY_X12, bench_module, graph_point
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heisencurve import intersect
-from heisencurve.errors import DependentNormals, MarginViolated, NotCommonZero
+from heisencurve import flowtrace, intersect
+from heisencurve.errors import (
+    DependentNormals,
+    MarginViolated,
+    MonotonicityViolated,
+    NotCommonZero,
+)
 from heisencurve.flowtrace import TraceParams
 from heisencurve.hgroup import ORIGIN, Point, dist, inv, make_frame, mul
 from heisencurve.hsurface import GraphPatch, PolySurface, SurfaceHandle
@@ -216,6 +221,116 @@ class TestIntersectSurfaces:
         trace = TraceParams(depth=6)
         c2 = intersect_surfaces(IntersectionProblem(F_X11_T, F_X12, trace=trace))
         assert polyline_hausdorff(curve_b.points, c2.points) <= 2.0 * trace.step
+
+
+def _ref_monotone_root(F, path, root_tol):
+    """Reference only: monotone_root with its node values taken float by float."""
+    etas = path.etas.tolist()
+    vals = np.array([F(e, t) for e, t in zip(etas, path.values.tolist())])
+    d = np.diff(vals)
+    tol = 1e-9 * (float(np.max(vals) - np.min(vals)) + 1e-30)
+    if np.any(d > tol) and np.any(d < -tol):
+        raise MonotonicityViolated("sampled increments change sign")
+    sign = 1.0 if vals[-1] >= vals[0] else -1.0
+    g = sign * vals
+    hits = np.nonzero(np.abs(vals) <= root_tol)[0]
+    if len(hits):
+        return (etas[hits[0]], float(path.values[hits[0]])), vals
+    cross = np.nonzero((g[:-1] < 0.0) & (g[1:] > 0.0))[0]
+    if not len(cross):
+        return None, vals
+    i = int(cross[0])
+    a, b, ga = etas[i], etas[i + 1], g[i]
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        gm = sign * F(m, path.tau_at(m))
+        if abs(gm) <= root_tol or b - a < 1e-14:
+            return (m, path.tau_at(m)), vals
+        if ga * gm < 0.0:
+            b = m
+        else:
+            a, ga = m, gm
+    m = 0.5 * (a + b)
+    return (m, path.tau_at(m)), vals
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MonotonicityViolated as e:
+        return e
+
+
+PAIRS = bench_module("pairs")
+
+
+def cubic_problem(seed, k, depth):
+    """The benchmark's seeded cubic pair (seed, k), as a problem at depth."""
+    pair = PAIRS.draw_pair(seed, k)
+    f1, f2 = (SurfaceHandle.from_polynomial(PolySurface(pair[f])) for f in ("f1", "f2"))
+    return IntersectionProblem(f1, f2, p=Point(*pair["p"]), window_half=PAIRS.WINDOW,
+                               bracket=PAIRS.BRACKET, trace=TraceParams(depth=depth))
+
+
+STEEP = SurfaceHandle.from_polynomial(PolySurface({(1, 0, 0): 1.0, (2, 0, 0): 1e20}))
+
+
+class TestHarvest:
+    @pytest.mark.parametrize("problem", [
+        problem_a(trace=TraceParams(depth=3)),
+        problem_b(trace=TraceParams(depth=3)),
+        cubic_problem(1, 0, 2),
+        cubic_problem(2, 3, 2),
+        IntersectionProblem(STEEP, F_X12, trace=TraceParams(depth=2)),
+    ], ids=["A", "B", "cubic-1-0", "cubic-2-3", "steep"])
+    def test_roots_match_the_float_loop(self, problem, monkeypatch):
+        # each member's node pass is one array call of F; its node signs agree
+        # exactly with F taken float by float, and so do the roots to rounding
+        members = []
+        root = flowtrace.monotone_root
+
+        def both(F, path, root_tol):
+            got = _outcome(root, F, path, root_tol)
+            members.append((got, _outcome(_ref_monotone_root, F, path, root_tol)))
+            if isinstance(got, Exception):
+                raise got
+            return got
+
+        monkeypatch.setattr(flowtrace, "monotone_root", both)
+        if problem.f1 is STEEP:
+            with pytest.raises(MonotonicityViolated):
+                intersect_surfaces(problem)
+        else:
+            intersect_surfaces(problem)
+            assert len(members) == 2 * (2**problem.trace.depth + 1)
+            assert any(got[0] is not None for got, _ in members)
+        for got, ref in members:
+            if isinstance(ref, Exception):
+                assert isinstance(got, MonotonicityViolated)
+                continue
+            (root_got, vals), (root_ref, vals_ref) = got, ref
+            assert np.array_equal(np.sign(vals), np.sign(vals_ref))
+            assert np.array_equal(np.sign(np.diff(vals)), np.sign(np.diff(vals_ref)))
+            assert (root_got is None) == (root_ref is None)
+            if root_got is not None:
+                assert all(type(x) is float for x in root_got)
+                assert max(abs(x - y) for x, y in zip(root_got, root_ref)) <= 1e-15
+
+    @pytest.mark.parametrize("problem", [problem_a, problem_b])
+    def test_families_share_raw_solutions(self, problem, monkeypatch):
+        # the characteristic field has a finite tau-slope bound, so tau_hat is
+        # tau_bar, and the upper family's first candidate is the lower's last
+        # one, marched once
+        calls = [0]
+        integrate = flowtrace.integrate_through
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(flowtrace, "integrate_through", counting)
+        intersect_surfaces(problem(trace=TraceParams(depth=2)))
+        assert calls[0] == 12
 
 
 class TestZeroCloud:

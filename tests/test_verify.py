@@ -1,28 +1,11 @@
 """The verification suites at interactive scale, as the benchmark runs them."""
 
-import importlib
-import sys
-from pathlib import Path
-
 import pytest
+from conftest import bench_module
 
 from heisencurve import verify
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def _bench_verify():
-    """bench/workloads.py's Verify workload, imported without writing under bench/."""
-    path, bytecode = list(sys.path), sys.dont_write_bytecode
-    sys.path.insert(0, str(BENCH))
-    sys.dont_write_bytecode = True
-    try:
-        return importlib.import_module("workloads").Verify
-    finally:
-        sys.path[:], sys.dont_write_bytecode = path, bytecode
-
-
-BENCH_VERIFY = _bench_verify()
+BENCH_VERIFY = bench_module("workloads").Verify
 
 
 @pytest.mark.parametrize("name", BENCH_VERIFY.SUITES)
