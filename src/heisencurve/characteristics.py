@@ -19,7 +19,7 @@ import numpy as np
 
 from .flowtrace import PathSample, Rect, integrate_through, _anchored_grid, _clamped
 from .hgroup import Point, VerticalCoords, hnorm
-from .hsurface import GraphPatch, SurfaceHandle, y_derivatives
+from .hsurface import GraphPatch, PolySurface, y_derivatives
 
 __all__ = [
     "CharField",
@@ -119,14 +119,14 @@ def system_residual(cf: CharField, path: PathSample) -> float:
     return worst
 
 
-def _pair_determinant(f1: SurfaceHandle, cf: CharField, x: tuple) -> tuple[float, float]:
+def _pair_determinant(f1: PolySurface, cf: CharField, x: tuple) -> tuple[float, float]:
     """det([[Y1 f1, Y2 f1], [Y1 f2, Y2 f2]]) and Y1 f2 at the coordinates x."""
     y11, y21 = y_derivatives(f1, x, cf.patch.frame)
     y12, y22 = y_derivatives(cf.patch.f2, x, cf.patch.frame)
     return y11 * y22 - y21 * y12, y12
 
 
-def chain_rule_rhs(f1: SurfaceHandle, cf: CharField, eta: float,
+def chain_rule_rhs(f1: PolySurface, cf: CharField, eta: float,
                    path: PathSample) -> float:
     """The derivative of f1 o Phi2 along the characteristic at eta.
 
@@ -156,7 +156,7 @@ class SweepReport:
             ]
 
 
-def chain_rule_check(f1: SurfaceHandle, cf: CharField, path: PathSample,
+def chain_rule_check(f1: PolySurface, cf: CharField, path: PathSample,
                      h_sweep=(1e-2, 1e-3, 1e-4)) -> SweepReport:
     """Centered differences of f1 o Phi2 along the path vs the closed form.
 
@@ -218,7 +218,7 @@ class TaylorBasePoint:
         return cls(n_bar=n_bar, x_bar=Point(*coords), eta1_bar=eta1, tau_bar=coords[2])
 
 
-def taylor_remainder(f1: SurfaceHandle, cf: CharField, base: TaylorBasePoint,
+def taylor_remainder(f1: PolySurface, cf: CharField, base: TaylorBasePoint,
                      n: VerticalCoords) -> tuple[float, float]:
     """Expansion remainder at n and the homogeneous scale it is measured on.
 
@@ -241,7 +241,7 @@ def taylor_remainder(f1: SurfaceHandle, cf: CharField, base: TaylorBasePoint,
     return remainder, scale
 
 
-def directional_derivative_check(f1: SurfaceHandle, cf: CharField,
+def directional_derivative_check(f1: PolySurface, cf: CharField,
                                  base: TaylorBasePoint,
                                  h_sweep=(1e-2, 1e-3, 1e-4)) -> SweepReport:
     """Difference quotients along the sheared direction vs the determinant formula.

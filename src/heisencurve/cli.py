@@ -28,7 +28,7 @@ from .errors import (
 )
 from .flowtrace import TraceParams
 from .hgroup import Point
-from .hsurface import PolySurface, SurfaceHandle
+from .hsurface import PolySurface
 from .intersect import IntersectionProblem, graph_field, intersect_surfaces
 from .verify import INTERACTIVE
 
@@ -75,20 +75,9 @@ class RunConfig:
     out: str | None = None
     suite: str | None = None
 
-    def handles(self, count: int) -> list[SurfaceHandle]:
-        """The first count surfaces as handles; a coefficient of a surface or of
-        its horizontal gradient that overflows is a ConfigError."""
-        out = []
-        for i, p in enumerate(self.surfaces[:count]):
-            try:
-                out.append(SurfaceHandle.from_polynomial(p))
-            except OverflowError as e:
-                _fail(f"surfaces[{i}]", str(e))
-        return out
-
     def problem(self) -> IntersectionProblem:
         """surfaces[0] is f1, whose zero set is traced; surfaces[1] is f2, the graph."""
-        f1, f2 = self.handles(2)
+        f1, f2 = self.surfaces[:2]
         return IntersectionProblem(
             f1, f2, p=self.base_point, window_half=self.window, bracket=self.bracket,
             trace=TraceParams(step=self.step, depth=self.depth, root_tol=self.tolerance))
@@ -143,6 +132,8 @@ _KEYS = {
 
 
 def _parse_surface(spec, path: str) -> PolySurface:
+    """The surface of spec, its horizontal gradient derived; a coefficient of
+    either that overflows is a ConfigError."""
     if not isinstance(spec, list) or not spec:
         _fail(path, "expected a nonempty list of [i, j, k, coefficient] quadruples")
     for row_idx, row in enumerate(spec):
@@ -150,9 +141,11 @@ def _parse_surface(spec, path: str) -> PolySurface:
             _fail(f"{path}[{row_idx}]",
                   "expected an [i, j, k, coefficient] quadruple of finite numbers")
     try:
-        return PolySurface.from_quadruples(spec)
-    except ValueError as e:
+        surface = PolySurface.from_quadruples(spec)
+        surface.grad_poly
+    except (ValueError, OverflowError) as e:
         _fail(path, str(e))
+    return surface
 
 
 def _check_against_window(cfg: RunConfig, tau0_given: bool) -> None:
@@ -244,7 +237,7 @@ def _run_intersect(cfg: RunConfig, out: str) -> None:
 
 
 def _run_characteristics(cfg: RunConfig, out: str) -> None:
-    cf = graph_field(cfg.handles(1)[0], cfg.base_point, cfg.window, cfg.bracket)
+    cf = graph_field(cfg.surfaces[0], cfg.base_point, cfg.window, cfg.bracket)
     rows = []
     for tau0 in cfg.tau0:
         path = characteristic(cf, tau0, step=cfg.step)

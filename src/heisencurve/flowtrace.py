@@ -238,23 +238,6 @@ def _anchored_grid(eta_a: float, window: Rect, step: float) -> tuple[float, floa
     return (eta_a - n_l * step, step, n_l + n_r + 1)
 
 
-def _aitken(seq: list[np.ndarray]) -> np.ndarray:
-    """Pointwise Aitken delta-squared of the last three iterates, safeguarded."""
-    if len(seq) < 3:
-        return seq[-1]
-    x0, x1, x2 = seq[-3], seq[-2], seq[-1]
-    d1 = x1 - x0
-    d2 = x2 - x1
-    denom = d2 - d1
-    safe = np.abs(denom) > 1e-14 * (1.0 + np.abs(x2))
-    out = x2.copy()
-    accel = x2 - np.where(safe, d2**2 / np.where(safe, denom, 1.0), 0.0)
-    # accept acceleration only where it stays on the monotone side
-    good = safe & (np.sign(d2) * (accel - x2) >= -np.abs(d2))
-    out[good] = accel[good]
-    return out
-
-
 def extremal_solutions(h, eta_a: float, tau_a: float, window: Rect, step: float,
                        tau_lipschitz: float | None = None):
     """Approximate minimal and maximal solutions through (eta_a, tau_a).
@@ -270,9 +253,10 @@ def extremal_solutions(h, eta_a: float, tau_a: float, window: Rect, step: float,
     (minimal side) or +eps (maximal side); the shifted problems bound the
     extremal solutions from below/above and converge to them as eps -> 0.
     Marching against the eta direction flips the field shift so that the
-    bound keeps its side.  The EPS_SEQUENCE paths are extrapolated
-    pointwise; the convergence gaps are reported in the returned diagnostics
-    dict.  diagnostics["tau_lipschitz"] is the finite bound used, or None.
+    bound keeps its side.  Each side returns the path of its smallest kept
+    eps, clipped to the natural march; the convergence gaps between
+    successive kept paths are reported in the returned diagnostics dict.
+    diagnostics["tau_lipschitz"] is the finite bound used, or None.
     """
     grid = _anchored_grid(eta_a, window, step)
     eta0, step_g, n = grid
@@ -297,7 +281,7 @@ def extremal_solutions(h, eta_a: float, tau_a: float, window: Rect, step: float,
 
     # A shifted path that crosses the natural trajectory on the wrong side has
     # gone unstable (the shift is too small for the step near a degenerate
-    # zero of the field); such eps values are dropped, not extrapolated.
+    # zero of the field); such eps values are dropped.
     wrong_side_tol = 1e-3 * (1.0 + float(np.max(np.abs(natural))))
     diagnostics = {"eps": EPS_SEQUENCE, "gap_min": [], "gap_max": [],
                    "dropped_min": [], "dropped_max": []}
@@ -317,19 +301,15 @@ def extremal_solutions(h, eta_a: float, tau_a: float, window: Rect, step: float,
             if highs:
                 diagnostics["gap_max"].append(float(np.max(np.abs(high - highs[-1]))))
             highs.append(high)
-    lo = _aitken(lows) if lows else natural.copy()
-    hi = _aitken(highs) if highs else natural.copy()
-    lo = np.minimum(lo, natural)
-    hi = np.maximum(hi, natural)
+    lo = np.minimum(lows[-1], natural) if lows else natural.copy()
+    hi = np.maximum(highs[-1], natural) if highs else natural.copy()
     gaps = diagnostics["gap_min"] + diagnostics["gap_max"]
     diagnostics["converged"] = bool(
         (not gaps or gaps[-1] <= max(gaps[0], 1e-12))
         and not diagnostics["dropped_min"] and not diagnostics["dropped_max"]
     )
     diagnostics["tau_lipschitz"] = None
-    min_path = PathSample(eta0, step_g, np.minimum(lo, hi))
-    max_path = PathSample(eta0, step_g, np.maximum(lo, hi))
-    return min_path, max_path, diagnostics
+    return PathSample(eta0, step_g, lo), PathSample(eta0, step_g, hi), diagnostics
 
 
 # ---------------------------------------------------------------------------

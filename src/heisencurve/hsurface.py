@@ -25,8 +25,9 @@ loop, computing the line coordinates and f2 and Y1 f2 there inline.  It
 rounds exactly like line_coords followed by the compiled evaluators,
 through which everything else (the array solve, bisection, the margin
 certificate, y_derivatives) evaluates f2 at coordinates, floats or numpy
-arrays.  Left translation of a polynomial is again a polynomial, so a
-translated handle is one more polynomial handle.
+arrays.  A surface is its PolySurface, with its exact horizontal gradient
+derived on first use; left translation of a polynomial is again a
+polynomial, so a translated surface is one more PolySurface.
 
 For a polynomial f2 the graph function is C^1 (implicit function theorem),
 and each patch bounds its slope in tau once (GraphPatch.tau_lipschitz), so
@@ -47,7 +48,6 @@ from .hgroup import Frame, Point
 
 __all__ = [
     "PolySurface",
-    "SurfaceHandle",
     "GraphPatch",
     "horiz_grad_poly",
     "y_derivatives",
@@ -79,7 +79,9 @@ class PolySurface:
     """Trivariate polynomial p(x11, x12, t) = sum c_ijk x11^i x12^j t^k.
 
     coefficients maps exponent triples (i, j, k) to reals; zero entries are
-    dropped.  The surface is the zero set of p.
+    dropped.  The surface is the zero set of p.  value_at and grad_at
+    evaluate p and its horizontal gradient grad_poly at coordinates
+    (x11, x12, t), floats or numpy arrays; p(x) evaluates at a Point.
     """
 
     coefficients: dict[tuple[int, int, int], float] = field(default_factory=dict)
@@ -123,6 +125,42 @@ class PolySurface:
         broadcasts against them (a term free of an argument lacks its axes).
         """
         return _compile(self.coefficients)
+
+    @cached_property
+    def grad_poly(self) -> tuple["PolySurface", "PolySurface"]:
+        """The horizontal gradient (X1 p, X2 p), exact algebra (horiz_grad_poly).
+
+        It is derived on first use; a coefficient of p or of its gradient that
+        overflowed (is not finite) raises OverflowError.
+        """
+        grad_poly = horiz_grad_poly(self)
+        for name, q in zip(("f", "X1 f", "X2 f"), (self, *grad_poly)):
+            bad = [key for key, c in q.coefficients.items() if not math.isfinite(c)]
+            if bad:
+                raise OverflowError(f"the coefficient of {bad[0]} in {name} overflows")
+        return grad_poly
+
+    def grad_at(self, x11: float, x12: float, t: float) -> tuple[float, float]:
+        x1f, x2f = self.grad_poly
+        return (x1f.value_at(x11, x12, t), x2f.value_at(x11, x12, t))
+
+    def along_line(self, line, bracket) -> Callable:
+        """Newton's method for f = 0 on the graph line, as one compiled kernel.
+
+        line is (b1x, b1y, b2x, b2y, detC) and the point is n * (s b1) for
+        n = (eta, tau).  newton(eta, tau, s) runs Newton's method on
+        s -> f(n * (s b1)) from s within bracket (_newton_lines), with the
+        slope Y1 f = b1 . (X1 f, X2 f), and returns the root or None.  It is
+        straight-line code that computes the line coordinates, f and Y1 f
+        inline, Y1 f sharing the powers of f; it rounds exactly like
+        line_coords followed by value_at and grad_at.
+        """
+        consts = {**_newton_consts(bracket), **_line_consts(line)}
+        bound: set = set()
+        evaluate = [*_LINE, *_sum_block({"f": self.coefficients}, consts, bound)]
+        slopes = dict(zip(("g1", "g2"), (q.coefficients for q in self.grad_poly)))
+        slope = [*_sum_block(slopes, consts, bound), "y1 = g1 * b1x + g2 * b1y"]
+        return _compile_kernel("newton", "eta, tau, s", _newton_lines(evaluate, slope), consts)
 
     def translated(self, p: Point) -> "PolySurface":
         """The polynomial x -> self(p * x), by substituting the coordinates of p * x.
@@ -360,67 +398,17 @@ def horiz_grad_poly(p: PolySurface) -> tuple[PolySurface, PolySurface]:
     return x1p, x2p
 
 
-# ---------------------------------------------------------------------------
-# Surface handles
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
 class SurfaceHandle:
-    """A polynomial surface f with its horizontal gradient (X1 f, X2 f).
+    """Only from_polynomial, for bench/workloads.py: a surface is its PolySurface."""
 
-    The gradient grad_poly is exact algebra (horiz_grad_poly), derived once
-    here; a coefficient of f or of its gradient that overflowed (is not
-    finite) raises OverflowError.  value_at and grad_at evaluate at
-    coordinates (x11, x12, t), floats or numpy arrays, through the compiled
-    PolySurface.value_at; poly(x) evaluates at a Point.
-    """
-
-    poly: PolySurface
-    grad_poly: tuple[PolySurface, PolySurface] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        grad_poly = horiz_grad_poly(self.poly)
-        for name, q in zip(("f", "X1 f", "X2 f"), (self.poly, *grad_poly)):
-            bad = [key for key, c in q.coefficients.items() if not math.isfinite(c)]
-            if bad:
-                raise OverflowError(f"the coefficient of {bad[0]} in {name} overflows")
-        object.__setattr__(self, "grad_poly", grad_poly)
-
-    @classmethod
-    def from_polynomial(cls, p: PolySurface) -> "SurfaceHandle":
-        return cls(p)
-
-    def value_at(self, x11: float, x12: float, t: float) -> float:
-        return self.poly.value_at(x11, x12, t)
-
-    def grad_at(self, x11: float, x12: float, t: float) -> tuple[float, float]:
-        x1f, x2f = self.grad_poly
-        return (x1f.value_at(x11, x12, t), x2f.value_at(x11, x12, t))
-
-    def along_line(self, line, bracket) -> Callable:
-        """Newton's method for f = 0 on the graph line, as one compiled kernel.
-
-        line is (b1x, b1y, b2x, b2y, detC) and the point is n * (s b1) for
-        n = (eta, tau).  newton(eta, tau, s) runs Newton's method on
-        s -> f(n * (s b1)) from s within bracket (_newton_lines), with the
-        slope Y1 f = b1 . (X1 f, X2 f), and returns the root or None.  It is
-        straight-line code that computes the line coordinates, f and Y1 f
-        inline, Y1 f sharing the powers of f; it rounds exactly like
-        line_coords followed by value_at and grad_at.
-        """
-        consts = {**_newton_consts(bracket), **_line_consts(line)}
-        bound: set = set()
-        evaluate = [*_LINE, *_sum_block({"f": self.poly.coefficients}, consts, bound)]
-        slopes = dict(zip(("g1", "g2"), (q.coefficients for q in self.grad_poly)))
-        slope = [*_sum_block(slopes, consts, bound), "y1 = g1 * b1x + g2 * b1y"]
-        return _compile_kernel("newton", "eta, tau, s", _newton_lines(evaluate, slope), consts)
-
-    def translated(self, p: Point) -> "SurfaceHandle":
-        """The handle of x -> f(p * x): the substituted polynomial, with its exact gradient."""
-        return SurfaceHandle(self.poly.translated(p))
+    @staticmethod
+    def from_polynomial(p: PolySurface) -> PolySurface:
+        """p itself, its gradient derived (p.grad_poly raises its OverflowError)."""
+        p.grad_poly
+        return p
 
 
-def y_derivatives(f: SurfaceHandle, x: tuple, fr: Frame) -> tuple[float, float]:
+def y_derivatives(f: PolySurface, x: tuple, fr: Frame) -> tuple[float, float]:
     """(Y1 f, Y2 f) along the frame's b1, b2 at x = (x11, x12, t), floats or arrays."""
     g1, g2 = f.grad_at(*x)
     return (
@@ -462,12 +450,12 @@ class GraphPatch:
     Parameters
     ----------
     frame    : Frame with b1 the graph direction.
-    f2       : SurfaceHandle of the defining function (the graph is f2 = 0).
+    f2       : PolySurface of the defining function (the graph is f2 = 0).
     window   : ((eta_min, eta_max), (tau_min, tau_max)) in N-coordinates.
     bracket  : (s_min, s_max) allowed range of the graph coordinate.
     """
 
-    def __init__(self, frame: Frame, f2: SurfaceHandle,
+    def __init__(self, frame: Frame, f2: PolySurface,
                  window=((-0.5, 0.5), (-0.5, 0.5)),
                  bracket=(-2.0, 2.0)):
         self.frame = frame
@@ -514,7 +502,7 @@ class GraphPatch:
         # at the largest |eta|, |tau|, |s|
         reach = _compile_line((*map(abs, line[:4]), -abs(line[4])))(
             *(max(map(abs, r)) for r in (*self.window, self.bracket)))
-        return self.f2.poly.partial(2).termwise_bound([(0.0, r) for r in reach]) / MARGIN
+        return self.f2.partial(2).termwise_bound([(0.0, r) for r in reach]) / MARGIN
 
     # -- graph solves ----------------------------------------------------------
 

@@ -27,7 +27,7 @@ from .hgroup import (
     make_frame,
     mul,
 )
-from .hsurface import GraphPatch, SurfaceHandle
+from .hsurface import GraphPatch, PolySurface
 
 __all__ = [
     "IntersectionProblem",
@@ -64,8 +64,8 @@ EPS = float(np.finfo(float).eps)
 class IntersectionProblem:
     """Two surfaces, a common zero, and the numeric knobs of the pipeline."""
 
-    f1: SurfaceHandle
-    f2: SurfaceHandle
+    f1: PolySurface
+    f2: PolySurface
     p: Point = ORIGIN
     window_half: float = 0.5
     bracket: tuple[float, float] = (-2.0, 2.0)
@@ -111,10 +111,13 @@ def _at_base(fn, x: tuple, what: str, error: type[Exception]):
     return v
 
 
-def _translated(f: SurfaceHandle, p: Point, name: str) -> SurfaceHandle:
-    """f.translated(p), raising NotCommonZero when a coefficient overflows."""
+def _translated(f: PolySurface, p: Point, name: str) -> PolySurface:
+    """f.translated(p) with its gradient derived, raising NotCommonZero when a
+    coefficient of either overflows."""
     try:
-        return f.translated(p)
+        ft = f.translated(p)
+        ft.grad_poly
+        return ft
     except OverflowError:
         raise NotCommonZero(f"{name} overflows when translated to the base point") from None
 
@@ -145,7 +148,7 @@ class ConeParams:
             raise ValueError("cone opening and width must be positive")
 
 
-def choose_frame(f2: SurfaceHandle, p: Point) -> Frame:
+def choose_frame(f2: PolySurface, p: Point) -> Frame:
     """Frame with b1 along the horizontal gradient of f2 at p.
 
     This maximizes the graph-direction derivative Y1 f2(p) = |grad_H f2(p)|,
@@ -159,7 +162,7 @@ def choose_frame(f2: SurfaceHandle, p: Point) -> Frame:
     return make_frame((g[0] / n, g[1] / n))
 
 
-def graph_field(f2: SurfaceHandle, p: Point, window_half: float,
+def graph_field(f2: PolySurface, p: Point, window_half: float,
                 bracket: tuple[float, float]) -> CharField:
     """The characteristic field of the intrinsic graph of f2 around p.
 
@@ -240,7 +243,7 @@ def _axes(box, grid_n):
     return [np.linspace(lo, hi, grid_n) for lo, hi in box]
 
 
-def brute_force_zero_cloud(f1: SurfaceHandle, f2: SurfaceHandle, box,
+def brute_force_zero_cloud(f1: PolySurface, f2: PolySurface, box,
                            grid_n: int) -> list[Point]:
     """All grid points of the box with |f1| + |f2| < eps, in the grid's C order.
 
@@ -254,7 +257,7 @@ def brute_force_zero_cloud(f1: SurfaceHandle, f2: SurfaceHandle, box,
 
         total(c) - (G1 + G2) r > eps + allowance,
 
-    where Gi = fi.poly.max_euclidean_gradient(box) bounds |grad fi| over the
+    where Gi = fi.max_euclidean_gradient(box) bounds |grad fi| over the
     box and r is the distance from c to the cube's farthest corner.  This is
     sound because the cube is convex and lies in the box: the segment from c
     to any grid point p of the cube stays in it, the gradient bounds hold
@@ -278,16 +281,16 @@ def brute_force_zero_cloud(f1: SurfaceHandle, f2: SurfaceHandle, box,
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2 per axis")
-    polys = (f1.poly, f2.poly)
+    pair = (f1, f2)
     xs, ys, ts = axes = _axes(box, grid_n)
     spacing = max((hi - lo) / (grid_n - 1) for lo, hi in box)
-    g1, g2 = (p.max_euclidean_gradient(box) for p in polys)
+    g1, g2 = (f.max_euclidean_gradient(box) for f in pair)
     eps = 2.0 * spacing * max(0.0, g1, g2)
-    m1, m2 = (p.termwise_bound(box) for p in polys)
+    m1, m2 = (f.termwise_bound(box) for f in pair)
     (ix, vx, cx, hx), (iy, vy, cy, hy), (it, vt, ct, ht) = map(_cubes, axes)
     r = np.sqrt(hx[:, None, None] ** 2 + hy[None, :, None] ** 2 + ht[None, None, :] ** 2)
     spread = (g1 + g2) * r
-    terms = sum(len(p.coefficients) for p in polys)
+    terms = sum(len(f.coefficients) for f in pair)
     allowance = 8.0 * (terms + 8) * EPS * (m1 + m2 + spread)
     centre = _zero_total(f1, f2, cx[:, None, None], cy[None, :, None], ct[None, None, :])
     kept = np.argwhere(~_excluded(centre, spread, eps, allowance))
@@ -305,7 +308,7 @@ def brute_force_zero_cloud(f1: SurfaceHandle, f2: SurfaceHandle, box,
     return [Point(float(xs[a]), float(ys[b]), float(ts[c])) for a, b, c in zip(i, j, k)]
 
 
-def _zero_total(f1: SurfaceHandle, f2: SurfaceHandle, X, Y, T) -> np.ndarray:
+def _zero_total(f1: PolySurface, f2: PolySurface, X, Y, T) -> np.ndarray:
     """|f1| + |f2| on the broadcast coordinate arrays X, Y, T."""
     return np.abs(f1.value_at(X, Y, T)) + np.abs(f2.value_at(X, Y, T))
 
@@ -482,15 +485,15 @@ def gradient_margin(pair, box, grid_n: int = 5) -> float:
     return float(np.linalg.svd(matrices, compute_uv=False)[:, -1].min())
 
 
-def pair_lipschitz_bound(handles, box) -> float:
+def pair_lipschitz_bound(pair, box) -> float:
     """Crude Lipschitz bound for the horizontal gradients over the box.
 
     Combines the term-wise bounds on the Euclidean gradient of each symbolic
     gradient component.
     """
     worst = 0.0
-    for h in handles:
-        g1, g2 = h.grad_poly
+    for f in pair:
+        g1, g2 = f.grad_poly
         worst = max(
             worst,
             math.hypot(g1.max_euclidean_gradient(box), g2.max_euclidean_gradient(box)),

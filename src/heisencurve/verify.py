@@ -52,7 +52,7 @@ from .hgroup import (
     project_H,
     project_N,
 )
-from .hsurface import GraphPatch, PolySurface, SurfaceHandle
+from .hsurface import GraphPatch, PolySurface
 from .intersect import (
     ConeParams,
     IntersectionProblem,
@@ -163,14 +163,13 @@ def suite_group(scale: Scale) -> list[dict]:
         embed = max(embed, abs(w.eta - v.eta), abs(w.tau - v.tau))
     fields = 0.0
     poly = PolySurface({(2, 1, 0): 0.7, (0, 1, 1): -1.2, (1, 0, 2): 0.4})
-    handle = SurfaceHandle.from_polynomial(poly)
     for x in xs[:50]:
         q = Point(x.x11 / 10.0, x.x12 / 10.0, x.t / 10.0)
-        g1, g2 = handle.grad_at(q.x11, q.x12, q.t)
+        g1, g2 = poly.grad_at(q.x11, q.x12, q.t)
         fields = max(
             fields,
-            abs(g1 - horizontal_derivative(handle.poly, q, (1.0, 0.0), 1e-5)),
-            abs(g2 - horizontal_derivative(handle.poly, q, (0.0, 1.0), 1e-5)),
+            abs(g1 - horizontal_derivative(poly, q, (1.0, 0.0), 1e-5)),
+            abs(g2 - horizontal_derivative(poly, q, (0.0, 1.0), 1e-5)),
         )
     return [
         _check("associativity", assoc, 1e-12),
@@ -187,8 +186,8 @@ def suite_group(scale: Scale) -> list[dict]:
 
 
 def _patches():
-    flat = GraphPatch(make_frame((0.0, 1.0)), SurfaceHandle.from_polynomial(POLY_X12))
-    affine = GraphPatch(make_frame((1.0, 0.0)), SurfaceHandle.from_polynomial(POLY_AFFINE))
+    flat = GraphPatch(make_frame((0.0, 1.0)), POLY_X12)
+    affine = GraphPatch(make_frame((1.0, 0.0)), POLY_AFFINE)
     return flat, affine
 
 
@@ -208,10 +207,10 @@ def suite_graph(scale: Scale) -> list[dict]:
         q = Point(*affine.line_coords(eta, tau, affine.solve_scalar((eta, tau))))
         back = coords_N(project_N(q, affine.frame), affine.frame)
         section = max(section, abs(back.eta - eta), abs(back.tau - tau))
-    handle = SurfaceHandle.from_polynomial(PolySurface({(3, 0, 0): 1.0, (0, 2, 1): -1.0}))
+    poly = PolySurface({(3, 0, 0): 1.0, (0, 2, 1): -1.0})
     x = Point(0.4, -0.3, 0.2)
-    g1 = handle.grad_at(x.x11, x.x12, x.t)[0]
-    errs = [abs(horizontal_derivative(handle.poly, x, (1.0, 0.0), h) - g1)
+    g1 = poly.grad_at(x.x11, x.x12, x.t)[0]
+    errs = [abs(horizontal_derivative(poly, x, (1.0, 0.0), h) - g1)
             for h in (1e-2, 5e-3, 2.5e-3)]
     order = min(math.log2(errs[i] / errs[i + 1]) for i in range(2))
     return [
@@ -255,20 +254,18 @@ def suite_calculus(scale: Scale) -> list[dict]:
     _, affine = _patches()
     cf = CharField(affine)
     window = Rect((0.0, 0.5), (-0.5, 0.5))
-    f1 = SurfaceHandle.from_polynomial(POLY_X12)
     path = characteristic(cf, 0.2, window=window, step=1e-3)
-    rep = chain_rule_check(f1, cf, path, h_sweep=(1e-2, 1e-3, 1e-4))
-    exact = max(abs(chain_rule_rhs(f1, cf, eta, path) - 1.0) for eta in (0.1, 0.3))
+    rep = chain_rule_check(POLY_X12, cf, path, h_sweep=(1e-2, 1e-3, 1e-4))
+    exact = max(abs(chain_rule_rhs(POLY_X12, cf, eta, path) - 1.0) for eta in (0.1, 0.3))
     rand_poly = PolySurface({
         (0, 1, 0): 1.0,
         (2, 0, 0): float(rng.uniform(0.2, 0.6)),
         (0, 0, 1): float(rng.uniform(-0.5, -0.1)),
         (1, 1, 0): float(rng.uniform(0.1, 0.4)),
     })
-    rep_rand = chain_rule_check(SurfaceHandle.from_polynomial(rand_poly),
-                                cf, path, h_sweep=(1e-2, 5e-3, 2.5e-3))
+    rep_rand = chain_rule_check(rand_poly, cf, path, h_sweep=(1e-2, 5e-3, 2.5e-3))
     base = TaylorBasePoint.from_patch(affine, VerticalCoords(0.0, 0.0))
-    quad = SurfaceHandle.from_polynomial(PolySurface({(0, 1, 0): 1.0, (2, 0, 0): 1.0}))
+    quad = PolySurface({(0, 1, 0): 1.0, (2, 0, 0): 1.0})
     ratios = []
     for k in range(2, 9):
         r = 2.0**-k
@@ -327,16 +324,14 @@ def suite_flow(scale: Scale) -> list[dict]:
 
 
 def suite_intersect(scale: Scale) -> list[dict]:
-    f_x11, f_x12, f_affine = (SurfaceHandle.from_polynomial(p)
-                              for p in (POLY_X11, POLY_X12, POLY_AFFINE))
     box = ((-0.2, 0.2), (-0.2, 0.2), (-0.2, 0.2))
     spacing = 0.4 / (scale.grid_n - 1)
     checks = []
     worst_violations = 0
     for tag, pair, line_dist in (
-        ("A", (f_x11, f_x12),
+        ("A", (POLY_X11, POLY_X12),
          lambda q: math.hypot(q.x11, q.x12)),
-        ("B", (f_x12, f_affine),
+        ("B", (POLY_X12, POLY_AFFINE),
          lambda q: dist(q, Point(-q.t / (1.0 - q.x12), 0.0, q.t / (1.0 - q.x12)))),
     ):
         curve = intersect_surfaces(IntersectionProblem(*pair))

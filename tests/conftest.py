@@ -8,7 +8,7 @@ import pytest
 
 from heisencurve.characteristics import CharField
 from heisencurve.hgroup import Point, make_frame
-from heisencurve.hsurface import GraphPatch, PolySurface, SurfaceHandle
+from heisencurve.hsurface import GraphPatch, PolySurface
 
 POLY_X11 = PolySurface({(1, 0, 0): 1.0})
 POLY_X12 = PolySurface({(0, 1, 0): 1.0})
@@ -50,13 +50,12 @@ def solution_residual(path, h) -> float:
 
 def make_flat_patch():
     """f2 = x12, frame b1 = (0, 1): phi2hat vanishes identically."""
-    return GraphPatch(make_frame((0.0, 1.0)), SurfaceHandle.from_polynomial(POLY_X12))
+    return GraphPatch(make_frame((0.0, 1.0)), POLY_X12)
 
 
 def make_affine_patch():
     """f2 = x11 + t, identity frame: phi2hat(eta, tau) = -tau / (1 - eta)."""
-    return GraphPatch(make_frame((1.0, 0.0)),
-                      SurfaceHandle.from_polynomial(POLY_X11_PLUS_T))
+    return GraphPatch(make_frame((1.0, 0.0)), POLY_X11_PLUS_T)
 
 
 @pytest.fixture

@@ -19,15 +19,11 @@ from heisencurve.characteristics import (
 )
 from heisencurve.flowtrace import PathSample, Rect, integrate_through
 from heisencurve.hgroup import VerticalCoords, dist, make_frame
-from heisencurve.hsurface import WINDOW_SLACK, GraphPatch, PolySurface, SurfaceHandle
+from heisencurve.hsurface import WINDOW_SLACK, GraphPatch, PolySurface
 
 RIGHT_HALF = Rect((0.0, 0.5), (-0.5, 0.5))
 
-F1_X12 = SurfaceHandle.from_polynomial(POLY_X12)
-F1_X11 = SurfaceHandle.from_polynomial(POLY_X11)
-F1_QUAD = SurfaceHandle.from_polynomial(
-    PolySurface({(0, 1, 0): 1.0, (2, 0, 0): 1.0})  # x12 + x11^2
-)
+F1_QUAD = PolySurface({(0, 1, 0): 1.0, (2, 0, 0): 1.0})  # x12 + x11^2
 
 
 def sphere_samples(r, m=40):
@@ -90,8 +86,7 @@ class TestCharacteristic:
         # f2 = x11 + x12 + t: the characteristic through (0, 0.2) peaks near
         # tau = 0.2504, and at step 0.1 the Heun predictor before the peak
         # reaches tau = 0.2578, past a patch edge at 0.254 that every node stays below
-        f2 = SurfaceHandle.from_polynomial(
-            PolySurface({(1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 1): 1.0}))
+        f2 = PolySurface({(1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 1): 1.0})
         cf = CharField(GraphPatch(make_frame((1.0, 0.0)), f2,
                                   window=((-0.5, 0.5), (-0.5, 0.254))))
         p = characteristic(cf, 0.2, step=0.1)
@@ -156,7 +151,7 @@ class TestChainRule:
     def test_analytic_pair_constant_one(self, affine_field):
         p = characteristic(affine_field, 0.2, window=RIGHT_HALF, step=1e-3)
         for eta in (0.05, 0.2, 0.4):
-            assert abs(chain_rule_rhs(F1_X12, affine_field, eta, p) - 1.0) <= 1e-12
+            assert abs(chain_rule_rhs(POLY_X12, affine_field, eta, p) - 1.0) <= 1e-12
 
     def test_repeated_surface_vanishes(self, affine_field):
         f2 = affine_field.patch.f2
@@ -167,12 +162,12 @@ class TestChainRule:
     def test_swapped_coordinates_unit_value(self, flat_field):
         # f1 = x11 against the flat patch (frame b1 = (0,1), det C = 1)
         p = characteristic(flat_field, 0.0, step=5e-3)
-        val = chain_rule_rhs(F1_X11, flat_field, 0.1, p)
+        val = chain_rule_rhs(POLY_X11, flat_field, 0.1, p)
         assert abs(abs(val) - 1.0) <= 1e-12
 
     def test_finite_difference_analytic_pair(self, affine_field):
         p = characteristic(affine_field, 0.2, window=RIGHT_HALF, step=1e-3)
-        report = chain_rule_check(F1_X12, affine_field, p, h_sweep=(1e-4,))
+        report = chain_rule_check(POLY_X12, affine_field, p, h_sweep=(1e-4,))
         assert report.max_rel_errors[0] <= 1e-5
 
     def test_finite_difference_same_surface(self, affine_field):
@@ -189,7 +184,7 @@ class TestChainRule:
             (0, 0, 1): float(rng.uniform(-0.5, -0.1)),
             (1, 1, 0): float(rng.uniform(0.1, 0.4)),
         }
-        f1 = SurfaceHandle.from_polynomial(PolySurface(coeffs))
+        f1 = PolySurface(coeffs)
         p = characteristic(affine_field, 0.15, window=RIGHT_HALF, step=1e-3)
         report = chain_rule_check(f1, affine_field, p, h_sweep=(1e-2, 5e-3, 2.5e-3))
         assert min(report.observed_orders) >= 1.9
@@ -208,7 +203,7 @@ class TestTaylor:
         rng = np.random.default_rng(1)
         for _ in range(40):
             n = VerticalCoords(*rng.uniform(-0.4, 0.4, size=2))
-            rem, _ = taylor_remainder(F1_X12, affine_field, base, n)
+            rem, _ = taylor_remainder(POLY_X12, affine_field, base, n)
             assert abs(rem) <= 1e-10
 
     def test_quadratic_ratio_decreases(self, affine_field):
@@ -238,7 +233,7 @@ class TestTaylor:
 class TestDirectionalDerivative:
     def test_base_origin_unit_derivative(self, affine_field):
         base = TaylorBasePoint.from_patch(affine_field.patch, VerticalCoords(0.0, 0.0))
-        report = directional_derivative_check(F1_X12, affine_field, base, h_sweep=(1e-4,))
+        report = directional_derivative_check(POLY_X12, affine_field, base, h_sweep=(1e-4,))
         assert report.max_abs_errors[0] <= 1e-10
 
     def test_same_surface_zero(self, affine_field):

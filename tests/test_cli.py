@@ -301,6 +301,22 @@ class TestOtherCommands:
         assert "config error: surfaces[0]: the coefficient of (2, 0, 0) in X1 f overflows" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, surfaces, extra", [
+        ("characteristics", [SURF_X12, [[1, 0, 0, 1.0], [3, 0, 0, 1e308]]], {}),
+        ("verify", [SURF_X12, [[1, 0, 0, 1.0], [3, 0, 0, 1e308]]], {"suite": "group"}),
+    ])
+    def test_unused_gradient_overflow_exit_two(self, tmp_path, capsys, command, surfaces,
+                                               extra):
+        # the config check derives the gradient of every surface, including
+        # one the command does not use
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps({"command": command, "surfaces": surfaces, **extra}))
+        code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error: surfaces[1]: the coefficient of (2, 0, 0) in X1 f overflows" in err
+        assert not (tmp_path / "out").exists()
+
     def test_no_zero_exit_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(flowtrace, "monotone_root",
                             lambda F, path, root_tol: (None, None))

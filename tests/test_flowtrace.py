@@ -183,6 +183,13 @@ class TestExtremalSolutions:
         assert abs(lo.values[i] - 0.0) <= 1e-3
         assert abs(hi.values[i] - 0.5**3) <= 1e-3
 
+    def test_cubic_maximal_path_misses_less(self):
+        # the path of the smallest eps kept, clipped to the natural march,
+        # misses eta^3 by 4.0e-4; extrapolating the one-sided eps sequence
+        # pointwise (Aitken) misses it by more
+        _, hi, _ = extremal_solutions(cubic_field, 0.0, 0.0, Rect((0.0, 0.5)), 1e-3)
+        assert np.max(np.abs(hi.values - hi.etas**3)) < 4.5e-4
+
     def test_constant_field_line(self):
         lo, hi, _ = extremal_solutions(lambda e, t: 2.0, 0.0, 0.1, Rect((-0.5, 0.5)), 1e-3)
         exact = 0.1 + 2.0 * lo.etas

@@ -1,6 +1,5 @@
 """Polynomial surfaces, horizontal gradients, and the intrinsic graph solver."""
 
-import dataclasses
 import math
 from dataclasses import astuple
 
@@ -10,6 +9,7 @@ from conftest import graph_point
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import heisencurve
 from heisencurve import hsurface
 from heisencurve.errors import MarginViolated, NoSignChange
 from heisencurve.hgroup import (
@@ -24,7 +24,6 @@ from heisencurve.hgroup import (
 from heisencurve.hsurface import (
     GraphPatch,
     PolySurface,
-    SurfaceHandle,
     horiz_grad_poly,
     y_derivatives,
 )
@@ -139,12 +138,11 @@ class TestHorizontalGradient:
         # central differences of step 1e-5 along group curves, relative to
         # 1 + |grad_H f|, at five points spread over the unit box and beyond
         p = PolySurface({(2, 1, 0): 1.5, (0, 1, 1): -2.0, (1, 0, 2): 0.25})
-        handle = SurfaceHandle.from_polynomial(p)
         for x in (Point(0.0, 0.0, 0.0), Point(0.3, -0.2, 0.1), Point(-0.5, 0.4, -0.3),
                   Point(1.1, 0.7, 0.9), Point(-0.9, -1.3, 0.6)):
-            g1, g2 = handle.grad_at(*astuple(x))
-            d1 = horizontal_derivative(handle.poly, x, (1.0, 0.0), 1e-5)
-            d2 = horizontal_derivative(handle.poly, x, (0.0, 1.0), 1e-5)
+            g1, g2 = p.grad_at(*astuple(x))
+            d1 = horizontal_derivative(p, x, (1.0, 0.0), 1e-5)
+            d2 = horizontal_derivative(p, x, (0.0, 1.0), 1e-5)
             scale = 1.0 + abs(g1) + abs(g2)
             assert abs(g1 - d1) / scale <= 1e-6 and abs(g2 - d2) / scale <= 1e-6
 
@@ -152,23 +150,34 @@ class TestHorizontalGradient:
         # 1e308 x11^3 is finite, but X1 of it has the coefficient 3e308 = inf
         steep = PolySurface({(1, 0, 0): 1.0, (3, 0, 0): 1e308})
         with pytest.raises(OverflowError, match=r"\(2, 0, 0\) in X1 f overflows"):
-            SurfaceHandle.from_polynomial(steep)
+            steep.grad_poly
         # the translate's coefficients stay finite, its gradient's do not
         # (t + 1e154 x12)^2 has the x12^2 coefficient 1e308, X2 of it 2e308
-        square = SurfaceHandle.from_polynomial(PolySurface({(0, 0, 2): 1.0}))
+        square = PolySurface({(0, 0, 2): 1.0})
         with pytest.raises(OverflowError, match=r"\(0, 1, 0\) in X2 f overflows"):
-            square.translated(Point(1e154, 0.0, 0.0))
+            square.translated(Point(1e154, 0.0, 0.0)).grad_poly
+
+    def test_from_polynomial_shim_returns_the_surface(self):
+        # SurfaceHandle.from_polynomial survives for older callers only: it is
+        # the surface itself, its gradient derived, and no public name
+        p = PolySurface({(1, 0, 0): 1.0, (0, 0, 2): 0.5})
+        assert hsurface.SurfaceHandle.from_polynomial(p) is p
+        assert "grad_poly" in vars(p)
+        steep = PolySurface({(1, 0, 0): 1.0, (3, 0, 0): 1e308})
+        with pytest.raises(OverflowError, match=r"\(2, 0, 0\) in X1 f overflows"):
+            hsurface.SurfaceHandle.from_polynomial(steep)
+        assert "SurfaceHandle" not in hsurface.__all__
+        assert not hasattr(heisencurve, "SurfaceHandle")
 
     def test_cross_check_convergence_order(self):
         p = PolySurface({(3, 0, 0): 1.0, (0, 2, 1): -1.0})
-        handle = SurfaceHandle.from_polynomial(p)
         x = Point(0.4, -0.3, 0.2)
-        g1, _ = handle.grad_at(*astuple(x))
+        g1, _ = p.grad_at(*astuple(x))
         errs = []
         from heisencurve.hgroup import horizontal_derivative
 
         for h in (1e-2, 5e-3, 2.5e-3):
-            errs.append(abs(horizontal_derivative(handle.poly, x, (1.0, 0.0), h) - g1))
+            errs.append(abs(horizontal_derivative(p, x, (1.0, 0.0), h) - g1))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert min(orders) >= 1.9
 
@@ -176,35 +185,32 @@ class TestHorizontalGradient:
 class TestYDerivatives:
     def test_rotated_frame(self):
         fr = make_frame((0.0, 1.0))
-        f = SurfaceHandle.from_polynomial(X12)
-        y1, _ = y_derivatives(f, (0.2, 0.4, -0.1), fr)
+        y1, _ = y_derivatives(X12, (0.2, 0.4, -0.1), fr)
         assert abs(y1 - 1.0) <= 1e-14
 
     def test_identity_frame_is_horizontal_gradient(self):
         fr = make_frame((1.0, 0.0))
-        p = PolySurface({(2, 0, 0): 1.0, (0, 0, 1): 3.0})
-        f = SurfaceHandle.from_polynomial(p)
+        f = PolySurface({(2, 0, 0): 1.0, (0, 0, 1): 3.0})
         x = (0.7, -0.2, 0.1)
         assert y_derivatives(f, x, fr) == f.grad_at(*x)
 
     def test_affine_surface_value(self):
         fr = make_frame((1.0, 0.0))
-        f = SurfaceHandle.from_polynomial(X11_PLUS_T)
         eta = 0.3
         x11 = 0.1
-        y1, y2 = y_derivatives(f, (x11, eta, 0.05), fr)
+        y1, y2 = y_derivatives(X11_PLUS_T, (x11, eta, 0.05), fr)
         assert abs(y1 - (1.0 - eta)) <= 1e-14
         assert abs(y2 - x11) <= 1e-14
 
 
 def patch_flat():
     """f2 = x12 with graph direction b1 = (0, 1); phi2hat vanishes identically."""
-    return GraphPatch(make_frame((0.0, 1.0)), SurfaceHandle.from_polynomial(X12))
+    return GraphPatch(make_frame((0.0, 1.0)), X12)
 
 
 def patch_affine():
     """f2 = x11 + t with the identity frame; phi2hat = -tau / (1 - eta)."""
-    return GraphPatch(make_frame((1.0, 0.0)), SurfaceHandle.from_polynomial(X11_PLUS_T))
+    return GraphPatch(make_frame((1.0, 0.0)), X11_PLUS_T)
 
 
 class TestGraphSolve:
@@ -250,7 +256,7 @@ class TestGraphSolve:
             for eta in etas:
                 for tau in taus:
                     p = graph_point(patch, eta, tau)
-                    worst = max(worst, abs(patch.f2.poly(p)))
+                    worst = max(worst, abs(patch.f2(p)))
             assert worst <= 1e-10
 
     def test_section_property(self):
@@ -276,13 +282,13 @@ class TestGraphSolve:
         # set is unreachable anywhere inside the bracket
         p = PolySurface({(0, 0, 0): 2.9 - 10.0, (1, 0, 0): 1.0, (0, 0, 1): 1.0})
         with pytest.raises(NoSignChange):
-            GraphPatch(make_frame((1.0, 0.0)), SurfaceHandle.from_polynomial(p))
+            GraphPatch(make_frame((1.0, 0.0)), p)
 
     def test_no_root_in_the_bracket_raises_from_the_solve(self):
         # Y1 f2 = 1 - eta >= 0.5 certifies the patch and the origin has the
         # root s = 0, but the root -tau / (1 - eta) = -1 at n = (0.5, 0.5)
         # lies outside the bracket: Newton leaves it, and its ends share a sign
-        patch = GraphPatch(make_frame((1.0, 0.0)), SurfaceHandle.from_polynomial(X11_PLUS_T),
+        patch = GraphPatch(make_frame((1.0, 0.0)), X11_PLUS_T,
                            bracket=(-0.5, 0.5))
         for hint in (None, -0.4):
             with pytest.raises(NoSignChange, match=r"bracket \[-0.5, 0.5\] at n=\(0.5,0.5\)"):
@@ -324,7 +330,7 @@ class TestGraphSolve:
     def test_far_hint_bisects_instead_of_overflowing(self):
         # Newton's first evaluation from 1e300 would cube it; a start outside
         # the bracket counts as a failed Newton instead
-        f2 = SurfaceHandle.from_polynomial(X11_PLUS_T + PolySurface({(3, 0, 0): 0.1}))
+        f2 = X11_PLUS_T + PolySurface({(3, 0, 0): 0.1})
         patch = GraphPatch(make_frame((1.0, 0.0)), f2)
         assert abs(patch.solve_scalar((0.1, 0.2), 1e300)
                    - patch.solve_scalar((0.1, 0.2))) <= 1e-12
@@ -334,7 +340,7 @@ class TestGraphSolve:
         with pytest.raises(MarginViolated):
             GraphPatch(
                 make_frame((1.0, 0.0)),
-                SurfaceHandle.from_polynomial(X11_PLUS_T),
+                X11_PLUS_T,
                 window=((-1.5, 1.5), (-0.5, 0.5)),
             )
 
@@ -344,19 +350,14 @@ class TestGraphSolve:
         # at the first sample, x11 = s = -2 and x12 = eta = -0.5
         p = PolySurface({(1, 0, 0): 1.0, (16, 0, 0): 1e307, (15, 1, 0): -1e307})
         with pytest.raises(MarginViolated, match=r"\|Y1 f2\| = nan"):
-            GraphPatch(make_frame((1.0, 0.0)), SurfaceHandle.from_polynomial(p))
+            GraphPatch(make_frame((1.0, 0.0)), p)
 
     def test_non_finite_bracket_fails_the_margin(self):
         # the Newton kernel relies on a finite bracket: a NaN or infinite step
         # then fails its bracket test.  An infinite end gives NaN samples.
         with np.errstate(invalid="ignore"), pytest.raises(MarginViolated):
-            GraphPatch(make_frame((1.0, 0.0)), SurfaceHandle.from_polynomial(X11_PLUS_T),
+            GraphPatch(make_frame((1.0, 0.0)), X11_PLUS_T,
                        bracket=(-math.inf, 2.0))
-
-    def test_handle_takes_only_its_polynomial(self):
-        assert [f.name for f in dataclasses.fields(SurfaceHandle) if f.init] == ["poly"]
-        with pytest.raises(TypeError):
-            SurfaceHandle(eval=X11, grad_h=lambda x: (1.0, 0.0))
 
 
 # -- float evaluation at coordinates against the Point reference ---------------
@@ -383,12 +384,11 @@ class TestFloatEvaluation:
     @given(polys, group_points, group_points)
     @settings(max_examples=200, deadline=None)
     def test_float_evaluator_matches_point_reference(self, f, p, x):
-        handle = SurfaceHandle.from_polynomial(f)
         coords = (x.x11, x.x12, x.t)
-        assert_close(handle.value_at(*coords), f(x))
-        for a, q in zip(handle.grad_at(*coords), horiz_grad_poly(f)):
+        assert_close(f.value_at(*coords), f(x))
+        for a, q in zip(f.grad_at(*coords), horiz_grad_poly(f)):
             assert_close(a, q(x))
-        shifted = handle.translated(p)
+        shifted = f.translated(p)
         assert_close(shifted.value_at(*coords), f(mul(p, x)))
         for a, q in zip(shifted.grad_at(*coords), horiz_grad_poly(f)):
             assert_close(a, q(mul(p, x)))
@@ -400,7 +400,7 @@ class TestFloatEvaluation:
         # Y1 of the linear part is 1; the scaled cubic perturbation keeps the
         # margin and the sign change on window x bracket
         linear = PolySurface({(1, 0, 0): fr.b1[0], (0, 1, 0): fr.b1[1]})
-        f2 = SurfaceHandle.from_polynomial(linear + pert.scaled(2e-4))
+        f2 = linear + pert.scaled(2e-4)
         patch = GraphPatch(fr, f2.translated(p))
         coords = patch.line_coords(eta, tau, s)
         line = (*fr.b1, *fr.b2, fr.detC)
@@ -409,18 +409,17 @@ class TestFloatEvaluation:
                         Point(s * fr.b1[0], s * fr.b1[1], 0.0))
         for a, b in zip(coords, (reference.x11, reference.x12, reference.t)):
             assert_close(a, b)
-        assert_close(patch.f2.value_at(*coords), f2.poly(mul(p, reference)))
+        assert_close(patch.f2.value_at(*coords), f2(mul(p, reference)))
         assert_close(y_derivatives(patch.f2, coords, fr)[0],
                      y_derivatives(f2, astuple(mul(p, reference)), fr)[0])
 
     @given(polys, angles, st.lists(st.tuples(*[st.integers(-64, 64)] * 3), min_size=1,
                                    max_size=12))
     @settings(max_examples=100, deadline=None)
-    def test_y_derivatives_on_arrays_match_per_point_floats(self, p, theta, lattice):
+    def test_y_derivatives_on_arrays_match_per_point_floats(self, f, theta, lattice):
         # The coordinates are multiples of 1/64, so every power of a cubic is
         # exact and numpy's array power, which may round differently from the
         # scalar power, computes the same powers as it
-        f = SurfaceHandle.from_polynomial(p)
         fr = make_frame((math.cos(theta), math.sin(theta)))
         x = np.array(lattice, dtype=float).T / 64.0
         arrays = [np.broadcast_to(a, x[0].shape) for a in y_derivatives(f, tuple(x), fr)]
@@ -542,11 +541,10 @@ class TestCompiledEvaluator:
         monkeypatch.setattr(hsurface, "_compile", lambda c: compiled.append(c) or real(c))
         x1p, x2p = horiz_grad_poly(p)
         q = p.translated(Point(0.3, -0.2, 0.1))
-        handle = SurfaceHandle.from_polynomial(q)
         assert compiled == []
-        for r in (p, x1p, x2p, q, *handle.grad_poly):
+        for r in (p, x1p, x2p, q, *q.grad_poly):
             assert "value_at" not in vars(r)
-        handle.value_at(0.1, 0.2, 0.3)
+        q.value_at(0.1, 0.2, 0.3)
         assert len(compiled) == 1 and "value_at" in vars(q)
 
 
@@ -579,15 +577,16 @@ frame_lines = st.tuples(angles, angles).filter(
     lambda ab: abs(math.sin(ab[1] - ab[0])) > 1e-3).map(lambda ab: frame_line(*ab))
 
 
-def handle_or_overflow(p):
-    """p's handle, or None once the build is shown to fail only on a
+def surface_or_overflow(p):
+    """p, its gradient derived, or None once that is shown to fail only on a
     coefficient of p or its gradient that is not finite."""
     try:
-        return SurfaceHandle.from_polynomial(p)
+        p.grad_poly
     except OverflowError:
         coefficients = [c for q in (p, *horiz_grad_poly(p)) for c in q.coefficients.values()]
         assert not all(map(math.isfinite, coefficients))
         return None
+    return p
 
 
 class TestLineKernels:
@@ -601,8 +600,8 @@ class TestLineKernels:
     def test_sums_longer_than_a_chunk(self):
         # the Newton kernel holds the sums of f, X1 f and X2 f, each longer
         # than one statement
-        f = SurfaceHandle.from_polynomial(full_degree_16())
-        assert min(len(f.poly.coefficients), *(len(q.coefficients) for q in f.grad_poly)) \
+        f = full_degree_16()
+        assert min(len(f.coefficients), *(len(q.coefficients) for q in f.grad_poly)) \
             > hsurface.SUM_CHUNK
         rng = np.random.default_rng(3)
         for a, b in rng.uniform(0.0, 2.0 * math.pi, (2, 2)):
@@ -614,7 +613,7 @@ class TestLineKernels:
     def test_zero_and_constant(self, coefficients):
         # f = 0 is solved wherever Newton starts in the bracket; a constant
         # f != 0 has Y1 f = 0 and fails
-        f = SurfaceHandle.from_polynomial(PolySurface(coefficients))
+        f = PolySurface(coefficients)
         for x in SPECIAL:
             got = assert_newton_matches(f, frame_line(0.3, 2.0), (-2.0, 2.0), x, x, x)
             if coefficients or not -2.0 <= x <= 2.0:
@@ -672,7 +671,7 @@ brackets = st.tuples(st.floats(-3.0, 0.0), st.floats(0.0, 3.0))
 def near_linear(pert, line):
     """Y1 of the linear part is 1 on the line; the scaled perturbation keeps it near 1."""
     linear = PolySurface({(1, 0, 0): line[0], (0, 1, 0): line[1]})
-    return SurfaceHandle.from_polynomial(linear + pert.scaled(0.05))
+    return linear + pert.scaled(0.05)
 
 
 class TestNewtonKernel:
@@ -696,7 +695,7 @@ class TestNewtonKernel:
            coordinates, coordinates, coordinates)
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_on_any_polynomial(self, p, line, br, eta, tau, s):
-        assert_newton_matches(handle_or_overflow(p), line, br, eta, tau, s)
+        assert_newton_matches(surface_or_overflow(p), line, br, eta, tau, s)
 
     @given(polys, frame_lines, brackets, window, window, st.floats(-4.0, 4.0))
     @settings(max_examples=300, deadline=None)
@@ -725,7 +724,7 @@ class TestNewtonKernel:
     @pytest.mark.parametrize("coefficients", [{}, {(0, 0, 0): -2.5}, {(0, 0, 1): 1.0}])
     def test_margin_failure_gives_none(self, coefficients):
         # Y1 f = 0 on the line: no Newton step can be taken
-        f = SurfaceHandle.from_polynomial(PolySurface(coefficients))
+        f = PolySurface(coefficients)
         root = assert_newton_matches(f, frame_line(0.0, 1.5), (-2.0, 2.0), 0.0, 0.3, 0.1)
         assert root is (None if coefficients else 0.1)
 
@@ -739,7 +738,7 @@ class TestNewtonKernel:
     def test_accepts_after_the_last_step(self):
         # Newton on s^2 halves s per step: from 4.096e-3, twelve steps end
         # at 1e-6, where |f| = 1e-12 lies between GTOL and the final test
-        f = SurfaceHandle.from_polynomial(PolySurface({(2, 0, 0): 1.0}))
+        f = PolySurface({(2, 0, 0): 1.0})
         root = assert_newton_matches(f, frame_line(0.0, 0.5 * math.pi), (-2.0, 2.0),
                                      0.0, 0.0, 4.096e-3)
         assert root == pytest.approx(4.096e-3 / 2**12)
@@ -778,7 +777,7 @@ class TestSolveMany:
     def test_each_lane_is_the_scalar_solve(self, pert, scale, line, points):
         # cubic patches (scale 0.3) and near-linear ones (scale 0.05)
         linear = PolySurface({(1, 0, 0): line[0], (0, 1, 0): line[1]})
-        patch = patch_or_none(SurfaceHandle.from_polynomial(linear + pert.scaled(scale)), line)
+        patch = patch_or_none(linear + pert.scaled(scale), line)
         if patch is None:
             return
         eta, tau = np.array(points).T
@@ -797,8 +796,7 @@ class TestSolveMany:
     @settings(max_examples=200, deadline=None)
     def test_bit_identical_when_f2_is_linear(self, rest, line, points):
         # no power is formed, and arrays round like floats
-        f = SurfaceHandle.from_polynomial(
-            PolySurface({(1, 0, 0): line[0], (0, 1, 0): line[1]}) + rest.scaled(0.5))
+        f = PolySurface({(1, 0, 0): line[0], (0, 1, 0): line[1]}) + rest.scaled(0.5)
         patch = patch_or_none(f, line)
         if patch is None:
             return
@@ -818,7 +816,7 @@ class TestSolveMany:
     def test_failed_lanes_bisect_as_scalar_solves(self, monkeypatch):
         # f2 = x11 + x11^3 + t: from the base root 0, Newton overshoots the
         # bracket [-0.48, 0.48] where tau is near -0.5, and the solve bisects
-        f = SurfaceHandle.from_polynomial(X11_PLUS_T + PolySurface({(3, 0, 0): 1.0}))
+        f = X11_PLUS_T + PolySurface({(3, 0, 0): 1.0})
         patch = GraphPatch(make_frame((1.0, 0.0)), f, bracket=(-0.48, 0.48))
         bisected = []
         bisect = GraphPatch._bisect
@@ -837,7 +835,7 @@ class TestSolveMany:
 
     def test_a_lane_without_a_root_raises_the_scalar_error(self):
         # at n = (0.5, 0.5) the root -1 lies outside the bracket [-0.5, 0.5]
-        patch = GraphPatch(make_frame((1.0, 0.0)), SurfaceHandle.from_polynomial(X11_PLUS_T),
+        patch = GraphPatch(make_frame((1.0, 0.0)), X11_PLUS_T,
                            bracket=(-0.5, 0.5))
         eta, tau = np.array([0.0, 0.5, 0.1]), np.array([0.1, 0.5, 0.0])
         expected = solve_error(patch.solve_scalar, (0.5, 0.5))
@@ -927,7 +925,7 @@ class TestMarginCertificate:
              we=0.254395160104549, wt=0.36978525673867907,
              br=(-1.4270580112661375, 1.3447020512059267))
     def test_matches_the_sample_loop(self, p, line, we, wt, br):
-        f = handle_or_overflow(p)
+        f = surface_or_overflow(p)
         if f is None:
             return
         window = ((-we, we), (-wt, wt))
@@ -977,7 +975,7 @@ class TestTauLipschitz:
         pert = PolySurface({m: float(c) for m, c in
                             zip(MONOMIALS, rng.uniform(-1.0, 1.0, len(MONOMIALS)))})
         linear = PolySurface({(1, 0, 0): fr.b1[0], (0, 1, 0): fr.b1[1]})
-        patch = GraphPatch(fr, SurfaceHandle.from_polynomial(linear + pert.scaled(0.05)))
+        patch = GraphPatch(fr, linear + pert.scaled(0.05))
         bound = patch.tau_lipschitz
         assert math.isfinite(bound)
         h = 1e-4

@@ -20,7 +20,7 @@ from heisencurve.errors import (
 )
 from heisencurve.flowtrace import TraceParams
 from heisencurve.hgroup import ORIGIN, Point, dist, inv, make_frame, mul
-from heisencurve.hsurface import GraphPatch, PolySurface, SurfaceHandle
+from heisencurve.hsurface import GraphPatch, PolySurface
 from heisencurve.intersect import (
     ConeParams,
     IntersectionProblem,
@@ -37,9 +37,6 @@ from heisencurve.intersect import (
     pair_lipschitz_bound,
 )
 
-F_X11 = SurfaceHandle.from_polynomial(POLY_X11)
-F_X12 = SurfaceHandle.from_polynomial(POLY_X12)
-F_X11_T = SurfaceHandle.from_polynomial(POLY_X11_PLUS_T)
 
 BOX_SMALL = ((-0.2, 0.2), (-0.2, 0.2), (-0.2, 0.2))
 
@@ -55,11 +52,11 @@ def polyline_hausdorff(A, B) -> float:
 
 
 def problem_a(**kw):
-    return IntersectionProblem(F_X11, F_X12, **kw)
+    return IntersectionProblem(POLY_X11, POLY_X12, **kw)
 
 
 def problem_b(**kw):
-    return IntersectionProblem(F_X12, F_X11_T, **kw)
+    return IntersectionProblem(POLY_X12, POLY_X11_PLUS_T, **kw)
 
 
 def dist_to_vertical_axis(q):
@@ -93,21 +90,19 @@ def curve_b():
 
 class TestChooseFrame:
     def test_gradient_of_x12(self):
-        fr = choose_frame(F_X12, ORIGIN)
+        fr = choose_frame(POLY_X12, ORIGIN)
         assert fr.b1 == (0.0, 1.0)
 
     def test_gradient_of_affine(self):
-        fr = choose_frame(F_X11_T, ORIGIN)
+        fr = choose_frame(POLY_X11_PLUS_T, ORIGIN)
         assert fr.b1 == (1.0, 0.0)
 
     def test_axis_aligned(self):
-        fr = choose_frame(F_X11, Point(0.0, 0.3, -0.2))
+        fr = choose_frame(POLY_X11, Point(0.0, 0.3, -0.2))
         assert fr.b1 == (1.0, 0.0)
 
     def test_vanishing_gradient_rejected(self):
-        from heisencurve.hsurface import PolySurface
-
-        f = SurfaceHandle.from_polynomial(PolySurface({(0, 0, 1): 1.0}))  # f = t
+        f = PolySurface({(0, 0, 1): 1.0})  # f = t
         with pytest.raises(MarginViolated):
             choose_frame(f, ORIGIN)
 
@@ -125,49 +120,59 @@ class TestIntersectSurfaces:
 
     def test_dependent_normals(self):
         with pytest.raises(DependentNormals):
-            intersect_surfaces(IntersectionProblem(F_X12, F_X12))
+            intersect_surfaces(IntersectionProblem(POLY_X12, POLY_X12))
 
     def test_base_point_must_be_zero(self):
         with pytest.raises(NotCommonZero):
-            intersect_surfaces(IntersectionProblem(F_X11, F_X12, p=Point(0.3, 0.0, 0.0)))
+            intersect_surfaces(IntersectionProblem(POLY_X11, POLY_X12, p=Point(0.3, 0.0, 0.0)))
 
     def test_base_point_nan_rejected(self):
         # both surfaces evaluate to inf - inf = NaN at p, which is no common zero
         big = {(2, 0, 0): 1e300, (0, 2, 0): -1e300}
-        f1 = SurfaceHandle.from_polynomial(PolySurface({**big, (1, 0, 0): 1.0}))
-        f2 = SurfaceHandle.from_polynomial(PolySurface({**big, (0, 1, 0): 1.0}))
+        f1 = PolySurface({**big, (1, 0, 0): 1.0})
+        f2 = PolySurface({**big, (0, 1, 0): 1.0})
         with pytest.raises(NotCommonZero):
             IntersectionProblem(f1, f2, p=Point(1e10, 1e10, 0.0)).validate()
 
     def test_base_point_overflow_rejected(self):
         # f2 = x11 + t^3 at t = 1e300: t**3 overflows
-        f2 = SurfaceHandle.from_polynomial(
-            PolySurface({(1, 0, 0): 1.0, (0, 0, 3): 1.0}))
+        f2 = PolySurface({(1, 0, 0): 1.0, (0, 0, 3): 1.0})
         with pytest.raises(NotCommonZero, match="f2 overflows at the base point"):
-            IntersectionProblem(F_X12, f2, p=Point(0.0, 0.0, 1e300)).validate()
+            IntersectionProblem(POLY_X12, f2, p=Point(0.0, 0.0, 1e300)).validate()
 
     def test_base_point_gradient_overflow_rejected(self):
         # f1 = x11 t^3 is 1e-100 at p, but X2 f1 = 3 x11^2 t^2 overflows
-        f1 = SurfaceHandle.from_polynomial(PolySurface({(1, 0, 3): 1.0}))
+        f1 = PolySurface({(1, 0, 3): 1.0})
         with pytest.raises(DependentNormals, match="gradient of f1 overflows"):
-            IntersectionProblem(f1, F_X12, p=Point(1e200, 0.0, 1e-100)).validate()
+            IntersectionProblem(f1, POLY_X12, p=Point(1e200, 0.0, 1e-100)).validate()
+
+    @pytest.mark.parametrize("which", ["f1", "f2"])
+    def test_overflowing_gradient_is_dependent_normals(self, which):
+        # 1e308 x11^3 + x12 vanishes at the origin, but X1 of it has the
+        # coefficient 3e308 = inf: a named failure, not a bare OverflowError
+        steep = PolySurface({(0, 1, 0): 1.0, (3, 0, 0): 1e308})
+        pair = (steep, POLY_X11) if which == "f1" else (POLY_X11, steep)
+        with pytest.raises(DependentNormals, match=f"gradient of {which} overflows"):
+            intersect_surfaces(IntersectionProblem(*pair))
+
+    def test_graph_field_overflowing_gradient_rejected(self):
+        steep = PolySurface({(1, 0, 0): 1.0, (3, 0, 0): 1e308})
+        with pytest.raises(NotCommonZero, match="f2 overflows when translated"):
+            intersect.graph_field(steep, ORIGIN, 0.5, (-2.0, 2.0))
 
     def test_translation_overflow_rejected(self):
         # f2 = x12 + t^2 and f1 = x11 - 1e200 vanish at p = (1e200, 0, 0) with
         # independent normals, but t -> t + 1e200 x12 gives f2's translate an
         # x12^2 coefficient of 1e400
-        f1 = SurfaceHandle.from_polynomial(
-            PolySurface({(1, 0, 0): 1.0, (0, 0, 0): -1e200}))
-        f2 = SurfaceHandle.from_polynomial(
-            PolySurface({(0, 1, 0): 1.0, (0, 0, 2): 1.0}))
+        f1 = PolySurface({(1, 0, 0): 1.0, (0, 0, 0): -1e200})
+        f2 = PolySurface({(0, 1, 0): 1.0, (0, 0, 2): 1.0})
         prob = IntersectionProblem(f1, f2, p=Point(1e200, 0.0, 0.0))
         prob.validate()
         with pytest.raises(NotCommonZero, match="f2 overflows when translated"):
             intersect_surfaces(prob)
 
     def test_graph_field_checks_the_base_point(self):
-        f2 = SurfaceHandle.from_polynomial(
-            PolySurface({(1, 0, 0): 1.0, (0, 0, 3): 1.0}))
+        f2 = PolySurface({(1, 0, 0): 1.0, (0, 0, 3): 1.0})
         with pytest.raises(NotCommonZero, match="f2 overflows at the base point"):
             intersect.graph_field(f2, Point(0.0, 0.0, 1e300), 0.5, (-2.0, 2.0))
 
@@ -184,7 +189,7 @@ class TestIntersectSurfaces:
 
     def test_extremal_report(self, curve_b):
         # a polynomial f2: the tau-slope bound of its field replaces the eps paths
-        cf = intersect.graph_field(F_X11_T, ORIGIN, 0.5, (-2.0, 2.0))
+        cf = intersect.graph_field(POLY_X11_PLUS_T, ORIGIN, 0.5, (-2.0, 2.0))
         ext = json.loads(json.dumps(curve_b.meta, allow_nan=False))["trace"]["extremal"]
         assert ext == {"eps": [], "gap_min": [], "gap_max": [], "dropped_min": [],
                        "dropped_max": [], "converged": True,
@@ -200,7 +205,7 @@ class TestIntersectSurfaces:
     def test_membership_consistency(self, curve_b):
         # re-solving the graph from each planar preimage reproduces the point
         curve = curve_b
-        patch = GraphPatch(make_frame(curve.meta["frame"]["b1"]), F_X11_T)
+        patch = GraphPatch(make_frame(curve.meta["frame"]["b1"]), POLY_X11_PLUS_T)
         for n, q in list(zip(curve.planar, curve.points))[::8]:
             assert dist(graph_point(patch, n.eta, n.tau), q) <= 1e-10
 
@@ -210,16 +215,16 @@ class TestIntersectSurfaces:
         from heisencurve.hgroup import inv
 
         q = inv(p)
-        f1, f2 = F_X12.translated(p), F_X11_T.translated(p)
+        f1, f2 = POLY_X12.translated(p), POLY_X11_PLUS_T.translated(p)
         curve = intersect_surfaces(IntersectionProblem(f1, f2, p=q,
                                                        trace=TraceParams(depth=4)))
         for x in curve.points[::16]:
-            assert abs(f1.poly(x)) <= 1e-8
-            assert abs(f2.poly(x)) <= 1e-8
+            assert abs(f1(x)) <= 1e-8
+            assert abs(f2(x)) <= 1e-8
 
     def test_symmetry_under_swap(self, curve_b):
         trace = TraceParams(depth=6)
-        c2 = intersect_surfaces(IntersectionProblem(F_X11_T, F_X12, trace=trace))
+        c2 = intersect_surfaces(IntersectionProblem(POLY_X11_PLUS_T, POLY_X12, trace=trace))
         assert polyline_hausdorff(curve_b.points, c2.points) <= 2.0 * trace.step
 
 
@@ -267,12 +272,12 @@ PAIRS = bench_module("pairs")
 def cubic_problem(seed, k, depth):
     """The benchmark's seeded cubic pair (seed, k), as a problem at depth."""
     pair = PAIRS.draw_pair(seed, k)
-    f1, f2 = (SurfaceHandle.from_polynomial(PolySurface(pair[f])) for f in ("f1", "f2"))
+    f1, f2 = (PolySurface(pair[f]) for f in ("f1", "f2"))
     return IntersectionProblem(f1, f2, p=Point(*pair["p"]), window_half=PAIRS.WINDOW,
                                bracket=PAIRS.BRACKET, trace=TraceParams(depth=depth))
 
 
-STEEP = SurfaceHandle.from_polynomial(PolySurface({(1, 0, 0): 1.0, (2, 0, 0): 1e20}))
+STEEP = PolySurface({(1, 0, 0): 1.0, (2, 0, 0): 1e20})
 
 
 class TestHarvest:
@@ -281,7 +286,7 @@ class TestHarvest:
         problem_b(trace=TraceParams(depth=3)),
         cubic_problem(1, 0, 2),
         cubic_problem(2, 3, 2),
-        IntersectionProblem(STEEP, F_X12, trace=TraceParams(depth=2)),
+        IntersectionProblem(STEEP, POLY_X12, trace=TraceParams(depth=2)),
     ], ids=["A", "B", "cubic-1-0", "cubic-2-3", "steep"])
     def test_roots_match_the_float_loop(self, problem, monkeypatch):
         # each member's node pass is one array call of F; its node signs agree
@@ -336,16 +341,16 @@ class TestHarvest:
 class TestZeroCloud:
     def test_axis_cluster(self):
         box = ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
-        cloud = brute_force_zero_cloud(F_X11, F_X12, box, grid_n=21)
+        cloud = brute_force_zero_cloud(POLY_X11, POLY_X12, box, grid_n=21)
         assert cloud
         assert max(math.hypot(q.x11, q.x12) for q in cloud) <= 0.2 + 1e-12
 
     def test_disjoint_box_empty(self):
         box = ((2.0, 3.0), (2.0, 3.0), (-1.0, 1.0))
-        assert brute_force_zero_cloud(F_X11, F_X12, box, grid_n=11) == []
+        assert brute_force_zero_cloud(POLY_X11, POLY_X12, box, grid_n=11) == []
 
     def test_antidiagonal_cluster(self):
-        cloud = brute_force_zero_cloud(F_X12, F_X11_T, BOX_SMALL, grid_n=41)
+        cloud = brute_force_zero_cloud(POLY_X12, POLY_X11_PLUS_T, BOX_SMALL, grid_n=41)
         assert cloud
         for q in cloud:
             assert abs(q.x12) <= 0.021
@@ -353,17 +358,18 @@ class TestZeroCloud:
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
-            brute_force_zero_cloud(F_X11, F_X12, BOX_SMALL, grid_n=1)
+            brute_force_zero_cloud(POLY_X11, POLY_X12, BOX_SMALL, grid_n=1)
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_slabs_match_one_block(self, rows):
         grid_n = 41
-        whole = brute_force_zero_cloud(F_X12, F_X11_T, BOX_SMALL, grid_n=grid_n)
+        whole = brute_force_zero_cloud(POLY_X12, POLY_X11_PLUS_T, BOX_SMALL, grid_n=grid_n)
         with mock.patch.object(intersect, "CLOUD_BLOCK", rows * grid_n * grid_n):
-            sliced = brute_force_zero_cloud(F_X12, F_X11_T, BOX_SMALL, grid_n=grid_n)
+            sliced = brute_force_zero_cloud(POLY_X12, POLY_X11_PLUS_T, BOX_SMALL, grid_n=grid_n)
         assert whole and sliced == whole
 
-    @pytest.mark.parametrize("pair", [(F_X11, F_X12), (F_X12, F_X11_T)], ids=["A", "B"])
+    @pytest.mark.parametrize("pair", [(POLY_X11, POLY_X12), (POLY_X12, POLY_X11_PLUS_T)],
+                             ids=["A", "B"])
     def test_matches_full_grid_on_paper_problems(self, pair):
         assert brute_force_zero_cloud(*pair, BOX_SMALL, 201) == _ref_zero_cloud(
             *pair, BOX_SMALL, 201)
@@ -392,13 +398,13 @@ class TestZeroCloud:
     def test_far_box(self, box):
         # every cube lies far from the zero set, so only the 5^3 centres are evaluated
         with _counted_points() as seen:
-            assert brute_force_zero_cloud(F_X11, F_X12, box, grid_n=33) == []
+            assert brute_force_zero_cloud(POLY_X11, POLY_X12, box, grid_n=33) == []
         assert seen["points"] == 5**3
-        assert _ref_zero_cloud(F_X11, F_X12, box, 33) == []
+        assert _ref_zero_cloud(POLY_X11, POLY_X12, box, 33) == []
 
     def test_exclusion_prunes_the_grid(self):
         with _counted_points() as seen:
-            cloud = brute_force_zero_cloud(F_X11, F_X12, BOX_SMALL, grid_n=201)
+            cloud = brute_force_zero_cloud(POLY_X11, POLY_X12, BOX_SMALL, grid_n=201)
         assert len(cloud) == 1005
         assert seen["points"] < 0.02 * 201**3
 
@@ -409,7 +415,7 @@ class TestZeroCloud:
         ({(2, 0, 0): 1e300, (0, 2, 0): -1e300}, ((-1e5, 1e5), (-1e5, 1e5), (-1.0, 1.0))),
     ], ids=["inf", "nan"])
     def test_non_finite_values_keep_cubes(self, coeffs, box):
-        pair = (SurfaceHandle.from_polynomial(PolySurface(coeffs)), F_X12)
+        pair = (PolySurface(coeffs), POLY_X12)
         with np.errstate(all="ignore"):
             assert brute_force_zero_cloud(*pair, box, 19) == _ref_zero_cloud(*pair, box, 19)
 
@@ -429,7 +435,7 @@ def _ref_zero_cloud(f1, f2, box, grid_n):
     spacing = max((hi - lo) / (grid_n - 1) for lo, hi in box)
     bound = 0.0
     for f in (f1, f2):
-        bound = max(bound, f.poly.max_euclidean_gradient(box))
+        bound = max(bound, f.max_euclidean_gradient(box))
     eps = 2.0 * spacing * bound
     Y = ys[None, :, None]
     T = ts[None, None, :]
@@ -474,7 +480,7 @@ def planted_polys(draw, degree, zero):
     exps = st.tuples(*(st.integers(0, degree),) * 3).filter(lambda e: 0 < sum(e) <= degree)
     coeffs = draw(st.dictionaries(exps, st.floats(-3.0, 3.0), min_size=1, max_size=10))
     coeffs[(0, 0, 0)] = -PolySurface(coeffs).value_at(*zero)
-    return SurfaceHandle.from_polynomial(PolySurface(coeffs))
+    return PolySurface(coeffs)
 
 
 def in_cone(vertex, y, cp):
@@ -513,10 +519,10 @@ class TestConeProperty:
         assert report.n_samples == 1
 
     def test_traced_curves_have_cone_property(self, curve_a, curve_b):
-        for curve, handles in ((curve_a, (F_X11, F_X12)),
-                               (curve_b, (F_X12, F_X11_T))):
-            lam = gradient_margin(handles, BOX_SMALL, grid_n=5)
-            lip = pair_lipschitz_bound(handles, BOX_SMALL)
+        for curve, pair in ((curve_a, (POLY_X11, POLY_X12)),
+                               (curve_b, (POLY_X12, POLY_X11_PLUS_T))):
+            lam = gradient_margin(pair, BOX_SMALL, grid_n=5)
+            lip = pair_lipschitz_bound(pair, BOX_SMALL)
             for alpha in (1.0, 2.0, 5.0):
                 r = cone_width_for(alpha, lam, lip, r_max=0.2)
                 report = cone_property_check(curve.points, ConeParams(alpha, r, lam))
@@ -546,8 +552,8 @@ def _bench_lines():
     """The verification benchmark's 33-sample lines A and B and their kinked copies,
     as (tag, surface pair, samples)."""
     s = [float(v) for v in np.linspace(-0.25, 0.25, 33)]
-    lines = {"A": ((F_X11, F_X12), [Point(0.0, 0.0, v) for v in s]),
-             "B": ((F_X12, F_X11_T), [Point(-v, 0.0, v) for v in s])}
+    lines = {"A": ((POLY_X11, POLY_X12), [Point(0.0, 0.0, v) for v in s]),
+             "B": ((POLY_X12, POLY_X11_PLUS_T), [Point(-v, 0.0, v) for v in s])}
     out = []
     for tag, (pair, points) in lines.items():
         kinked = list(points)
@@ -638,7 +644,7 @@ def _ref_gradient_margin(pair, box, grid_n=5):
 CUBIC_MONOMIALS = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)
                    if i + j + k <= 3]
 cubics = st.dictionaries(st.sampled_from(CUBIC_MONOMIALS), st.floats(-1.0, 1.0),
-                         max_size=8).map(lambda c: SurfaceHandle.from_polynomial(PolySurface(c)))
+                         max_size=8).map(PolySurface)
 
 
 def _dyadic_box(corners):
@@ -672,21 +678,21 @@ class TestGradientMargin:
 
     def test_overflow_raises(self):
         # X1 of x11^3 is 3 x11^2, which overflows at x11 = 1e200
-        steep = SurfaceHandle.from_polynomial(PolySurface({(3, 0, 0): 1.0}))
+        steep = PolySurface({(3, 0, 0): 1.0})
         box = ((0.0, 1e200), (0.0, 1.0), (0.0, 1.0))
         for margin in (gradient_margin, _ref_gradient_margin):
             with pytest.raises(OverflowError):
-                margin((steep, F_X12), box)
+                margin((steep, POLY_X12), box)
 
     def test_identity_pair(self):
-        assert gradient_margin((F_X11, F_X12), BOX_SMALL) == pytest.approx(1.0)
+        assert gradient_margin((POLY_X11, POLY_X12), BOX_SMALL) == pytest.approx(1.0)
 
     def test_rank_deficient_pair(self):
-        assert gradient_margin((F_X12, F_X12), BOX_SMALL) == pytest.approx(0.0)
+        assert gradient_margin((POLY_X12, POLY_X12), BOX_SMALL) == pytest.approx(0.0)
 
     def test_analytic_pair_on_small_box(self):
         box = ((-0.1, 0.1), (-0.1, 0.1), (-0.1, 0.1))
-        val = gradient_margin((F_X12, F_X11_T), box, grid_n=5)
+        val = gradient_margin((POLY_X12, POLY_X11_PLUS_T), box, grid_n=5)
         # worst corner: rows (0,1) and (0.9, +-0.1); smaller singular value
         expected = np.linalg.svd(np.array([[0.0, 1.0], [0.9, 0.1]]),
                                  compute_uv=False)[-1]
@@ -696,12 +702,12 @@ class TestGradientMargin:
 
 class TestCurveCloudAgreement:
     def test_problem_a_small_grid(self, curve_a):
-        cloud = brute_force_zero_cloud(F_X11, F_X12, BOX_SMALL, grid_n=41)
+        cloud = brute_force_zero_cloud(POLY_X11, POLY_X12, BOX_SMALL, grid_n=41)
         spacing = 0.4 / 40
         assert curve_cloud_agreement(curve_a.points, cloud, BOX_SMALL) <= 2 * spacing + 1e-12
 
     def test_problem_b_small_grid(self, curve_b):
-        cloud = brute_force_zero_cloud(F_X12, F_X11_T, BOX_SMALL, grid_n=41)
+        cloud = brute_force_zero_cloud(POLY_X12, POLY_X11_PLUS_T, BOX_SMALL, grid_n=41)
         spacing = 0.4 / 40
         assert curve_cloud_agreement(curve_b.points, cloud, BOX_SMALL) <= 2 * spacing + 1e-12
 
@@ -722,9 +728,9 @@ class TestCurveCloudAgreement:
         # lines and the 201^3 cloud over the box; the values are pinned exactly
         s = [float(v) for v in np.linspace(-0.25, 0.25, 33)]
         if tag == "A":
-            pair, points = (F_X11, F_X12), [Point(0.0, 0.0, v) for v in s]
+            pair, points = (POLY_X11, POLY_X12), [Point(0.0, 0.0, v) for v in s]
         else:
-            pair, points = (F_X12, F_X11_T), [Point(-v, 0.0, v) for v in s]
+            pair, points = (POLY_X12, POLY_X11_PLUS_T), [Point(-v, 0.0, v) for v in s]
         cloud = brute_force_zero_cloud(*pair, BOX_SMALL, grid_n=201)
         assert curve_cloud_agreement(points, cloud, BOX_SMALL) == value
 

@@ -34,4 +34,4 @@ def test_readme_quick_start_names_are_public():
     names = {n.strip() for n in block.split(",") if n.strip()}
     exported = {n for m in MODULES
                 for n in public_names(importlib.import_module(f"heisencurve.{m}"))}
-    assert len(names) == 4 and names <= exported
+    assert len(names) == 3 and names <= exported
