@@ -46,10 +46,10 @@ class CharField:
     step past it clamps the field through flowtrace._clamped.  On floats each
     graph solve starts Newton from the previous float solve's root.  That
     warm start moves the root only by rounding, so a value depends, in its
-    last bits, on what the field solved before.  phi and graph_coords also
-    take broadcasting float64 arrays, solved at once by
-    GraphPatch.solve_many from the base root, without reading or writing
-    that hint.  rhs takes floats only.
+    last bits, on what the field solved before.  phi, graph_coords and rhs
+    also take broadcasting float64 arrays (rhs when eta is one), solved at
+    once by GraphPatch.solve_many from the base root, without reading or
+    writing that hint.
     """
 
     def __init__(self, patch: GraphPatch):
@@ -64,7 +64,10 @@ class CharField:
         self._hint = self.patch.solve_scalar((eta, tau), self._hint)
         return self._hint
 
-    def rhs(self, eta: float, tau: float) -> float:
+    def rhs(self, eta, tau):
+        # the float branch inline, not through phi: it is the march's hot path
+        if isinstance(eta, np.ndarray):
+            return self.beta * self.patch.solve_many(eta, tau)
         self._hint = self.patch.solve_scalar((eta, tau), self._hint)
         return self.beta * self._hint
 

@@ -544,8 +544,9 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None,
     """Trace the zero set of F near the origin along a monotone flow of h.
 
     F must vanish at the origin and be strictly monotone along every
-    solution of dtau/deta = h.  h is called on floats only; F on floats and
-    on broadcasting float64 arrays, once per member on its node arrays
+    solution of dtau/deta = h.  h and F are called on floats and on
+    broadcasting float64 arrays: h once, on the SAMPLE_GRID x SAMPLE_GRID
+    grid of the field bound, and F once per member on its node arrays
     (monotone_root).  The construction integrates the extremal
     solutions through the origin, flanks them by solutions through
     (0, +-b/2), fills both gaps with integral-parametrized families, takes
@@ -563,10 +564,10 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None,
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError("window must be a finite rectangle around the origin")
 
-    # field bound and the safe half-width delta = min(a, b / (2 M))
-    es = np.linspace(-a, a, SAMPLE_GRID)
-    ts = np.linspace(-b, b, SAMPLE_GRID)
-    M = max(abs(h(float(e), float(t))) for e in es for t in ts)
+    # field bound, one call on the sample grid, and delta = min(a, b / (2 M))
+    M = float(np.max(np.abs(h(*np.meshgrid(np.linspace(-a, a, SAMPLE_GRID),
+                                            np.linspace(-b, b, SAMPLE_GRID),
+                                            indexing="ij")))))
     delta = a if M * 2.0 * a <= b else b / (2.0 * M)
     n_half = max(1, min(int(math.ceil(delta / params.step - 1e-9)),
                         MAX_NODES // 2))

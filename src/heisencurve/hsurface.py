@@ -25,7 +25,9 @@ loop, computing the line coordinates and f2 and Y1 f2 there inline.  It
 rounds exactly like line_coords followed by the compiled evaluators,
 through which everything else (the array solve, bisection, the margin
 certificate, y_derivatives) evaluates f2 at coordinates, floats or numpy
-arrays.  A surface is its PolySurface, with its exact horizontal gradient
+arrays.  Kernel sources hold no coefficients, so each is compiled once per
+process (up to 256 kept) and polynomials with the same monomials share it.
+A surface is its PolySurface, with its exact horizontal gradient
 derived on first use; left translation of a polynomial is again a
 polynomial, so a translated surface is one more PolySurface.
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -295,18 +297,21 @@ def _sum_block(sums: dict, consts: dict, bound: set) -> list[str]:
     return [*fresh, *body]
 
 
+_compiled = lru_cache(maxsize=256)(compile)  # code objects by kernel source
+
+
 def _compile_kernel(name: str, args: str, statements: list[str], consts: dict) -> Callable:
     """Compile the function name(args) with the given body statements.
 
     The constants and coefficients enter as arguments of the factory
-    ``make``, so the source holds only fixed names and int exponents, and
-    popping ``make`` from its namespace leaves the compiled function in no
-    reference cycle.
+    ``make``, so the source holds only fixed names and int exponents: equal
+    sources compile to equal code, which _compiled keeps.  Popping ``make``
+    from its namespace leaves the compiled function in no reference cycle.
     """
     source = [f"def make({', '.join(consts)}):", f"    def {name}({args}):",
               *(f"        {line}" for line in statements), f"    return {name}"]
     namespace: dict = {}
-    exec("\n".join(source), namespace)
+    exec(_compiled("\n".join(source), "<string>", "exec"), namespace)
     return namespace.pop("make")(*consts.values())
 
 

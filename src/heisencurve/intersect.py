@@ -113,13 +113,16 @@ def _at_base(fn, x: tuple, what: str, error: type[Exception]):
 
 def _translated(f: PolySurface, p: Point, name: str) -> PolySurface:
     """f.translated(p) with its gradient derived, raising NotCommonZero when a
-    coefficient of either overflows."""
+    coefficient of either overflows, named by which one did."""
     try:
         ft = f.translated(p)
-        ft.grad_poly
-        return ft
     except OverflowError:
         raise NotCommonZero(f"{name} overflows when translated to the base point") from None
+    try:
+        ft.grad_poly
+    except OverflowError:
+        raise NotCommonZero(f"the horizontal gradient of {name} overflows") from None
+    return ft
 
 
 @dataclass
@@ -249,7 +252,7 @@ def brute_force_zero_cloud(f1: PolySurface, f2: PolySurface, box,
 
     box is ((x11_lo, x11_hi), (x12_lo, x12_hi), (t_lo, t_hi)), and eps is
     (grid spacing) * (max gradient bound) * 2, a first-order band around the
-    common zero set.
+    common zero set.  A gradient bound that is not finite raises OverflowError.
 
     The index grid is tiled into cubes of CLOUD_CUBE points per axis (fewer
     at the far faces), and |f1| + |f2| is evaluated once at each cube's
@@ -285,6 +288,8 @@ def brute_force_zero_cloud(f1: PolySurface, f2: PolySurface, box,
     xs, ys, ts = axes = _axes(box, grid_n)
     spacing = max((hi - lo) / (grid_n - 1) for lo, hi in box)
     g1, g2 = (f.max_euclidean_gradient(box) for f in pair)
+    if not math.isfinite(g1 + g2):
+        raise OverflowError("a gradient bound over the box overflows")
     eps = 2.0 * spacing * max(0.0, g1, g2)
     m1, m2 = (f.termwise_bound(box) for f in pair)
     (ix, vx, cx, hx), (iy, vy, cy, hy), (it, vt, ct, ht) = map(_cubes, axes)

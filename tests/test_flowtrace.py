@@ -257,8 +257,9 @@ class TestUniqueCharacteristicShortcut:
 
         monkeypatch.setattr(flowtrace, "extremal_solutions", spy)
         window = Rect.centered(0.5, 1.0)
-        res = level_trace(self.field, lambda e, t: e, window, TraceParams(depth=3),
-                          tau_lipschitz=0.5)
+        # the field of this class, with np.sin, since the field bound takes arrays
+        res = level_trace(lambda e, t: 0.5 * np.sin(t) + e, lambda e, t: e, window,
+                          TraceParams(depth=3), tau_lipschitz=0.5)
         (hc, calls, (tau_bar, tau_hat, diag)), = seen
         grid = (tau_bar.eta0, tau_bar.step, len(tau_bar))
         natural = integrate_through(hc, 0.0, 0.0, grid)
@@ -529,10 +530,13 @@ class TestLevelTrace:
     def test_field_gets_floats_and_F_node_arrays(self, monkeypatch):
         # F = eta + 0.3 tau vanishes between the nodes of most members, so the
         # node passes and the bisection both call it
-        fields, node_passes, points, members = set(), [], [], []
+        fields, grids, node_passes, points, members = set(), [], [], [], []
 
         def h(e, t):
-            fields.add((type(e), type(t)))
+            if isinstance(e, np.ndarray):
+                grids.append((e, t))
+            else:
+                fields.add((type(e), type(t)))
             return 0.0
 
         def F(e, t):
@@ -546,6 +550,12 @@ class TestLevelTrace:
         monkeypatch.setattr(flowtrace, "monotone_root",
                             lambda F, path, tol: members.append(path) or root(F, path, tol))
         level_trace(h, F, Rect.centered(0.5, 1.0), TraceParams(depth=3))
+        # the field bound is one call on the sample grid, every other call floats
+        (e, t), = grids
+        shape = (flowtrace.SAMPLE_GRID,) * 2
+        assert e.dtype == t.dtype == np.float64 and e.shape == t.shape == shape == (33, 33)
+        assert np.array_equal(e, np.broadcast_to(np.linspace(-0.5, 0.5, 33)[:, None], shape))
+        assert np.array_equal(t, np.broadcast_to(np.linspace(-1.0, 1.0, 33), shape))
         assert fields == {(float, float)}
         # one node pass per member, on its node arrays
         assert len(node_passes) == len(members) == 2 * (2**3 + 1)

@@ -534,6 +534,16 @@ class TestCompiledEvaluator:
         f = p.value_at
         assert vars(p)["value_at"] is f and p.value_at is f
 
+    def test_same_monomials_share_the_code(self):
+        # the source holds names and exponents only, so it is compiled once; each
+        # evaluator binds its own coefficients
+        p = PolySurface({(2, 1, 0): 1.5, (0, 0, 3): -2.0})
+        q = PolySurface({(2, 1, 0): 0.25, (0, 0, 3): 4.0})
+        assert p.value_at is not q.value_at
+        assert p.value_at.__code__ is q.value_at.__code__
+        assert p.value_at(2.0, 3.0, 0.5) == 1.5 * 4.0 * 3.0 - 2.0 * 0.125
+        assert q.value_at(2.0, 3.0, 0.5) == 0.25 * 4.0 * 3.0 + 4.0 * 0.125
+
     def test_intermediate_polynomials_stay_uncompiled(self, monkeypatch):
         p = full_degree_16()
         compiled = []

@@ -11,7 +11,7 @@ from conftest import POLY_X11, POLY_X11_PLUS_T, POLY_X12, bench_module, graph_po
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heisencurve import flowtrace, intersect
+from heisencurve import flowtrace, hsurface, intersect
 from heisencurve.errors import (
     DependentNormals,
     MarginViolated,
@@ -39,6 +39,8 @@ from heisencurve.intersect import (
 
 
 BOX_SMALL = ((-0.2, 0.2), (-0.2, 0.2), (-0.2, 0.2))
+# x11 + t - x11^3, whose zero set meets x12 = 0 in the curve t = x11^3 - x11
+POLY_CUBIC = PolySurface({(1, 0, 0): 1.0, (0, 0, 1): 1.0, (3, 0, 0): -1.0})
 
 
 def polyline_hausdorff(A, B) -> float:
@@ -157,7 +159,7 @@ class TestIntersectSurfaces:
 
     def test_graph_field_overflowing_gradient_rejected(self):
         steep = PolySurface({(1, 0, 0): 1.0, (3, 0, 0): 1e308})
-        with pytest.raises(NotCommonZero, match="f2 overflows when translated"):
+        with pytest.raises(NotCommonZero, match="the horizontal gradient of f2 overflows"):
             intersect.graph_field(steep, ORIGIN, 0.5, (-2.0, 2.0))
 
     def test_translation_overflow_rejected(self):
@@ -227,6 +229,18 @@ class TestIntersectSurfaces:
         c2 = intersect_surfaces(IntersectionProblem(POLY_X11_PLUS_T, POLY_X12, trace=trace))
         assert polyline_hausdorff(curve_b.points, c2.points) <= 2.0 * trace.step
 
+    @pytest.mark.parametrize("depth", [2, 6])
+    def test_curved_closed_form(self, depth):
+        # C = {x12, x11 + t - x11^3}: the curve t = x11^3 - x11 on x12 = 0,
+        # each graph solve a Newton iteration on a cubic
+        curve = intersect_surfaces(IntersectionProblem(
+            POLY_X12, POLY_CUBIC, window_half=0.2, bracket=(-0.5, 0.5),
+            trace=TraceParams(depth=depth)))
+        assert len(curve) >= 2 * 2**depth + 1
+        for q in curve.points:
+            assert q.x12 == 0.0
+            assert abs(q.t - (q.x11**3 - q.x11)) <= 1e-12
+
 
 def _ref_monotone_root(F, path, root_tol):
     """Reference only: monotone_root with its node values taken float by float."""
@@ -278,6 +292,42 @@ def cubic_problem(seed, k, depth):
 
 
 STEEP = PolySurface({(1, 0, 0): 1.0, (2, 0, 0): 1e20})
+
+
+def _float_field_bound(prob) -> float:
+    """The field bound as the float loop over the sample grid took it."""
+    cf = intersect.graph_field(prob.f2, prob.p, prob.window_half, prob.bracket)
+    cf.phi(0.0, 0.0)  # the origin check that precedes the bound in level_trace
+    axis = np.linspace(-prob.window_half, prob.window_half, flowtrace.SAMPLE_GRID)
+    return max(abs(cf.rhs(float(e), float(t))) for e in axis for t in axis)
+
+
+class TestFieldBound:
+    """level_trace's field bound, one array call of CharField.rhs on the grid."""
+
+    @pytest.mark.parametrize("tag", ["A", "B"])
+    def test_linear_bound_is_the_float_loop(self, tag, curve_a, curve_b):
+        curve, prob = (curve_a, problem_a()) if tag == "A" else (curve_b, problem_b())
+        assert curve.meta["trace"]["field_bound"] == _float_field_bound(prob)
+
+    def test_cubic_bound_within_ulps(self):
+        # numpy's array power may round apart from the scalar x**e in the last bit
+        prob = IntersectionProblem(POLY_X12, POLY_CUBIC, window_half=0.2, bracket=(-0.5, 0.5),
+                                   trace=TraceParams(depth=1))
+        got = intersect_surfaces(prob).meta["trace"]["field_bound"]
+        ref = _float_field_bound(prob)
+        assert abs(got - ref) <= 4 * math.ulp(ref)
+
+    @pytest.mark.parametrize("seed, k", [(1, 0), (2, 3), (3, 3)])
+    def test_cubic_pair_bound_within_solver_tolerance(self, seed, k):
+        # the float loop starts each solve from the previous root, the array solve
+        # from the base root; each stops once |f2| <= GTOL, so the roots may stop
+        # up to GTOL / |Y1 f2| apart
+        prob = cubic_problem(seed, k, 1)
+        got = intersect_surfaces(prob).meta["trace"]["field_bound"]
+        cf = intersect.graph_field(prob.f2, prob.p, prob.window_half, prob.bracket)
+        tol = abs(cf.beta) * hsurface.GTOL / cf.patch.y1_min_sampled
+        assert abs(got - _float_field_bound(prob)) <= tol
 
 
 class TestHarvest:
@@ -409,15 +459,24 @@ class TestZeroCloud:
         assert seen["points"] < 0.02 * 201**3
 
     @pytest.mark.parametrize("coeffs, box", [
-        # values and gradient bound overflow: eps is inf, every finite value a hit
+        # values and gradient bound overflow
         ({(0, 0, 3): 1e300, (1, 0, 0): 1.0}, ((-1.0, 1.0), (-1.0, 1.0), (-1e3, 1e3))),
-        # 1e300 (x11^2 - x12^2) is inf - inf = NaN where both squares overflow
+        # 1e300 (x11^2 - x12^2) is inf - inf = NaN where both squares overflow,
+        # and the squares of its partials' bounds 2e305 overflow too
         ({(2, 0, 0): 1e300, (0, 2, 0): -1e300}, ((-1e5, 1e5), (-1e5, 1e5), (-1.0, 1.0))),
-    ], ids=["inf", "nan"])
+        # finite values, but the coefficient 3e308 of d/dx11 overflows
+        ({(1, 0, 0): 1.0, (3, 0, 0): 1e308}, ((-0.2, 0.2),) * 3),
+    ], ids=["inf", "nan", "coefficient"])
     def test_non_finite_values_keep_cubes(self, coeffs, box):
+        # the band eps would be inf, so the reference takes every grid point with a
+        # finite total as a zero; the oracle raises instead
         pair = (PolySurface(coeffs), POLY_X12)
         with np.errstate(all="ignore"):
-            assert brute_force_zero_cloud(*pair, box, 19) == _ref_zero_cloud(*pair, box, 19)
+            total = np.abs(pair[0].value_at(*np.meshgrid(*intersect._axes(box, 19),
+                                                           indexing="ij")))
+            assert len(_ref_zero_cloud(*pair, box, 19)) == np.isfinite(total).sum()
+            with pytest.raises(OverflowError, match="gradient bound"):
+                brute_force_zero_cloud(*pair, box, 19)
 
     def test_exclusion_is_false_on_non_finite_operands(self):
         nan, inf = math.nan, math.inf
