@@ -26,7 +26,7 @@ rounds exactly like line_coords followed by the compiled evaluators,
 through which everything else (the array solve, bisection, the margin
 certificate, y_derivatives) evaluates f2 at coordinates, floats or numpy
 arrays.  Kernel sources hold no coefficients, so each is compiled once per
-process (up to 256 kept) and polynomials with the same monomials share it.
+process (up to 64 kept) and polynomials with the same monomials share it.
 A surface is its PolySurface, with its exact horizontal gradient
 derived on first use; left translation of a polynomial is again a
 polynomial, so a translated surface is one more PolySurface.
@@ -228,10 +228,10 @@ class PolySurface:
     def max_euclidean_gradient(self, box) -> float:
         """Upper bound for |grad p| (all three coordinate partials) over a box.
 
-        Each partial is bounded term by term (termwise_bound).
+        Each partial is bounded term by term (termwise_bound), and math.hypot
+        takes their norm without overflowing where the norm itself is finite.
         """
-        bounds = [self.partial(v).termwise_bound(box) for v in range(3)]
-        return math.sqrt(sum(b * b for b in bounds))
+        return math.hypot(*(self.partial(v).termwise_bound(box) for v in range(3)))
 
 
 def _exponents(key) -> tuple[int, int, int]:
@@ -297,7 +297,7 @@ def _sum_block(sums: dict, consts: dict, bound: set) -> list[str]:
     return [*fresh, *body]
 
 
-_compiled = lru_cache(maxsize=256)(compile)  # code objects by kernel source
+_compiled = lru_cache(maxsize=64)(compile)  # code objects by source; a verify round has 19
 
 
 def _compile_kernel(name: str, args: str, statements: list[str], consts: dict) -> Callable:

@@ -252,7 +252,7 @@ def brute_force_zero_cloud(f1: PolySurface, f2: PolySurface, box,
 
     box is ((x11_lo, x11_hi), (x12_lo, x12_hi), (t_lo, t_hi)), and eps is
     (grid spacing) * (max gradient bound) * 2, a first-order band around the
-    common zero set.  A gradient bound that is not finite raises OverflowError.
+    common zero set.  A band that is not finite raises OverflowError.
 
     The index grid is tiled into cubes of CLOUD_CUBE points per axis (fewer
     at the far faces), and |f1| + |f2| is evaluated once at each cube's
@@ -288,9 +288,9 @@ def brute_force_zero_cloud(f1: PolySurface, f2: PolySurface, box,
     xs, ys, ts = axes = _axes(box, grid_n)
     spacing = max((hi - lo) / (grid_n - 1) for lo, hi in box)
     g1, g2 = (f.max_euclidean_gradient(box) for f in pair)
-    if not math.isfinite(g1 + g2):
-        raise OverflowError("a gradient bound over the box overflows")
-    eps = 2.0 * spacing * max(0.0, g1, g2)
+    eps = 2.0 * spacing * float(np.maximum(g1, g2))  # np.maximum keeps a NaN bound
+    if not math.isfinite(eps):
+        raise OverflowError("the band eps, 2 (grid spacing) (gradient bound), overflows")
     m1, m2 = (f.termwise_bound(box) for f in pair)
     (ix, vx, cx, hx), (iy, vy, cy, hy), (it, vt, ct, ht) = map(_cubes, axes)
     r = np.sqrt(hx[:, None, None] ** 2 + hy[None, :, None] ** 2 + ht[None, None, :] ** 2)

@@ -116,6 +116,11 @@ class TestPolySurface:
         assert X11.max_euclidean_gradient(box) == 1.0
         assert X11_PLUS_T.max_euclidean_gradient(box) == math.sqrt(2.0)
 
+    def test_gradient_bound_finite_past_squared_overflow(self):
+        # the partials' bounds 1e200 and 3e200 have squares beyond float64
+        p = PolySurface({(1, 0, 0): 1e200, (0, 0, 1): 3e200})
+        assert p.max_euclidean_gradient(((-0.2, 0.2),) * 3) == math.hypot(1e200, 3e200)
+
 
 class TestHorizontalGradient:
     def test_coordinate_x11(self):

@@ -459,15 +459,31 @@ class TestZeroCloud:
         assert seen["points"] < 0.02 * 201**3
 
     @pytest.mark.parametrize("coeffs, box", [
+        # 2 x11^2 is inf at x11 = +-1e154, while the band is 8.9e307
+        ({(2, 0, 0): 2.0}, ((-1e154, 1e154), (-1.0, 1.0), (-1.0, 1.0))),
+        # 2 (x11^2 - x12^2) is inf - inf = NaN where both terms overflow;
+        # its partials' bounds are 4e154, so the band 1.3e308 stays finite
+        ({(2, 0, 0): 2.0, (0, 2, 0): -2.0}, ((-1e154, 1e154), (-1e154, 1e154), (-1.0, 1.0))),
+    ], ids=["inf", "nan"])
+    def test_non_finite_values_keep_cubes(self, coeffs, box):
+        pair = (PolySurface(coeffs), POLY_X12)
+        with np.errstate(all="ignore"):
+            total = np.abs(pair[0].value_at(*np.meshgrid(*intersect._axes(box, 19),
+                                                           indexing="ij")))
+            assert not np.isfinite(total).all()
+            assert brute_force_zero_cloud(*pair, box, 19) == _ref_zero_cloud(*pair, box, 19)
+
+    @pytest.mark.parametrize("coeffs, box", [
         # values and gradient bound overflow
         ({(0, 0, 3): 1e300, (1, 0, 0): 1.0}, ((-1.0, 1.0), (-1.0, 1.0), (-1e3, 1e3))),
-        # 1e300 (x11^2 - x12^2) is inf - inf = NaN where both squares overflow,
-        # and the squares of its partials' bounds 2e305 overflow too
+        # partials' bounds 2e305 each: finite, but 2 * spacing * bound is not
         ({(2, 0, 0): 1e300, (0, 2, 0): -1e300}, ((-1e5, 1e5), (-1e5, 1e5), (-1.0, 1.0))),
         # finite values, but the coefficient 3e308 of d/dx11 overflows
         ({(1, 0, 0): 1.0, (3, 0, 0): 1e308}, ((-0.2, 0.2),) * 3),
-    ], ids=["inf", "nan", "coefficient"])
-    def test_non_finite_values_keep_cubes(self, coeffs, box):
+        # gradient bound 1.2e154 and spacing 1.1e154: only their product overflows
+        ({(2, 0, 0): 0.06}, ((-1e155, 1e155), (-1.0, 1.0), (-1.0, 1.0))),
+    ], ids=["gradient", "band", "coefficient", "product"])
+    def test_overflowing_band_rejected(self, coeffs, box):
         # the band eps would be inf, so the reference takes every grid point with a
         # finite total as a zero; the oracle raises instead
         pair = (PolySurface(coeffs), POLY_X12)
@@ -477,6 +493,13 @@ class TestZeroCloud:
             assert len(_ref_zero_cloud(*pair, box, 19)) == np.isfinite(total).sum()
             with pytest.raises(OverflowError, match="gradient bound"):
                 brute_force_zero_cloud(*pair, box, 19)
+
+    def test_huge_finite_gradient_bound_accepted(self):
+        # the squares of the partials' bounds 1e200 overflow, their norm does not
+        pair = (PolySurface({(1, 0, 0): 1e200}), POLY_X12)
+        cloud = brute_force_zero_cloud(*pair, BOX_SMALL, 21)
+        assert cloud == _ref_zero_cloud(*pair, BOX_SMALL, 21)
+        assert Point(0.0, 0.0, 0.0) in cloud
 
     def test_exclusion_is_false_on_non_finite_operands(self):
         nan, inf = math.nan, math.inf
