@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .flowtrace import PathSample, Rect, integrate_through, _anchored_grid, _clamped
-from .hgroup import Point, VerticalCoords, hnorm
+from .hgroup import Point, VerticalCoords
 from .hsurface import GraphPatch, PolySurface, y_derivatives
 
 __all__ = [
@@ -43,13 +43,13 @@ class CharField:
     rhs(eta, tau) is the characteristic speed beta * phi2hat; source(eta, tau)
     is the forcing -(Y2 f2 / Y1 f2) at the graph point.  Both evaluate only
     inside the patch window, as GraphPatch.solve_scalar does; a march that can
-    step past it clamps the field through flowtrace._clamped.  On floats each
-    graph solve starts Newton from the previous float solve's root.  That
-    warm start moves the root only by rounding, so a value depends, in its
-    last bits, on what the field solved before.  phi, graph_coords and rhs
-    also take broadcasting float64 arrays (rhs when eta is one), solved at
-    once by GraphPatch.solve_many from the base root, without reading or
-    writing that hint.
+    step past it clamps the field through flowtrace._clamped.  On arrays,
+    phi, graph_coords, source and rhs (when eta is one) solve at once by
+    GraphPatch.solve_many from the base root, reading or writing no hint.
+    On floats (the march, the lift and the chain-rule and directional checks)
+    each graph solve starts Newton from the previous float solve's root.
+    That warm start moves a root only by rounding, so a float value depends,
+    in its last bits, on what the field solved before.
     """
 
     def __init__(self, patch: GraphPatch):
@@ -78,7 +78,7 @@ class CharField:
     def graph_point(self, eta: float, tau: float) -> Point:
         return Point(*self.graph_coords(eta, tau))
 
-    def source(self, eta: float, tau: float) -> float:
+    def source(self, eta, tau):
         y1, y2 = y_derivatives(self.patch.f2, self.graph_coords(eta, tau), self.patch.frame)
         return -y2 / y1
 
@@ -109,17 +109,14 @@ def system_residual(cf: CharField, path: PathSample) -> float:
     Along a genuine characteristic, nu(eta) = phi2hat(eta, tau(eta)) must
     satisfy dnu/deta = source; the returned value is the largest midpoint
     defect |delta nu / delta eta - source|.  Second order small for certified
-    characteristics, order one for impostors.
+    characteristics, order one for impostors.  nu and the source are one
+    array call each, so the field's hint is neither read nor written.
     """
-    taus = path.values.tolist()
-    nus = np.array([cf.phi(e, t) for e, t in zip(path.etas.tolist(), taus)])
-    worst = 0.0
-    for i in range(len(path) - 1):
-        slope = (nus[i + 1] - nus[i]) / path.step
-        e_mid = float(path.eta0 + (i + 0.5) * path.step)
-        t_mid = 0.5 * (taus[i] + taus[i + 1])
-        worst = max(worst, abs(slope - cf.source(e_mid, t_mid)))
-    return worst
+    nus = cf.phi(path.etas, path.values)
+    e_mid = path.eta0 + (np.arange(len(path) - 1) + 0.5) * path.step
+    t_mid = 0.5 * (path.values[:-1] + path.values[1:])
+    defect = np.diff(nus) / path.step - cf.source(e_mid, t_mid)
+    return float(np.max(np.abs(defect), initial=0.0))
 
 
 def _pair_determinant(f1: PolySurface, cf: CharField, x: tuple) -> tuple[float, float]:
@@ -222,26 +219,25 @@ class TaylorBasePoint:
 
 
 def taylor_remainder(f1: PolySurface, cf: CharField, base: TaylorBasePoint,
-                     n: VerticalCoords) -> tuple[float, float]:
-    """Expansion remainder at n and the homogeneous scale it is measured on.
+                     eta, tau) -> tuple:
+    """Expansion remainder at n = (eta, tau), floats or arrays, and its scale.
 
     remainder = f1(Phi2(n)) - f1(Phi2(n_bar))
                 + (eta - eta2_bar) / Y1 f2(x_bar) * det(...)
-    scale     = ||(eta - eta2_bar) b2 + tau' e3|| with the sheared vertical
-    offset tau' = tau - tau_bar - 2 eta eta1_bar det C + eta1_bar eta2_bar det C.
+    scale     = ||(eta - eta2_bar) b2 + tau' e3|| = max(|eta - eta2_bar|, sqrt|tau'|)
+    with tau' = tau - tau_bar - 2 eta eta1_bar det C + eta1_bar eta2_bar det C.
     The ratio remainder / scale vanishes as n approaches the base point.
     """
     det, y1f2 = _pair_determinant(f1, cf, astuple(base.x_bar))
-    value_n = f1.value_at(*cf.graph_coords(n.eta, n.tau))
+    value_n = f1.value_at(*cf.graph_coords(eta, tau))
     value_b = f1.value_at(*astuple(base.x_bar))
-    d_eta = n.eta - base.n_bar.eta
+    d_eta = eta - base.n_bar.eta
     remainder = value_n - value_b + d_eta / y1f2 * det
     detc = cf.patch.frame.detC
-    tau_prime = (n.tau - base.tau_bar
-                 - 2.0 * n.eta * base.eta1_bar * detc
+    tau_prime = (tau - base.tau_bar
+                 - 2.0 * eta * base.eta1_bar * detc
                  + base.eta1_bar * base.n_bar.eta * detc)
-    scale = hnorm(Point(d_eta, 0.0, tau_prime))
-    return remainder, scale
+    return remainder, np.maximum(np.abs(d_eta), np.sqrt(np.abs(tau_prime)))
 
 
 def directional_derivative_check(f1: PolySurface, cf: CharField,

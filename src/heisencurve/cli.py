@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from . import verify as verify_suites
-from .characteristics import characteristic
+from .characteristics import CharField, characteristic
 from .errors import (
     ConfigError,
     DependentNormals,
@@ -237,12 +237,14 @@ def _run_intersect(cfg: RunConfig, out: str) -> None:
 
 
 def _run_characteristics(cfg: RunConfig, out: str) -> None:
-    cf = graph_field(cfg.surfaces[0], cfg.base_point, cfg.window, cfg.bracket)
+    patch = graph_field(cfg.surfaces[0], cfg.base_point, cfg.window, cfg.bracket).patch
     rows = []
     for tau0 in cfg.tau0:
+        # a field of its own, so no march warm-starts from another's last root
+        cf = CharField(patch)
         path = characteristic(cf, tau0, step=cfg.step)
-        for e, t in zip(path.etas, path.values):
-            rows.append((tau0, e, t, cf.phi(float(e), float(t))))
+        nus = cf.phi(path.etas, path.values)
+        rows += [(tau0, e, t, nu) for e, t, nu in zip(path.etas, path.values, nus)]
     _write_rows(out, ["tau0", "eta", "tau", "nu"], rows)
     print(f"wrote {len(rows)} characteristic samples to {out}")
 

@@ -321,7 +321,6 @@ class FlowFamily:
     """Solutions ordered pointwise and parametrized by their integral."""
 
     members: list[tuple[float, PathSample]]
-    interval: tuple[float, float]
 
     def monotonicity_violation(self) -> float:
         """Max pointwise drop between consecutive members (should be ~0)."""
@@ -462,7 +461,7 @@ def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int,
     members = ([(mu_minus, tau_minus)]
                + recurse(tau_minus, mu_minus, tau_plus, mu_plus, depth)
                + [(mu_plus, tau_plus)])
-    return FlowFamily(members=members, interval=(mu_minus, mu_plus))
+    return FlowFamily(members)
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +545,11 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None,
     F must vanish at the origin and be strictly monotone along every
     solution of dtau/deta = h.  h and F are called on floats and on
     broadcasting float64 arrays: h once, on the SAMPLE_GRID x SAMPLE_GRID
-    grid of the field bound, and F once per member on its node arrays
-    (monotone_root).  The construction integrates the extremal
-    solutions through the origin, flanks them by solutions through
-    (0, +-b/2), fills both gaps with integral-parametrized families, takes
-    the unique zero of F along each member, and collapses parameter
+    grid of the field bound (ValueError if it is not finite), and F once per
+    member on its node arrays (monotone_root).  The construction integrates
+    the extremal solutions through the origin, flanks them by solutions
+    through (0, +-b/2), fills both gaps with integral-parametrized families,
+    takes the unique zero of F along each member, and collapses parameter
     intervals on which the zero stalls, so consecutive samples are distinct.
     tau_lipschitz is a bound on |dh/dtau| over the window, or None; a
     finite one makes the extremal solutions the one march through the
@@ -568,6 +567,8 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None,
     M = float(np.max(np.abs(h(*np.meshgrid(np.linspace(-a, a, SAMPLE_GRID),
                                             np.linspace(-b, b, SAMPLE_GRID),
                                             indexing="ij")))))
+    if not math.isfinite(M):
+        raise ValueError(f"the field bound on the window is not finite: M = {M!r}")
     delta = a if M * 2.0 * a <= b else b / (2.0 * M)
     n_half = max(1, min(int(math.ceil(delta / params.step - 1e-9)),
                         MAX_NODES // 2))
@@ -662,27 +663,20 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None,
 def coverage_gap(result: TraceResult, F, f_eps: float = 1e-3):
     """Largest distance from a grid zero of F in U and the band to the samples.
 
-    Returns (max_gap, grid_spacing, n_grid_zeros); gaps should stay within a
-    couple of grid spacings when the trace covers the zero set.
+    F is called once, on the float64 arrays of the COVERAGE_GRID x
+    COVERAGE_GRID meshgrid (indexing="ij") of U.  Returns (max_gap,
+    grid_spacing, n_grid_zeros); gaps should stay within a couple of grid
+    spacings when the trace covers the zero set.
     """
     (e_lo, e_hi), (t_lo, t_hi) = result.neighborhood.eta, result.neighborhood.tau
     if not result.zeta:
         raise ValueError("empty trace")
     pts = np.array(result.zeta)
-    es = np.linspace(e_lo, e_hi, COVERAGE_GRID)
-    ts = np.linspace(t_lo, t_hi, COVERAGE_GRID)
+    eta, tau = np.meshgrid(np.linspace(e_lo, e_hi, COVERAGE_GRID),
+                           np.linspace(t_lo, t_hi, COVERAGE_GRID), indexing="ij")
     spacing = max((e_hi - e_lo), (t_hi - t_lo)) / (COVERAGE_GRID - 1)
-    worst = 0.0
-    count = 0
-    band_lo, band_hi = result.band
-    for e in es:
-        for t in ts:
-            if not (band_lo.tau_at(float(e)) - 1e-12 <= t
-                    <= band_hi.tau_at(float(e)) + 1e-12):
-                continue
-            if abs(F(float(e), float(t))) >= f_eps:
-                continue
-            count += 1
-            gap = float(np.min(np.hypot(pts[:, 0] - e, pts[:, 1] - t)))
-            worst = max(worst, gap)
-    return worst, spacing, count
+    lo, hi = (np.array([band.tau_at(e) for e in eta[:, 0].tolist()])[:, None]
+              for band in result.band)
+    zero = (lo - 1e-12 <= tau) & (tau <= hi + 1e-12) & (np.abs(F(eta, tau)) < f_eps)
+    gaps = np.hypot(pts[:, 0] - eta[zero][:, None], pts[:, 1] - tau[zero][:, None])
+    return float(np.max(np.min(gaps, axis=1), initial=0.0)), spacing, int(np.count_nonzero(zero))

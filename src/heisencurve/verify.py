@@ -193,20 +193,19 @@ def _patches():
 
 def suite_graph(scale: Scale) -> list[dict]:
     flat, affine = _patches()
+    grid = np.linspace(-0.5, 0.5, 50)
+    eta, tau = np.meshgrid(grid, grid, indexing="ij")
     res = closed = 0.0
-    for eta in np.linspace(-0.5, 0.5, 50):
-        for tau in np.linspace(-0.5, 0.5, 50):
-            n = (float(eta), float(tau))
-            for patch, exact in ((flat, 0.0), (affine, -tau / (1.0 - eta))):
-                s = patch.solve_scalar(n)
-                res = max(res, abs(patch.f2.value_at(*patch.line_coords(*n, s))))
-                closed = max(closed, abs(s - exact))
+    for patch, exact in ((flat, 0.0), (affine, -tau / (1.0 - eta))):
+        s = patch.solve_many(eta, tau)
+        res = max(res, float(np.max(np.abs(patch.f2.value_at(*patch.line_coords(eta, tau, s))))))
+        closed = max(closed, float(np.max(np.abs(s - exact))))
     section = 0.0
-    for eta in np.linspace(-0.4, 0.4, 9):
-        eta, tau = float(eta), float(eta) / 2.0
-        q = Point(*affine.line_coords(eta, tau, affine.solve_scalar((eta, tau))))
-        back = coords_N(project_N(q, affine.frame), affine.frame)
-        section = max(section, abs(back.eta - eta), abs(back.tau - tau))
+    etas = np.linspace(-0.4, 0.4, 9)
+    coords = affine.line_coords(etas, etas / 2.0, affine.solve_many(etas, etas / 2.0))
+    for eta, *q in zip(etas.tolist(), *(c.tolist() for c in coords)):
+        back = coords_N(project_N(Point(*q), affine.frame), affine.frame)
+        section = max(section, abs(back.eta - eta), abs(back.tau - eta / 2.0))
     poly = PolySurface({(3, 0, 0): 1.0, (0, 2, 1): -1.0})
     x = Point(0.4, -0.3, 0.2)
     g1 = poly.grad_at(x.x11, x.x12, x.t)[0]
@@ -266,16 +265,16 @@ def suite_calculus(scale: Scale) -> list[dict]:
     rep_rand = chain_rule_check(rand_poly, cf, path, h_sweep=(1e-2, 5e-3, 2.5e-3))
     base = TaylorBasePoint.from_patch(affine, VerticalCoords(0.0, 0.0))
     quad = PolySurface({(0, 1, 0): 1.0, (2, 0, 0): 1.0})
+    u = np.linspace(-1.0, 1.0, scale.taylor_n)
     ratios = []
     for k in range(2, 9):
         r = 2.0**-k
-        worst = 0.0
-        for u in np.linspace(-1.0, 1.0, scale.taylor_n):
-            for eta, tau in ((r, u * r * r), (-r, u * r * r),
-                             (u * r, r * r), (u * r, -r * r)):
-                rem, size = taylor_remainder(quad, cf, base, VerticalCoords(eta, tau))
-                worst = max(worst, abs(rem) / size)
-        ratios.append(worst)
+        # the four sides of the box max(|eta|, sqrt|tau|) = r
+        ends, sides = np.full_like(u, r), u * r
+        rem, size = taylor_remainder(quad, cf, base,
+                                     np.concatenate([ends, -ends, sides, sides]),
+                                     np.concatenate([sides * r, sides * r, ends * r, -ends * r]))
+        ratios.append(float(np.max(np.abs(rem) / size)))
     violations = sum(1 for a, b in zip(ratios, ratios[1:]) if b > a)
     shifted = TaylorBasePoint.from_patch(affine, VerticalCoords(0.0, 0.2))
     rep_dir = directional_derivative_check(quad, cf, shifted,

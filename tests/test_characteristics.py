@@ -19,7 +19,7 @@ from heisencurve.characteristics import (
 )
 from heisencurve.flowtrace import PathSample, Rect, integrate_through
 from heisencurve.hgroup import VerticalCoords, dist, make_frame
-from heisencurve.hsurface import WINDOW_SLACK, GraphPatch, PolySurface
+from heisencurve.hsurface import WINDOW_SLACK, GraphPatch, PolySurface, y_derivatives
 
 RIGHT_HALF = Rect((0.0, 0.5), (-0.5, 0.5))
 
@@ -120,11 +120,32 @@ class TestCharFieldArrays:
         affine_field.graph_coords(0.1, tau)
         assert affine_field._hint == hint
 
+    def test_checks_leave_the_hint(self, affine_field):
+        path = characteristic(affine_field, 0.2, window=RIGHT_HALF, step=1e-2)
+        hint = affine_field.rhs(0.1, 0.2) / affine_field.beta
+        base = TaylorBasePoint.from_patch(affine_field.patch, VerticalCoords(0.0, 0.0))
+        system_residual(affine_field, path)
+        taylor_remainder(F1_QUAD, affine_field, base, np.linspace(-0.2, 0.2, 5), 0.01)
+        assert affine_field._hint == hint
+
     def test_arrays_match_floats(self, affine_field):
         eta, tau = np.linspace(-0.4, 0.4, 9), np.linspace(0.3, -0.3, 9)
         coords = affine_field.graph_coords(eta, tau)
         for i, (e, t) in enumerate(zip(eta.tolist(), tau.tolist())):
             assert [c[i] for c in coords] == list(astuple(graph_point(affine_field.patch, e, t)))
+
+
+def _ref_system_residual(cf, path):
+    """Reference only: system_residual point by point, each solve cold."""
+    taus = path.values.tolist()
+    nus = [cf.patch.solve_scalar((e, t)) for e, t in zip(path.etas.tolist(), taus)]
+    worst = 0.0
+    for i in range(len(path) - 1):
+        mid = graph_point(cf.patch, float(path.eta0 + (i + 0.5) * path.step),
+                          0.5 * (taus[i] + taus[i + 1]))
+        y1, y2 = y_derivatives(cf.patch.f2, astuple(mid), cf.patch.frame)
+        worst = max(worst, abs((nus[i + 1] - nus[i]) / path.step + y2 / y1))
+    return worst
 
 
 class TestFirstOrderSystem:
@@ -137,6 +158,13 @@ class TestFirstOrderSystem:
             for tau0 in (-0.3, 0.25):
                 p = characteristic(affine_field, tau0, window=RIGHT_HALF, step=step)
                 assert system_residual(affine_field, p) <= 10.0 * step**2
+
+    def test_matches_the_cold_point_loop(self, affine_field):
+        # the affine graph is linear, so array and float solves agree bit for bit
+        p = characteristic(affine_field, 0.25, window=RIGHT_HALF, step=1e-2)
+        fake = PathSample(0.0, 1e-2, 0.1 + 1e-2 * np.arange(41))
+        for path in (p, fake):
+            assert system_residual(affine_field, path) == _ref_system_residual(affine_field, path)
 
     def test_negative_control(self, affine_field):
         # tau = 0.1 + eta is no characteristic of the affine patch
@@ -193,7 +221,7 @@ class TestChainRule:
 class TestTaylor:
     def test_zero_at_base_point(self, affine_field):
         base = TaylorBasePoint.from_patch(affine_field.patch, VerticalCoords(0.1, -0.2))
-        rem, scale = taylor_remainder(F1_QUAD, affine_field, base, base.n_bar)
+        rem, scale = taylor_remainder(F1_QUAD, affine_field, base, *astuple(base.n_bar))
         assert rem == 0.0
         # the sheared offset cancels only to rounding; hnorm square-roots it
         assert scale <= 1e-8
@@ -202,8 +230,8 @@ class TestTaylor:
         base = TaylorBasePoint.from_patch(affine_field.patch, VerticalCoords(0.0, 0.0))
         rng = np.random.default_rng(1)
         for _ in range(40):
-            n = VerticalCoords(*rng.uniform(-0.4, 0.4, size=2))
-            rem, _ = taylor_remainder(POLY_X12, affine_field, base, n)
+            eta, tau = rng.uniform(-0.4, 0.4, size=2)
+            rem, _ = taylor_remainder(POLY_X12, affine_field, base, eta, tau)
             assert abs(rem) <= 1e-10
 
     def test_quadratic_ratio_decreases(self, affine_field):
@@ -213,9 +241,7 @@ class TestTaylor:
             r = 2.0**-k
             worst = 0.0
             for eta, tau in sphere_samples(r):
-                rem, scale = taylor_remainder(
-                    F1_QUAD, affine_field, base, VerticalCoords(eta, tau)
-                )
+                rem, scale = taylor_remainder(F1_QUAD, affine_field, base, eta, tau)
                 worst = max(worst, abs(rem) / scale)
             ratios.append(worst)
         violations = sum(1 for a, b in zip(ratios, ratios[1:]) if b > a)
@@ -228,6 +254,16 @@ class TestTaylor:
         assert dist(base.x_bar, graph_point(affine_field.patch, n_bar.eta, n_bar.tau)) <= 1e-12
         detc = affine_field.patch.frame.detC
         assert abs(base.tau_bar - (n_bar.tau - base.eta1_bar * n_bar.eta * detc)) <= 1e-15
+
+
+    def test_arrays_match_cold_float_calls(self, affine_field):
+        base = TaylorBasePoint.from_patch(affine_field.patch, VerticalCoords(0.1, -0.2))
+        eta, tau = np.random.default_rng(3).uniform(-0.4, 0.4, size=(2, 60))
+        rem, scale = taylor_remainder(F1_QUAD, affine_field, base, eta, tau)
+        for i, (e, t) in enumerate(zip(eta.tolist(), tau.tolist())):
+            # a field of its own per point, so each float solve starts cold
+            cold = CharField(affine_field.patch)
+            assert taylor_remainder(F1_QUAD, cold, base, e, t) == (rem[i], scale[i])
 
 
 class TestDirectionalDerivative:

@@ -3,16 +3,20 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from conftest import bench_module
 
 from heisencurve import cli, flowtrace
 from heisencurve.errors import ConfigError, NoZeroFound
 from heisencurve.hgroup import Point
 from heisencurve.hsurface import PolySurface
+from heisencurve.intersect import graph_field
 
 SURF_X11 = [[1, 0, 0, 1.0]]
 SURF_X12 = [[0, 1, 0, 1.0]]
 SURF_AFFINE = [[1, 0, 0, 1.0], [0, 0, 1, 1.0]]
+PAIRS = bench_module("pairs")
 
 
 def intersect_config(**over):
@@ -211,6 +215,33 @@ class TestOtherCommands:
         for tau0, eta, tau, nu in rows:
             if eta >= 0.0:
                 assert abs(tau - 0.2 * (1.0 - eta) ** 2) <= 1e-4
+
+    @pytest.fixture(scope="class")
+    def cubic_characteristics(self, tmp_path_factory):
+        """The characteristics CSV of the benchmark's cubic f2 (seed 2, pair 2)."""
+        doc = json.loads(PAIRS.config_text(PAIRS.draw_pair(2, 2), 1))
+        cfg = {"command": "characteristics", "surfaces": doc["surfaces"][1:],
+               **{k: doc[k] for k in ("base_point", "window", "bracket")}}
+        tmp = tmp_path_factory.mktemp("cubic")
+        out = tmp / "char.csv"
+        (tmp / "char.json").write_text(json.dumps(cfg))
+        assert cli.main(["characteristics", "--config", str(tmp / "char.json"),
+                         "--out", str(out)]) == 0
+        return cli.parse_config(json.dumps(cfg)), read_csv(out)[1]
+
+    def test_characteristics_nu_is_the_array_root(self, cubic_characteristics):
+        cfg, rows = cubic_characteristics
+        patch = graph_field(cfg.surfaces[0], cfg.base_point, cfg.window, cfg.bracket).patch
+        _, eta, tau, nu = np.array(rows).T
+        assert np.array_equal(nu, patch.solve_many(eta, tau))
+
+    def test_characteristics_rows_do_not_depend_on_earlier_tau0(
+            self, cubic_characteristics, tmp_path):
+        # at the default tau0 (-0.2, -0.1, 0.1, 0.2), the third run alone
+        cfg, rows = cubic_characteristics
+        cfg.tau0, cfg.out = (0.1,), str(tmp_path / "alone.csv")
+        assert cli.run(cfg) == 0
+        assert read_csv(tmp_path / "alone.csv")[1] == [r for r in rows if r[0] == 0.1]
 
     def test_characteristics_defaults_exit_zero(self, tmp_path):
         # the default tau0 keep every characteristic of x11 + t inside the window

@@ -44,6 +44,22 @@ def path_on(eta0, step, n, fn):
     return PathSample(eta0, step, np.array([fn(e) for e in etas]))
 
 
+def _ref_coverage_gap(result, F, f_eps):
+    """Reference only: coverage_gap point by point on floats."""
+    (e_lo, e_hi), (t_lo, t_hi) = result.neighborhood.eta, result.neighborhood.tau
+    pts = np.array(result.zeta)
+    band_lo, band_hi = result.band
+    worst, count = 0.0, 0
+    for e in np.linspace(e_lo, e_hi, flowtrace.COVERAGE_GRID).tolist():
+        for t in np.linspace(t_lo, t_hi, flowtrace.COVERAGE_GRID).tolist():
+            if (band_lo.tau_at(e) - 1e-12 <= t <= band_hi.tau_at(e) + 1e-12
+                    and abs(F(e, t)) < f_eps):
+                count += 1
+                worst = max(worst, float(np.min(np.hypot(pts[:, 0] - e, pts[:, 1] - t))))
+    spacing = max((e_hi - e_lo), (t_hi - t_lo)) / (flowtrace.COVERAGE_GRID - 1)
+    return worst, spacing, count
+
+
 class TestIntegrate:
     # grids are (eta0, step, n); each march is anchored at eta = 0
     def test_tau_independent_field(self):
@@ -597,6 +613,36 @@ class TestLevelTrace:
     def test_rejects_nonzero_origin(self):
         with pytest.raises(ValueError):
             level_trace(lambda e, t: 0.0, lambda e, t: e + 1.0, Rect.centered(0.5, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_field_bound(self, bad):
+        # h is finite at the origin but not on the whole sample grid
+        def h(e, t):
+            return np.where(np.abs(t) > 0.5, bad, 0.0)
+
+        with pytest.raises(ValueError, match="field bound on the window is not finite"):
+            level_trace(h, lambda e, t: e, Rect.centered(0.5, 1.0))
+
+    def test_coverage_gap_matches_the_point_loop(self):
+        res = level_trace(cubic_field, lambda e, t: e, Rect.centered(0.5, 1.0),
+                          TraceParams(depth=4))
+        for F, f_eps in ((lambda e, t: e, 0.05), (lambda e, t: e + t, 0.1)):
+            assert coverage_gap(res, F, f_eps) == _ref_coverage_gap(res, F, f_eps)
+
+    def test_coverage_gap_calls_F_once_on_the_grid(self):
+        res = level_trace(lambda e, t: 0.0, lambda e, t: e + t,
+                          Rect.centered(0.5, 1.0), TraceParams(depth=3))
+        calls = []
+
+        def F(e, t):
+            calls.append((e, t))
+            return e + t
+
+        assert coverage_gap(res, F, f_eps=2 * 1.0 / 40)[2] > 0
+        assert len(calls) == 1
+        e, t = calls[0]
+        shape = (flowtrace.COVERAGE_GRID, flowtrace.COVERAGE_GRID)
+        assert e.shape == t.shape == shape and e.dtype == t.dtype == np.float64
 
     @pytest.mark.parametrize("h", [lambda e, t: e - t, lambda e, t: -t], ids=["e-t", "-t"])
     def test_rejects_an_infinite_eta_half_width(self, h):
