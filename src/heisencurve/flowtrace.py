@@ -89,8 +89,8 @@ class PathSample:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(f"step must be finite and positive, got {self.step!r}")
         if self.values.ndim != 1 or len(self.values) < 1:
             raise ValueError("values must be a nonempty 1-d array")
 
@@ -261,54 +261,39 @@ def extremal_solutions(h, eta_a: float, tau_a: float, window: Rect, step: float,
     grid = _anchored_grid(eta_a, window, step)
     eta0, step_g, n = grid
     k = round((eta_a - eta0) / step_g)
-    if tau_lipschitz is not None and not math.isfinite(tau_lipschitz):
-        tau_lipschitz = None
     natural = integrate_through(h, eta_a, tau_a, grid, window.tau).values
-    if tau_lipschitz is not None:
-        diagnostics = {"eps": (), "gap_min": [], "gap_max": [], "dropped_min": [],
-                       "dropped_max": [], "converged": True,
-                       "tau_lipschitz": float(tau_lipschitz)}
+    unique = tau_lipschitz is not None and math.isfinite(tau_lipschitz)
+    diagnostics = {"eps": () if unique else EPS_SEQUENCE, "gap_min": [], "gap_max": [],
+                   "dropped_min": [], "dropped_max": [], "converged": True,
+                   "tau_lipschitz": float(tau_lipschitz) if unique else None}
+    if unique:
         return (PathSample(eta0, step_g, natural), PathSample(eta0, step_g, natural.copy()),
                 diagnostics)
-
-    def shifted_path(sign: float, eps: float) -> np.ndarray:
-        # sign = -1 for the minimal side, +1 for the maximal side
-        def field(direction):
-            return lambda e, t: h(e, t) + sign * direction * eps
-
-        return _march_both(field(1), field(-1), eta_a, tau_a + sign * eps, k, n,
-                           step_g, *window.tau)
 
     # A shifted path that crosses the natural trajectory on the wrong side has
     # gone unstable (the shift is too small for the step near a degenerate
     # zero of the field); such eps values are dropped.
     wrong_side_tol = 1e-3 * (1.0 + float(np.max(np.abs(natural))))
-    diagnostics = {"eps": EPS_SEQUENCE, "gap_min": [], "gap_max": [],
-                   "dropped_min": [], "dropped_max": []}
-    lows, highs = [], []
+    kept = {"min": [], "max": []}
+    # min then max per eps: a graph field's warm start follows the march order
     for eps in EPS_SEQUENCE:
-        low = shifted_path(-1.0, eps)
-        if float(np.max(low - natural)) > wrong_side_tol + eps:
-            diagnostics["dropped_min"].append(eps)
-        else:
-            if lows:
-                diagnostics["gap_min"].append(float(np.max(np.abs(low - lows[-1]))))
-            lows.append(low)
-        high = shifted_path(+1.0, eps)
-        if float(np.max(natural - high)) > wrong_side_tol + eps:
-            diagnostics["dropped_max"].append(eps)
-        else:
-            if highs:
-                diagnostics["gap_max"].append(float(np.max(np.abs(high - highs[-1]))))
-            highs.append(high)
-    lo = np.minimum(lows[-1], natural) if lows else natural.copy()
-    hi = np.maximum(highs[-1], natural) if highs else natural.copy()
+        for side, sign in (("min", -1.0), ("max", 1.0)):
+            path = _march_both(lambda e, t: h(e, t) + sign * eps,
+                               lambda e, t: h(e, t) - sign * eps,
+                               eta_a, tau_a + sign * eps, k, n, step_g, *window.tau)
+            if float(np.max(-sign * (path - natural))) > wrong_side_tol + eps:
+                diagnostics[f"dropped_{side}"].append(eps)
+                continue
+            if kept[side]:
+                diagnostics[f"gap_{side}"].append(float(np.max(np.abs(path - kept[side][-1]))))
+            kept[side].append(path)
+    lo = np.minimum(kept["min"][-1], natural) if kept["min"] else natural.copy()
+    hi = np.maximum(kept["max"][-1], natural) if kept["max"] else natural.copy()
     gaps = diagnostics["gap_min"] + diagnostics["gap_max"]
     diagnostics["converged"] = bool(
         (not gaps or gaps[-1] <= max(gaps[0], 1e-12))
         and not diagnostics["dropped_min"] and not diagnostics["dropped_max"]
     )
-    diagnostics["tau_lipschitz"] = None
     return PathSample(eta0, step_g, lo), PathSample(eta0, step_g, hi), diagnostics
 
 
@@ -468,6 +453,24 @@ def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int,
 # Roots along paths and the zero-set trace
 # ---------------------------------------------------------------------------
 
+def _bisect_sign_change(g, lo, hi, g_lo, tol, width) -> float:
+    """Root of g on [lo, hi] by bisection, where g(lo) = g_lo and g(hi) differ in sign.
+
+    Keeps the half with the sign change.  Returns the midpoint once |g| <= tol
+    there or the bracket is narrower than width, else after 200 halvings.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        if abs(g_mid) <= tol or hi - lo < width:
+            return mid
+        if g_lo * g_mid < 0.0:
+            hi = mid
+        else:
+            lo, g_lo = mid, g_mid
+    return 0.5 * (lo + hi)
+
+
 def monotone_root(F, path: PathSample, root_tol: float = 1e-10):
     """The unique zero of eta -> F(eta, tau(eta)) along the path, with F's samples.
 
@@ -500,27 +503,26 @@ def monotone_root(F, path: PathSample, root_tol: float = 1e-10):
     if not len(cross):
         return None, vals
     i = int(cross[0])
-    a, b, ga = etas[i], etas[i + 1], g[i]
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        gm = sign * F(m, path.tau_at(m))
-        if abs(gm) <= root_tol or b - a < 1e-14:
-            return (float(m), float(path.tau_at(m))), vals
-        if ga * gm < 0.0:
-            b = m
-        else:
-            a, ga = m, gm
-    m = 0.5 * (a + b)
-    return (float(m), float(path.tau_at(m))), vals
+    m = _bisect_sign_change(lambda e: sign * F(e, path.tau_at(e)), etas[i], etas[i + 1],
+                            g[i], root_tol, 1e-14)
+    return (m, path.tau_at(m)), vals
 
 
 @dataclass
 class TraceParams:
-    """Numeric knobs for level_trace."""
+    """Numeric knobs for level_trace; a value out of range raises ValueError."""
 
     step: float = 1e-3
     depth: int = 6
     root_tol: float = 1e-10
+
+    def __post_init__(self):
+        for name in ("step", "root_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)!r}")
+        if not (isinstance(self.depth, int) and self.depth >= 0):
+            raise ValueError(f"depth must be an integer >= 0, got {self.depth!r}")
 
 
 @dataclass
@@ -556,8 +558,9 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None,
     origin (extremal_solutions).
     """
     params = params or TraceParams()
-    if abs(F(0.0, 0.0)) > max(params.root_tol, 1e-10):
-        raise ValueError(f"F(0,0) = {F(0.0, 0.0)!r}: the trace must start at a zero")
+    f0 = F(0.0, 0.0)
+    if not abs(f0) <= max(params.root_tol, 1e-10):  # NaN fails too
+        raise ValueError(f"F(0,0) = {f0!r}: the trace must start at a zero")
     a = min(-window.eta[0], window.eta[1])
     b = min(-window.tau[0], window.tau[1])
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):

@@ -46,6 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MarginViolated, NoSignChange
+from .flowtrace import _bisect_sign_change
 from .hgroup import Frame, Point
 
 __all__ = [
@@ -248,7 +249,10 @@ def _exponents(key) -> tuple[int, int, int]:
 
 def _compile(coefficients: dict) -> Callable[[float, float, float], float]:
     """Straight-line evaluator of sum c x11^i x12^j t^k over coefficients."""
-    return _straight_line("value_at", "x11, x12, t", (), {"acc": coefficients}, "acc", {})
+    consts: dict = {}
+    return _compile_kernel("value_at", "x11, x12, t",
+                           [*_sum_block({"acc": coefficients}, consts, set()), "return acc"],
+                           consts)
 
 
 def _sum_lines(coefficients: dict, acc: str, powers: dict, consts: dict) -> list[str]:
@@ -315,17 +319,6 @@ def _compile_kernel(name: str, args: str, statements: list[str], consts: dict) -
     return namespace.pop("make")(*consts.values())
 
 
-def _straight_line(name: str, args: str, head, sums: dict, result: str,
-                   consts: dict) -> Callable:
-    """Compile the function name(args): the head statements, the sums, then result.
-
-    args or head must define x11, x12, t (see _sum_block).
-    """
-    consts = dict(consts)
-    return _compile_kernel(name, args, [*head, *_sum_block(sums, consts, set()),
-                                        f"return {result}"], consts)
-
-
 def _newton_lines(evaluate: list[str], slope: list[str]) -> list[str]:
     """Newton's method on s -> g(eta, tau, s) from s, as kernel statements.
 
@@ -372,8 +365,8 @@ def _line_consts(line) -> dict:
 
 def _compile_line(line) -> Callable[[float, float, float], tuple[float, float, float]]:
     """The compiled map (eta, tau, s) -> coordinates of n * (s b1) on the line."""
-    return _straight_line("line_coords", "eta, tau, s", _LINE, {}, "(x11, x12, t)",
-                          _line_consts(line))
+    return _compile_kernel("line_coords", "eta, tau, s", [*_LINE, "return (x11, x12, t)"],
+                           _line_consts(line))
 
 
 def _affine(coeffs: dict) -> dict:
@@ -606,13 +599,4 @@ class GraphPatch:
                 raise MarginViolated(
                     f"|Y1 f2| below margin {MARGIN:.3e} inside the solve bracket"
                 )
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            gm = g(mid)
-            if abs(gm) <= GTOL or hi - lo < 1e-15:
-                return mid
-            if glo * gm < 0.0:
-                hi = mid
-            else:
-                lo, glo = mid, gm
-        return 0.5 * (lo + hi)
+        return _bisect_sign_change(g, lo, hi, glo, GTOL, 1e-15)

@@ -483,6 +483,39 @@ class TestFamilyReuse:
             assert np.array_equal(a.values, b.values)
 
 
+class TestMemberSearch:
+    def test_moves_to_another_anchor(self, monkeypatch):
+        # on 3|tau|^(1/3) some candidate means jump past the target at the
+        # middle anchor, so the search goes on to other anchors
+        anchors = []
+        find, integrate = flowtrace._find_member_with_mean, flowtrace.integrate_through
+
+        def recording_find(*args):
+            anchors.append(set())
+            return find(*args)
+
+        def recording_integrate(h, eta_c, *args):
+            if anchors:
+                anchors[-1].add(eta_c)
+            return integrate(h, eta_c, *args)
+
+        monkeypatch.setattr(flowtrace, "_find_member_with_mean", recording_find)
+        monkeypatch.setattr(flowtrace, "integrate_through", recording_integrate)
+        res = level_trace(lambda e, t: 3.0 * np.abs(t) ** (1.0 / 3.0), lambda e, t: e,
+                          Rect.centered(0.5, 1.0), TraceParams(depth=6))
+        zeta = np.array(res.zeta)
+        assert np.all(zeta[:, 0] == 0.0) and np.all(np.diff(zeta[:, 1]) > 0.0)
+        assert max(map(len, anchors)) > 1
+
+    def test_unreachable_mean_raises(self):
+        lo, hi = linear_family_ends()
+        mu_t = hi.integral() + 0.5
+        with pytest.raises(MeanBisectionFailure) as info:
+            flowtrace._find_member_with_mean(linear_field, lo, hi, mu_t, {})
+        assert info.value.target == mu_t
+        assert info.value.gap == pytest.approx(0.5)
+
+
 class TestMonotoneRoot:
     def test_f_eta(self):
         p = path_on(-0.5, 0.01, 101, lambda e: 0.37)
@@ -514,6 +547,18 @@ class TestMonotoneRoot:
         p = path_on(-0.5, 0.01, 101, lambda e: 0.0)
         with pytest.raises(MonotonicityViolated):
             monotone_root(lambda e, t: e * e, p)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: TraceParams(step=-1.0), "step"),
+    (lambda: TraceParams(step=math.nan), "step"),
+    (lambda: TraceParams(depth=2.5), "depth"),
+    (lambda: TraceParams(root_tol=math.nan), "root_tol"),
+    (lambda: PathSample(0.0, math.nan, [1.0, 2.0]), "step"),
+], ids=["negative-step", "nan-step", "fractional-depth", "nan-root_tol", "path-nan-step"])
+def test_rejects_bad_values(make, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        make()
 
 
 def _bits(x: float) -> bytes:
@@ -610,9 +655,11 @@ class TestLevelTrace:
         assert nzeros > 0
         assert gap <= 2.0 * spacing
 
-    def test_rejects_nonzero_origin(self):
-        with pytest.raises(ValueError):
-            level_trace(lambda e, t: 0.0, lambda e, t: e + 1.0, Rect.centered(0.5, 1.0))
+    @pytest.mark.parametrize("F", [lambda e, t: e + 1.0, lambda e, t: math.nan * (e + 1.0)],
+                             ids=["one", "nan"])
+    def test_rejects_nonzero_origin(self, F):
+        with pytest.raises(ValueError, match="the trace must start at a zero"):
+            level_trace(lambda e, t: 0.0, F, Rect.centered(0.5, 1.0))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_rejects_non_finite_field_bound(self, bad):

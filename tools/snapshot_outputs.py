@@ -1,0 +1,121 @@
+"""Write the outputs that a behaviour-preserving change keeps byte-identical.
+
+    python tools/snapshot_outputs.py <checkout> <dir>
+
+imports heisencurve from <checkout>/src and the pair generator from
+<checkout>/bench, and writes these 81 files to <dir>:
+
+* curve-{A,B,C}-depth{2,6}.json: the points, params and sorted-key JSON
+  meta of intersect_surfaces on A = {x11, x12} and B = {x12, x11 + t}
+  (window 0.5, bracket [-2, 2]), and C = {x12, x11 + t - x11^3} (window
+  0.2, bracket [-0.5, 0.5]);
+* pair-s<seed>-k<k>-depth<d>.csv: `heisencurve intersect` on the cubic
+  pairs of bench/pairs.py, seeds 1-3, k = 0-7, depths 1 and 3;
+* char-s<seed>-k<k>.csv: `heisencurve characteristics` of each pair's f2
+  at its base point;
+* funnel-trace.json and funnel-extremal.json: level_trace of F = eta along
+  3|tau|^(2/3) at depth 6, and extremal_solutions on [0, 0.5] at step
+  1e-3, with their diagnostics;
+* verify.json: the default `heisencurve verify` report.
+
+Floats are written as their shortest round-trip repr, so equal files mean
+equal bits.  Compare two snapshot directories with `diff -r`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+PAIR_SEEDS = (1, 2, 3)
+PAIR_COUNT = 8
+PAIR_DEPTHS = (1, 3)
+
+
+def _cli(cli, argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        sys.exit(f"heisencurve {' '.join(argv)} exited with {code}")
+
+
+def _curves(hc, out: Path) -> None:
+    x11, x12 = hc.PolySurface({(1, 0, 0): 1.0}), hc.PolySurface({(0, 1, 0): 1.0})
+    problems = {
+        "A": (x11, x12, {}),
+        "B": (x12, hc.PolySurface({(1, 0, 0): 1.0, (0, 0, 1): 1.0}), {}),
+        "C": (x12, hc.PolySurface({(1, 0, 0): 1.0, (0, 0, 1): 1.0, (3, 0, 0): -1.0}),
+              {"window_half": 0.2, "bracket": (-0.5, 0.5)}),
+    }
+    for tag, (f1, f2, kw) in problems.items():
+        for depth in (2, 6):
+            curve = hc.intersect_surfaces(hc.IntersectionProblem(
+                f1, f2, trace=hc.TraceParams(depth=depth), **kw))
+            points = [[q.x11, q.x12, q.t] for q in curve.points]
+            text = "\n".join([json.dumps(points), json.dumps(curve.params),
+                              json.dumps(curve.meta, sort_keys=True)])
+            (out / f"curve-{tag}-depth{depth}.json").write_text(text + "\n")
+
+
+def _pairs(cli, pairs, out: Path, work: Path) -> None:
+    for seed in PAIR_SEEDS:
+        for k in range(PAIR_COUNT):
+            pair = pairs.draw_pair(seed, k)
+            for depth in PAIR_DEPTHS:
+                config = work / f"pair-s{seed}-k{k}-depth{depth}.json"
+                config.write_text(pairs.config_text(pair, depth))
+                _cli(cli, ["intersect", "--config", str(config), "--out",
+                           str(out / f"{config.stem}.csv")])
+            doc = json.loads(pairs.config_text(pair, PAIR_DEPTHS[0]))
+            config = work / f"char-s{seed}-k{k}.json"
+            config.write_text(json.dumps({
+                "command": "characteristics", "surfaces": doc["surfaces"][1:],
+                **{key: doc[key] for key in ("base_point", "window", "bracket")}}))
+            _cli(cli, ["characteristics", "--config", str(config), "--out",
+                       str(out / f"{config.stem}.csv")])
+
+
+def _funnel(ft, out: Path) -> None:
+    def h(eta, tau):
+        return 3.0 * np.abs(tau) ** (2.0 / 3.0)
+
+    res = ft.level_trace(h, lambda eta, tau: eta, ft.Rect.centered(0.5, 1.0),
+                         ft.TraceParams(depth=6))
+    trace = {"xi": res.xi, "zeta": res.zeta,
+             "neighborhood": [res.neighborhood.eta, res.neighborhood.tau],
+             "band": [band.values.tolist() for band in res.band],
+             "diagnostics": res.diagnostics}
+    lo, hi, diagnostics = ft.extremal_solutions(h, 0.0, 0.0, ft.Rect((0.0, 0.5)), 1e-3)
+    extremal = {"eta0": lo.eta0, "step": lo.step, "lo": lo.values.tolist(),
+                "hi": hi.values.tolist(), "diagnostics": diagnostics}
+    for name, doc in (("funnel-trace", trace), ("funnel-extremal", extremal)):
+        (out / f"{name}.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def main(argv: list[str]) -> None:
+    if len(argv) != 2:
+        sys.exit("usage: python tools/snapshot_outputs.py <checkout> <dir>")
+    checkout, out = Path(argv[0]).resolve(), Path(argv[1])
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
+    import heisencurve as hc
+    import pairs
+    from heisencurve import cli
+
+    if checkout not in Path(hc.__file__).resolve().parents:
+        sys.exit(f"heisencurve imported from {hc.__file__}, not from {checkout}")
+    out.mkdir(parents=True, exist_ok=True)
+    _curves(hc, out)
+    with tempfile.TemporaryDirectory() as work:
+        _pairs(cli, pairs, out, Path(work))
+    _funnel(hc.flowtrace, out)
+    _cli(cli, ["verify", "--out", str(out / "verify.json")])
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
