@@ -4,13 +4,16 @@ Points are triples (x11, x12, t): two horizontal coordinates that scale
 linearly under dilations and one vertical coordinate that scales
 quadratically.  The group product adds coordinates and twists the vertical
 one by the symplectic form of the horizontal parts.  All operations here
-are pure functions of immutable values.
+are pure functions of immutable values, floats or float64 arrays; each
+array entry equals the float result bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NotInVerticalSubgroup
 
@@ -45,10 +48,16 @@ class Point:
     t: float
 
     def __post_init__(self):
+        try:
+            if math.isfinite(self.x11) and math.isfinite(self.x12) and math.isfinite(self.t):
+                return
+        except TypeError:  # an array coordinate
+            pass
         for name in ("x11", "x12", "t"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"Point coordinate {name} must be finite, got {v!r}")
+            v = np.asarray(getattr(self, name))
+            bad = v[~np.isfinite(v)].tolist()  # first non-finite entry in C order
+            if bad:
+                raise ValueError(f"Point coordinate {name} must be finite, got {bad[0]!r}")
 
     def horizontal(self) -> tuple[float, float]:
         return (self.x11, self.x12)
@@ -71,9 +80,9 @@ class Frame:
     def __post_init__(self):
         for name, vec in (("b1", self.b1), ("b2", self.b2)):
             n = math.hypot(*vec)
-            if abs(n - 1.0) > 1e-12:
+            if not abs(n - 1.0) <= 1e-12:
                 raise ValueError(f"Frame vector {name} must be unit length, |{name}| = {n!r}")
-        if self.detC == 0.0:
+        if not abs(self.detC) > 0.0:
             raise ValueError("Frame vectors b1, b2 must be linearly independent")
 
     @property
@@ -119,19 +128,29 @@ def inv(x: Point) -> Point:
     return Point(-x.x11, -x.x12, -x.t)
 
 
-def dilate(r: float, x: Point) -> Point:
+def dilate(r, x: Point) -> Point:
     """Anisotropic dilation: horizontal part scales by r, vertical by r**2."""
-    if r <= 0.0:
+    if np.any(r <= 0.0):
         raise ValueError(f"dilation factor must be positive, got {r!r}")
     return Point(r * x.x11, r * x.x12, r * r * x.t)
 
 
-def hnorm(x: Point) -> float:
+def _hypot(a, b):
+    """math.hypot, per entry on arrays: numpy's hypot is not always correctly rounded."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.asarray(np.frompyfunc(math.hypot, 2, 1)(a, b), dtype=float)
+    return math.hypot(a, b)
+
+
+def hnorm(x: Point):
     """Homogeneous norm max(|x1|, sqrt(|t|)); 1-homogeneous under dilations."""
-    return max(math.hypot(x.x11, x.x12), math.sqrt(abs(x.t)))
+    h, t = _hypot(x.x11, x.x12), abs(x.t)
+    if isinstance(h, np.ndarray) or isinstance(t, np.ndarray):
+        return np.maximum(h, np.sqrt(t))
+    return max(h, math.sqrt(t))
 
 
-def dist(x: Point, y: Point) -> float:
+def dist(x: Point, y: Point):
     """Left-invariant homogeneous distance ||x^-1 * y||."""
     return hnorm(mul(inv(x), y))
 
@@ -144,8 +163,8 @@ def make_frame(b1: tuple[float, float]) -> Frame:
     used throughout.
     """
     n = math.hypot(*b1)
-    if n < 1e-12:
-        raise ValueError("b1 must be a nonzero horizontal vector")
+    if not 1e-12 <= n < math.inf:
+        raise ValueError(f"b1 must be a finite nonzero horizontal vector, got {b1!r}")
     u = (b1[0] / n, b1[1] / n)
     return Frame(b1=u, b2=(-u[1], u[0]))
 
@@ -197,8 +216,8 @@ def horizontal_derivative(f, x: Point, direction: tuple[float, float], h: float 
     horizontal direction, for f a callable Point -> real; second-order
     accurate in h.
     """
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h!r}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be finite and positive, got {h!r}")
     fp = f(mul(x, _horizontal_point(direction, h)))
     fm = f(mul(x, _horizontal_point(direction, -h)))
     return (fp - fm) / (2.0 * h)

@@ -23,7 +23,9 @@ from .hgroup import (
     Frame,
     Point,
     VerticalCoords,
+    _hypot,
     dist,
+    inv,
     make_frame,
     mul,
 )
@@ -426,20 +428,15 @@ def _in_cone(v: np.ndarray, y: np.ndarray, cp: ConeParams) -> np.ndarray:
 
     With z = v^-1 * y, membership reads sqrt(|z_t|) <= alpha |z_1| <= alpha r:
     the vertical part is measured on the homogeneous scale, which is what
-    separates a curve with the cone property from its neighbours.  Here
-    z = (y_1 - v_1, y_t - v_t + y_11 v_12 - v_11 y_12), rounded as the group
-    product rounds it.  |z_1| is math.hypot per entry, which is correctly
-    rounded; numpy's hypot is not always, and a last-bit difference can move
-    a pair across a cone face.  A displacement that overflows raises ValueError.
+    separates a curve with the cone property from its neighbours.  z and |z_1|
+    come from mul and hnorm's hypot; an overflowing displacement raises ValueError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        z11, z12 = y[..., 0] - v[..., 0], y[..., 1] - v[..., 1]
-        zt = y[..., 2] - v[..., 2] + (y[..., 0] * v[..., 1] - v[..., 0] * y[..., 1])
-    z1 = np.reshape(list(map(math.hypot, z11.ravel().tolist(), z12.ravel().tolist())),
-                    z11.shape)
-    if not (np.isfinite(z1).all() and np.isfinite(zt).all()):
+        z = mul(inv(Point(*np.moveaxis(v, -1, 0))), Point(*np.moveaxis(y, -1, 0)))
+    z1 = _hypot(z.x11, z.x12)
+    if not np.isfinite(z1).all():
         raise ValueError("cone displacement overflows")
-    return (np.sqrt(np.abs(zt)) <= cp.alpha * z1) & (z1 <= cp.r)
+    return (np.sqrt(np.abs(z.t)) <= cp.alpha * z1) & (z1 <= cp.r)
 
 
 @dataclass

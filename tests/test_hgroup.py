@@ -147,6 +147,19 @@ class TestFrames:
         with pytest.raises(ValueError):
             Frame((1.0, 0.0), (-1.0, 0.0))
 
+    @pytest.mark.parametrize("b1", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf),
+                                    (math.inf, math.nan)])
+    def test_make_frame_rejects_non_finite(self, b1):
+        with pytest.raises(ValueError, match="finite nonzero"):
+            make_frame(b1)
+
+    @pytest.mark.parametrize("b1, b2", [((math.nan, 0.0), (0.0, 1.0)),
+                                        ((1.0, 0.0), (0.0, math.nan)),
+                                        ((math.nan, math.nan), (0.0, 1.0))])
+    def test_frame_rejects_non_finite(self, b1, b2):
+        with pytest.raises(ValueError, match="unit length"):
+            Frame(b1, b2)
+
 
 class TestProjections:
     def test_worked_example(self):
@@ -218,3 +231,73 @@ class TestHorizontalDerivative:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             horizontal_derivative(lambda p: p.t, ORIGIN, (1.0, 0.0), h=0.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_step(self, h):
+        with pytest.raises(ValueError, match="step h must be finite and positive"):
+            horizontal_derivative(lambda p: p.t, ORIGIN, (1.0, 0.0), h=h)
+
+
+def _draw_with_ties(seed, n=2000):
+    """Coordinate arrays of n points with zeros in every coordinate and, in a
+    quarter of the rows, sqrt|t| tied with |x1| to the last bit."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-10.0, 10.0, size=(3, n))
+    c[rng.random((3, n)) < 0.05] = 0.0
+    for i in np.flatnonzero(rng.random(n) < 0.25).tolist():
+        h = math.hypot(c[0, i], c[1, i])
+        t = h * h
+        while math.sqrt(t) > h:
+            t = math.nextafter(t, 0.0)
+        while math.sqrt(math.nextafter(t, math.inf)) <= h:
+            t = math.nextafter(t, math.inf)
+        c[2, i] = t if rng.random() < 0.5 else -t
+    return c
+
+
+def same_bits(got, want):
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+class TestArrays:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_per_element_float_calls(self, seed):
+        cx, cy = _draw_with_ties(seed), _draw_with_ties(seed + 100)
+        r = np.random.default_rng(seed).uniform(0.1, 3.0, size=cx.shape[1])
+        x, y = Point(*cx), Point(*cy)
+        xs = [Point(*map(float, col)) for col in cx.T]
+        ys = [Point(*map(float, col)) for col in cy.T]
+        ties = sum(hnorm(p) == math.sqrt(abs(p.t)) == math.hypot(p.x11, p.x12) for p in xs)
+        assert ties > 100 and (cx == 0.0).sum() > 100
+        for name, got, want in (
+            ("mul", mul(x, y), [mul(a, b) for a, b in zip(xs, ys)]),
+            ("inv", inv(x), [inv(a) for a in xs]),
+            ("dilate", dilate(r, x), [dilate(s, a) for s, a in zip(r.tolist(), xs)]),
+        ):
+            for c in ("x11", "x12", "t"):
+                assert same_bits(getattr(got, c), [getattr(p, c) for p in want]), (name, c)
+        assert same_bits(hnorm(x), [hnorm(a) for a in xs])
+        assert same_bits(dist(x, y), [dist(a, b) for a, b in zip(xs, ys)])
+
+    def test_broadcast_shapes(self):
+        col = np.array([[0.5], [-1.0]])
+        x = Point(col, np.array([0.25, 0.0, 3.0]), 0.0)
+        assert hnorm(x).shape == (2, 3)
+        assert same_bits(hnorm(x), [[hnorm(Point(float(a), b, 0.0)) for b in (0.25, 0.0, 3.0)]
+                                    for a in (0.5, -1.0)])
+        assert hnorm(Point(0.0, 0.0, np.array([4.0, 9.0]))).tolist() == [2.0, 3.0]
+
+    @pytest.mark.parametrize("name", ["x11", "x12", "t"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_point_names_its_non_finite_entry(self, name, bad):
+        coords = {c: np.linspace(-1.0, 1.0, 5) for c in ("x11", "x12", "t")}
+        coords[name][1] = bad
+        coords[name][3] = math.inf if math.isnan(bad) else math.nan  # a later bad entry
+        with pytest.raises(ValueError, match=f"Point coordinate {name} must be finite, "
+                                             f"got {bad!r}"):
+            Point(**coords)
+
+    def test_dilate_rejects_a_zero_factor_among_many(self):
+        r = np.array([0.5, 2.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="dilation factor must be positive"):
+            dilate(r, Point(np.ones(4), np.ones(4), np.ones(4)))
