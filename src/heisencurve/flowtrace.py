@@ -45,7 +45,6 @@ __all__ = [
     "build_family",
     "monotone_root",
     "level_trace",
-    "coverage_gap",
 ]
 
 # Shifts of the data and field whose shifted solutions bound the extremal ones.
@@ -60,8 +59,6 @@ SAMPLE_GRID = 33
 MAX_NODES = 400
 # Consecutive zeros closer than this collapse to one sample.
 COLLAPSE_TOL = 1e-12
-# Grid points per axis in coverage_gap.
-COVERAGE_GRID = 41
 
 
 @dataclass(frozen=True)
@@ -661,25 +658,3 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None,
     }
     return TraceResult(xi=xi_out, zeta=pts_out, neighborhood=neighborhood,
                        band=(lo_env, hi_env), diagnostics=diagnostics)
-
-
-def coverage_gap(result: TraceResult, F, f_eps: float = 1e-3):
-    """Largest distance from a grid zero of F in U and the band to the samples.
-
-    F is called once, on the float64 arrays of the COVERAGE_GRID x
-    COVERAGE_GRID meshgrid (indexing="ij") of U.  Returns (max_gap,
-    grid_spacing, n_grid_zeros); gaps should stay within a couple of grid
-    spacings when the trace covers the zero set.
-    """
-    (e_lo, e_hi), (t_lo, t_hi) = result.neighborhood.eta, result.neighborhood.tau
-    if not result.zeta:
-        raise ValueError("empty trace")
-    pts = np.array(result.zeta)
-    eta, tau = np.meshgrid(np.linspace(e_lo, e_hi, COVERAGE_GRID),
-                           np.linspace(t_lo, t_hi, COVERAGE_GRID), indexing="ij")
-    spacing = max((e_hi - e_lo), (t_hi - t_lo)) / (COVERAGE_GRID - 1)
-    lo, hi = (np.array([band.tau_at(e) for e in eta[:, 0].tolist()])[:, None]
-              for band in result.band)
-    zero = (lo - 1e-12 <= tau) & (tau <= hi + 1e-12) & (np.abs(F(eta, tau)) < f_eps)
-    gaps = np.hypot(pts[:, 0] - eta[zero][:, None], pts[:, 1] - tau[zero][:, None])
-    return float(np.max(np.min(gaps, axis=1), initial=0.0)), spacing, int(np.count_nonzero(zero))

@@ -216,16 +216,12 @@ def intersect_surfaces(prob: IntersectionProblem) -> Curve:
     planar = [VerticalCoords(e, t) for e, t in res.zeta]
     points = [mul(prob.p, cf.graph_point(n.eta, n.tau)) for n in planar]
 
-    # cumulative homogeneous arc length, rescaled to [0, 1]
-    seps = [dist(a, b) for a, b in zip(points, points[1:])]
-    total = sum(seps)
-    params = [0.0]
-    acc = 0.0
-    for s in seps:
-        acc += s
-        params.append(acc / total if total > 0.0 else 0.0)
-
-    res1, res2 = (max((abs(f.value_at(*astuple(q))) for q in points), default=0.0)
+    # cumulative homogeneous arc length over its own last entry, so that the
+    # last parameter is 1.0 exactly, and the residuals, as array calls
+    xyz = np.array([astuple(q) for q in points]).reshape(-1, 3).T
+    arc = np.cumsum(dist(Point(*xyz[:, :-1]), Point(*xyz[:, 1:])))
+    params = [0.0] + (arc / arc[-1] if arc.size and arc[-1] > 0.0 else 0.0 * arc).tolist()
+    res1, res2 = (float(np.max(np.abs(f.value_at(*xyz)), initial=0.0))
                   for f in (prob.f1, prob.f2))
     frame = cf.patch.frame
     meta = {

@@ -7,32 +7,31 @@ and its input counts; the tolerances do not depend on it.  `heisencurve
 verify` runs the suites at `INTERACTIVE` with the caller's seed and grid,
 and tests/test_acceptance.py asserts on the same checks at a larger
 acceptance scale.
+
+The reference definitions the suites check the pipeline against live here
+too: the dilations, the factorizing projections and finite-difference
+derivatives of the group, the first-order system residual, the chain rule
+and the Taylor-type expansion of f1 o Phi2 along the characteristics, and
+the coverage of a traced zero set.  The pipeline itself does not call them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from .characteristics import (
-    CharField,
-    TaylorBasePoint,
-    chain_rule_check,
-    chain_rule_rhs,
-    characteristic,
-    directional_derivative_check,
-    system_residual,
-    taylor_remainder,
-)
-from .errors import ConfigError
+from .characteristics import CharField, characteristic
+from .errors import ConfigError, NotInVerticalSubgroup
 from .flowtrace import (
     PathSample,
     Rect,
     TraceParams,
+    TraceResult,
+    _clamped,
     build_family,
-    coverage_gap,
     extremal_solutions,
     integrate_through,
     level_trace,
@@ -41,19 +40,15 @@ from .hgroup import (
     ORIGIN,
     Point,
     VerticalCoords,
-    coords_N,
-    dilate,
+    _hypot,
+    _omega_bar,
     dist,
-    embed_N,
     hnorm,
-    horizontal_derivative,
     inv,
     make_frame,
     mul,
-    project_H,
-    project_N,
 )
-from .hsurface import GraphPatch, PolySurface
+from .hsurface import GraphPatch, PolySurface, y_derivatives
 from .intersect import (
     ConeParams,
     IntersectionProblem,
@@ -128,6 +123,299 @@ def preimage_contiguity(raw_zeta) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Reference definitions: the group
+# ---------------------------------------------------------------------------
+
+# Largest b1-coefficient, relative to 1 + |x1|, that coords_N accepts.
+VERTICAL_TOL = 1e-10
+
+
+def dilate(r, x: Point) -> Point:
+    """Anisotropic dilation: horizontal part scales by r, vertical by r**2."""
+    if np.any(r <= 0.0):
+        raise ValueError(f"dilation factor must be positive, got {r!r}")
+    return Point(r * x.x11, r * x.x12, r * r * x.t)
+
+
+def horizontal_coeffs(fr, x1: tuple) -> tuple:
+    """Coefficients (a, e) with x1 = a*b1 + e*b2.
+
+    fr is a Frame, or the b1 and b2 of many frames as arrays (_frames).
+    """
+    (b11, b12), (b21, b22) = fr.b1, fr.b2
+    d = b11 * b22 - b12 * b21  # det C, as Frame.detC computes it
+    return (x1[0] * b22 - x1[1] * b21) / d, (b11 * x1[1] - b12 * x1[0]) / d
+
+
+def _frames(theta: np.ndarray) -> SimpleNamespace:
+    """make_frame((cos th, sin th)) for each angle th, its b1 and b2 as arrays.
+
+    cos and sin are math's, per entry, as _hypot is: numpy's need not round
+    as math's do, and the frames should equal make_frame's bit for bit.
+    """
+    c, s = (np.vectorize(f, otypes=[float])(theta) for f in (math.cos, math.sin))
+    n = _hypot(c, s)
+    u = (c / n, s / n)
+    return SimpleNamespace(b1=u, b2=(-u[1], u[0]))
+
+
+def _horizontal_point(v: tuple[float, float], s=1.0) -> Point:
+    return Point(s * v[0], s * v[1], 0.0)
+
+
+def project_H(x: Point, fr) -> Point:
+    """Horizontal-subgroup component x_H = a*b1 where x1 = a*b1 + e*b2."""
+    a, _ = horizontal_coeffs(fr, x.horizontal())
+    return _horizontal_point(fr.b1, a)
+
+
+def project_N(x: Point, fr) -> Point:
+    """Vertical-subgroup component pi_N(x) = x - x_H - omega(x1, x_H).
+
+    Together with project_H this inverts the product map (n, v) -> n*v,
+    so mul(project_N(x), project_H(x)) == x.
+    """
+    xh = project_H(x, fr)
+    return Point(x.x11 - xh.x11, x.x12 - xh.x12,
+                 x.t - _omega_bar(x.horizontal(), xh.horizontal()))
+
+
+def embed_N(v: VerticalCoords, fr) -> Point:
+    """The point eta*b2 + tau*e3 of the vertical subgroup."""
+    return Point(v.eta * fr.b2[0], v.eta * fr.b2[1], v.tau)
+
+
+def coords_N(n: Point, fr) -> VerticalCoords:
+    """Inverse of embed_N; rejects points with a nonzero b1-coefficient."""
+    a, e = horizontal_coeffs(fr, n.horizontal())
+    tol = VERTICAL_TOL * (1.0 + _hypot(n.x11, n.x12))
+    a_all, tol_all = (np.ravel(v) for v in np.broadcast_arrays(a, tol))
+    i = int(np.argmax(np.abs(a_all) - tol_all))  # the entry farthest off N
+    if abs(a_all[i]) > tol_all[i]:
+        raise NotInVerticalSubgroup(
+            f"point has b1-coefficient {a_all[i]:.3e}, beyond tolerance {tol_all[i]:.3e}"
+        )
+    return VerticalCoords(e, n.t)
+
+
+def horizontal_derivative(f, x: Point, direction: tuple[float, float], h: float = 1e-6) -> float:
+    """Central difference of s -> f(x * (s*direction)) at s = 0.
+
+    Numeric stand-in for the left-invariant derivative of f at x along a
+    horizontal direction, for f a callable Point -> real; second-order
+    accurate in h.
+    """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be finite and positive, got {h!r}")
+    fp = f(mul(x, _horizontal_point(direction, h)))
+    fm = f(mul(x, _horizontal_point(direction, -h)))
+    return (fp - fm) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# Reference definitions: f1 o Phi2 along the characteristics
+# ---------------------------------------------------------------------------
+
+# Sample points of chain_rule_check along the path.
+CHAIN_RULE_SAMPLES = 5
+
+
+def system_residual(cf: CharField, path: PathSample) -> float:
+    """Max defect of the first-order system along a candidate characteristic.
+
+    Along a genuine characteristic, nu(eta) = phi2hat(eta, tau(eta)) must
+    satisfy dnu/deta = source, the forcing -(Y2 f2 / Y1 f2) at the graph
+    point; the returned value is the largest midpoint defect
+    |delta nu / delta eta - source|.  Second order small for certified
+    characteristics, order one for impostors.  nu and the source are one
+    array call each, so the field's hint is neither read nor written.
+    """
+    nus = cf.phi(path.etas, path.values)
+    e_mid = path.eta0 + (np.arange(len(path) - 1) + 0.5) * path.step
+    t_mid = 0.5 * (path.values[:-1] + path.values[1:])
+    y1, y2 = y_derivatives(cf.patch.f2, cf.graph_coords(e_mid, t_mid), cf.patch.frame)
+    defect = np.diff(nus) / path.step - (-y2 / y1)
+    return float(np.max(np.abs(defect), initial=0.0))
+
+
+def _pair_determinant(f1: PolySurface, cf: CharField, x: tuple) -> tuple[float, float]:
+    """det([[Y1 f1, Y2 f1], [Y1 f2, Y2 f2]]) and Y1 f2 at the coordinates x."""
+    y11, y21 = y_derivatives(f1, x, cf.patch.frame)
+    y12, y22 = y_derivatives(cf.patch.f2, x, cf.patch.frame)
+    return y11 * y22 - y21 * y12, y12
+
+
+def chain_rule_rhs(f1: PolySurface, cf: CharField, eta: float,
+                   path: PathSample) -> float:
+    """The derivative of f1 o Phi2 along the characteristic at eta.
+
+    Evaluates -det([[Y1 f1, Y2 f1], [Y1 f2, Y2 f2]]) / Y1 f2 at the graph
+    point above (eta, tau(eta)).
+    """
+    det, y1f2 = _pair_determinant(f1, cf, cf.graph_coords(eta, path.tau_at(eta)))
+    return -det / y1f2
+
+
+@dataclass
+class SweepReport:
+    """Errors of a finite-difference check across a sweep of steps."""
+
+    name: str
+    h_values: tuple[float, ...]
+    max_abs_errors: list[float]
+    max_rel_errors: list[float]
+    observed_orders: list[float] = field(default_factory=list)
+
+    def __post_init__(self):
+        if not self.observed_orders:
+            self.observed_orders = [
+                math.log(self.max_abs_errors[i] / max(self.max_abs_errors[i + 1], 1e-300))
+                / math.log(self.h_values[i] / self.h_values[i + 1])
+                for i in range(len(self.h_values) - 1)
+            ]
+
+
+def chain_rule_check(f1: PolySurface, cf: CharField, path: PathSample,
+                     h_sweep=(1e-2, 1e-3, 1e-4)) -> SweepReport:
+    """Centered differences of f1 o Phi2 along the path vs the closed form.
+
+    The path is re-integrated locally (fine substeps) to land on the
+    characteristic through each sample point, so the difference quotient sees
+    the curve itself rather than the path's linear interpolation.
+    """
+    rhs = _clamped(cf.rhs, Rect(*cf.patch.window))
+    h_sweep = tuple(h_sweep)
+    h_max = max(h_sweep)
+    lo = path.eta0 + h_max * 1.01
+    hi = path.eta_end - h_max * 1.01
+    etas = np.linspace(lo, hi, CHAIN_RULE_SAMPLES)
+    abs_errs = []
+    rel_errs = []
+    for h in h_sweep:
+        worst_abs = 0.0
+        worst_rel = 0.0
+        for eta in etas:
+            eta = float(eta)
+            formula = chain_rule_rhs(f1, cf, eta, path)
+            # tau(eta + h) and tau(eta - h), eight Heun steps each way on the
+            # field clamped into the patch window
+            local = integrate_through(rhs, eta, path.tau_at(eta),
+                                      (eta - h, h / 8, 17))
+            gp = f1.value_at(*cf.graph_coords(eta + h, float(local.values[-1])))
+            gm = f1.value_at(*cf.graph_coords(eta - h, float(local.values[0])))
+            fd = (gp - gm) / (2.0 * h)
+            err = abs(fd - formula)
+            worst_abs = max(worst_abs, err)
+            worst_rel = max(worst_rel, err / max(1.0, abs(formula)))
+        abs_errs.append(worst_abs)
+        rel_errs.append(worst_rel)
+    return SweepReport("chain_rule", h_sweep, abs_errs, rel_errs)
+
+
+# ---------------------------------------------------------------------------
+# Taylor-type expansion around a base point
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TaylorBasePoint:
+    """A base point of the graph with its cached expansion data.
+
+    n_bar = (eta2_bar, tau1_bar) in N-coordinates, x_bar the graph point
+    above it, eta1_bar the graph scalar there, and tau_bar the vertical
+    coordinate of x_bar: tau_bar = tau1_bar - eta1_bar * eta2_bar * det C.
+    """
+
+    n_bar: VerticalCoords
+    x_bar: Point
+    eta1_bar: float
+    tau_bar: float
+
+    @classmethod
+    def from_patch(cls, patch: GraphPatch, n_bar: VerticalCoords) -> "TaylorBasePoint":
+        eta1 = patch.solve_scalar((n_bar.eta, n_bar.tau))
+        coords = patch.line_coords(n_bar.eta, n_bar.tau, eta1)
+        return cls(n_bar=n_bar, x_bar=Point(*coords), eta1_bar=eta1, tau_bar=coords[2])
+
+
+def taylor_remainder(f1: PolySurface, cf: CharField, base: TaylorBasePoint,
+                     eta, tau) -> tuple:
+    """Expansion remainder at n = (eta, tau), floats or arrays, and its scale.
+
+    remainder = f1(Phi2(n)) - f1(Phi2(n_bar))
+                + (eta - eta2_bar) / Y1 f2(x_bar) * det(...)
+    scale     = ||(eta - eta2_bar) b2 + tau' e3|| = max(|eta - eta2_bar|, sqrt|tau'|)
+    with tau' = tau - tau_bar - 2 eta eta1_bar det C + eta1_bar eta2_bar det C.
+    The ratio remainder / scale vanishes as n approaches the base point.
+    """
+    det, y1f2 = _pair_determinant(f1, cf, astuple(base.x_bar))
+    value_n = f1.value_at(*cf.graph_coords(eta, tau))
+    value_b = f1.value_at(*astuple(base.x_bar))
+    d_eta = eta - base.n_bar.eta
+    remainder = value_n - value_b + d_eta / y1f2 * det
+    detc = cf.patch.frame.detC
+    tau_prime = (tau - base.tau_bar
+                 - 2.0 * eta * base.eta1_bar * detc
+                 + base.eta1_bar * base.n_bar.eta * detc)
+    return remainder, np.maximum(np.abs(d_eta), np.sqrt(np.abs(tau_prime)))
+
+
+def directional_derivative_check(f1: PolySurface, cf: CharField,
+                                 base: TaylorBasePoint,
+                                 h_sweep=(1e-2, 1e-3, 1e-4)) -> SweepReport:
+    """Difference quotients along the sheared direction vs the determinant formula.
+
+    The distinguished direction through the base point is
+    z_bar = b2 + 2 eta1_bar det(C) e3; in (eta, tau) coordinates the probe
+    moves along (1, 2 eta1_bar det C).
+    """
+    det, y1f2 = _pair_determinant(f1, cf, astuple(base.x_bar))
+    formula = -det / y1f2
+    slope = 2.0 * base.eta1_bar * cf.patch.frame.detC
+    abs_errs = []
+    rel_errs = []
+    for h in h_sweep:
+        vals = []
+        for s in (h, -h):
+            vals.append(f1.value_at(*cf.graph_coords(base.n_bar.eta + s,
+                                                     base.n_bar.tau + slope * s)))
+        fd = (vals[0] - vals[1]) / (2.0 * h)
+        err = abs(fd - formula)
+        abs_errs.append(err)
+        rel_errs.append(err / max(1.0, abs(formula)))
+    return SweepReport("directional_derivative", tuple(h_sweep), abs_errs, rel_errs)
+
+
+# ---------------------------------------------------------------------------
+# Reference definitions: coverage of a traced zero set
+# ---------------------------------------------------------------------------
+
+# Grid points per axis in coverage_gap.
+COVERAGE_GRID = 41
+
+
+def coverage_gap(result: TraceResult, F, f_eps: float = 1e-3):
+    """Largest distance from a grid zero of F in U and the band to the samples.
+
+    F is called once, on the float64 arrays of the COVERAGE_GRID x
+    COVERAGE_GRID meshgrid (indexing="ij") of U.  Returns (max_gap,
+    grid_spacing, n_grid_zeros); gaps should stay within a couple of grid
+    spacings when the trace covers the zero set.
+    """
+    (e_lo, e_hi), (t_lo, t_hi) = result.neighborhood.eta, result.neighborhood.tau
+    if not result.zeta:
+        raise ValueError("empty trace")
+    pts = np.array(result.zeta)
+    eta, tau = np.meshgrid(np.linspace(e_lo, e_hi, COVERAGE_GRID),
+                           np.linspace(t_lo, t_hi, COVERAGE_GRID), indexing="ij")
+    spacing = max((e_hi - e_lo), (t_hi - t_lo)) / (COVERAGE_GRID - 1)
+    lo, hi = (np.array([band.tau_at(e) for e in eta[:, 0].tolist()])[:, None]
+              for band in result.band)
+    zero = (lo - 1e-12 <= tau) & (tau <= hi + 1e-12) & (np.abs(F(eta, tau)) < f_eps)
+    gaps = np.hypot(pts[:, 0] - eta[zero][:, None], pts[:, 1] - tau[zero][:, None])
+    return float(np.max(np.min(gaps, axis=1), initial=0.0)), spacing, int(np.count_nonzero(zero))
+
+
+# ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
@@ -148,14 +436,13 @@ def suite_group(scale: Scale) -> list[dict]:
     fr = make_frame((1.0, 0.0))
     example = max(_gap(project_N(q, fr), n_part), _gap(project_H(q, fr), h_part),
                   _gap(mul(n_part, h_part), q))
-    proj = embed = 0.0
-    for x in (Point(*row) for row in rows[0][:scale.projection_samples]):
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        fr = make_frame((math.cos(th), math.sin(th)))
-        proj = max(proj, _gap(mul(project_N(x, fr), project_H(x, fr)), x))
-        v = VerticalCoords(x.x11 / 10.0, x.t / 10.0)
-        w = coords_N(embed_N(v, fr), fr)
-        embed = max(embed, abs(w.eta - v.eta), abs(w.tau - v.tau))
+    # the roundtrips on the first rows, each on a frame of its own angle
+    m = scale.projection_samples
+    x, fr = Point(*rows[0][:m].T), _frames(rng.uniform(0.0, 2.0 * math.pi, size=m))
+    proj = _gap(mul(project_N(x, fr), project_H(x, fr)), x)
+    v = VerticalCoords(x.x11 / 10.0, x.t / 10.0)
+    w = coords_N(embed_N(v, fr), fr)
+    embed = float(np.max((np.abs(w.eta - v.eta), np.abs(w.tau - v.tau)), initial=0.0))
     fields = 0.0
     poly = PolySurface({(2, 1, 0): 0.7, (0, 1, 1): -1.2, (1, 0, 2): 0.4})
     for q in (Point(*(row / 10.0)) for row in rows[0][:50]):

@@ -7,19 +7,18 @@ import numpy as np
 import pytest
 from conftest import POLY_X11, POLY_X12, graph_point, solution_residual
 
-from heisencurve.characteristics import (
-    CharField,
-    TaylorBasePoint,
-    chain_rule_check,
-    chain_rule_rhs,
-    characteristic,
-    system_residual,
-    directional_derivative_check,
-    taylor_remainder,
-)
+from heisencurve.characteristics import CharField, characteristic
 from heisencurve.flowtrace import PathSample, Rect, integrate_through
 from heisencurve.hgroup import VerticalCoords, dist, make_frame
 from heisencurve.hsurface import WINDOW_SLACK, GraphPatch, PolySurface, y_derivatives
+from heisencurve.verify import (
+    TaylorBasePoint,
+    chain_rule_check,
+    chain_rule_rhs,
+    directional_derivative_check,
+    system_residual,
+    taylor_remainder,
+)
 
 RIGHT_HALF = Rect((0.0, 0.5), (-0.5, 0.5))
 

@@ -10,7 +10,7 @@ from conftest import solution_residual
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heisencurve import flowtrace
+from heisencurve import flowtrace, verify
 from heisencurve.errors import (
     GridMismatch,
     MeanBisectionFailure,
@@ -23,7 +23,6 @@ from heisencurve.flowtrace import (
     Rect,
     TraceParams,
     build_family,
-    coverage_gap,
     extremal_solutions,
     funnel_section,
     integrate_through,
@@ -32,6 +31,7 @@ from heisencurve.flowtrace import (
     pointwise_max,
     pointwise_min,
 )
+from heisencurve.verify import coverage_gap
 
 
 def cubic_field(eta, tau):
@@ -50,13 +50,13 @@ def _ref_coverage_gap(result, F, f_eps):
     pts = np.array(result.zeta)
     band_lo, band_hi = result.band
     worst, count = 0.0, 0
-    for e in np.linspace(e_lo, e_hi, flowtrace.COVERAGE_GRID).tolist():
-        for t in np.linspace(t_lo, t_hi, flowtrace.COVERAGE_GRID).tolist():
+    for e in np.linspace(e_lo, e_hi, verify.COVERAGE_GRID).tolist():
+        for t in np.linspace(t_lo, t_hi, verify.COVERAGE_GRID).tolist():
             if (band_lo.tau_at(e) - 1e-12 <= t <= band_hi.tau_at(e) + 1e-12
                     and abs(F(e, t)) < f_eps):
                 count += 1
                 worst = max(worst, float(np.min(np.hypot(pts[:, 0] - e, pts[:, 1] - t))))
-    spacing = max((e_hi - e_lo), (t_hi - t_lo)) / (flowtrace.COVERAGE_GRID - 1)
+    spacing = max((e_hi - e_lo), (t_hi - t_lo)) / (verify.COVERAGE_GRID - 1)
     return worst, spacing, count
 
 
@@ -688,7 +688,7 @@ class TestLevelTrace:
         assert coverage_gap(res, F, f_eps=2 * 1.0 / 40)[2] > 0
         assert len(calls) == 1
         e, t = calls[0]
-        shape = (flowtrace.COVERAGE_GRID, flowtrace.COVERAGE_GRID)
+        shape = (verify.COVERAGE_GRID, verify.COVERAGE_GRID)
         assert e.shape == t.shape == shape and e.dtype == t.dtype == np.float64
 
     @pytest.mark.parametrize("h", [lambda e, t: e - t, lambda e, t: -t], ids=["e-t", "-t"])

@@ -12,21 +12,14 @@ from hypothesis import strategies as st
 import heisencurve
 from heisencurve import hsurface
 from heisencurve.errors import MarginViolated, NoSignChange
-from heisencurve.hgroup import (
-    Frame,
-    Point,
-    VerticalCoords,
-    embed_N,
-    horizontal_derivative,
-    make_frame,
-    mul,
-)
+from heisencurve.hgroup import Frame, Point, VerticalCoords, make_frame, mul
 from heisencurve.hsurface import (
     GraphPatch,
     PolySurface,
     horiz_grad_poly,
     y_derivatives,
 )
+from heisencurve.verify import embed_N, horizontal_derivative
 
 X11 = PolySurface({(1, 0, 0): 1.0})
 X12 = PolySurface({(0, 1, 0): 1.0})
@@ -179,7 +172,7 @@ class TestHorizontalGradient:
         x = Point(0.4, -0.3, 0.2)
         g1, _ = p.grad_at(*astuple(x))
         errs = []
-        from heisencurve.hgroup import horizontal_derivative
+        from heisencurve.verify import horizontal_derivative
 
         for h in (1e-2, 5e-3, 2.5e-3):
             errs.append(abs(horizontal_derivative(p, x, (1.0, 0.0), h) - g1))
@@ -266,7 +259,7 @@ class TestGraphSolve:
 
     def test_section_property(self):
         # project_N of a graph point recovers its N-coordinates
-        from heisencurve.hgroup import coords_N, project_N
+        from heisencurve.verify import coords_N, project_N
 
         patch = patch_affine()
         rng = np.random.default_rng(7)

@@ -198,11 +198,30 @@ class TestIntersectSurfaces:
                        "tau_lipschitz": abs(cf.beta) * cf.patch.tau_lipschitz}
         assert math.isfinite(ext["tau_lipschitz"])
 
-    def test_params_normalized(self, curve_a):
-        curve = curve_a
-        assert curve.params[0] == 0.0
-        assert curve.params[-1] == pytest.approx(1.0)
-        assert all(b > a for a, b in zip(curve.params, curve.params[1:]))
+    def test_params_normalized(self, curve_a, curve_b):
+        # the arc length is divided by its own last entry, so the last
+        # parameter is 1.0 exactly whatever the summation (Python 3.12's sum()
+        # of floats is compensated, and acc / sum(seps) exceeded 1 on B and C)
+        curve_c = intersect_surfaces(IntersectionProblem(
+            POLY_X12, POLY_CUBIC, window_half=0.2, bracket=(-0.5, 0.5)))
+        for curve in (curve_a, curve_b, curve_c):
+            assert curve.params[0] == 0.0
+            assert curve.params[-1] == 1.0
+            assert all(b > a for a, b in zip(curve.params, curve.params[1:]))
+            assert all(x <= 1.0 for x in curve.params)
+
+    def test_lift_matches_the_per_sample_loop(self, curve_a, curve_b):
+        # reference only: the running sum over consecutive distances, and the
+        # residuals point by point (both pairs are linear, so array and float
+        # evaluations round alike on every host)
+        for curve, (f1, f2) in ((curve_a, (POLY_X11, POLY_X12)),
+                                (curve_b, (POLY_X12, POLY_X11_PLUS_T))):
+            arc = [0.0]
+            for a, b in zip(curve.points, curve.points[1:]):
+                arc.append(arc[-1] + dist(a, b))
+            assert curve.params == [s / arc[-1] for s in arc]
+            for key, f in (("residual_f1", f1), ("residual_f2", f2)):
+                assert curve.meta[key] == max(abs(f(q)) for q in curve.points)
 
     def test_membership_consistency(self, curve_b):
         # re-solving the graph from each planar preimage reproduces the point

@@ -1,5 +1,6 @@
 """The package's top-level names: each module's public names, re-exported."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -9,6 +10,13 @@ import pytest
 import heisencurve
 
 MODULES = ("characteristics", "errors", "flowtrace", "hgroup", "hsurface", "intersect")
+SRC = Path(__file__).resolve().parents[1] / "src" / "heisencurve"
+PIPELINE = ("hgroup", "hsurface", "characteristics", "flowtrace", "intersect")
+# The oracles bench/workloads.py reads as hc.intersect.*: only verify calls
+# them in src/, until ROADMAP item 1(b) or 5 moves or deletes them.
+BENCHMARK_ORACLES = {"brute_force_zero_cloud", "curve_cloud_agreement", "gradient_margin",
+                     "pair_lipschitz_bound", "cone_property_check", "cone_width_for",
+                     "ConeParams"}
 
 
 def public_names(mod) -> list[str]:
@@ -35,3 +43,30 @@ def test_readme_quick_start_names_are_public():
     exported = {n for m in MODULES
                 for n in public_names(importlib.import_module(f"heisencurve.{m}"))}
     assert len(names) == 3 and names <= exported
+
+
+def _used_names(tree, skip: str | None = None) -> set[str]:
+    """Names loaded or attributes read in tree, outside any definition named skip."""
+    used = set()
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
+    return used
+
+
+@pytest.mark.parametrize("name", PIPELINE)
+def test_pipeline_names_serve_the_pipeline(name):
+    # a public name that only verify (or only a test) uses belongs in verify
+    trees = {m: ast.parse((SRC / f"{m}.py").read_text()) for m in PIPELINE + ("cli",)}
+    unused = [n for n in importlib.import_module(f"heisencurve.{name}").__all__
+              if n not in BENCHMARK_ORACLES
+              and not any(n in _used_names(tree, n if m == name else None)
+                          for m, tree in trees.items())]
+    assert not unused, f"{name}: used outside the pipeline only: {unused}"

@@ -8,22 +8,16 @@ from conftest import bench_module
 from test_acceptance import ACCEPTANCE
 
 from heisencurve import verify
-from heisencurve.hgroup import (
-    Point,
-    VerticalCoords,
+from heisencurve.hgroup import Point, VerticalCoords, dist, hnorm, inv, make_frame, mul
+from heisencurve.hsurface import PolySurface
+from heisencurve.verify import (
     coords_N,
     dilate,
-    dist,
     embed_N,
-    hnorm,
     horizontal_derivative,
-    inv,
-    make_frame,
-    mul,
     project_H,
     project_N,
 )
-from heisencurve.hsurface import PolySurface
 
 BENCH_VERIFY = bench_module("workloads").Verify
 
