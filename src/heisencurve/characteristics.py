@@ -70,7 +70,7 @@ def characteristic(cf: CharField, tau0: float, window: Rect | None = None,
     characteristic field.  The clamp only continues the field for Heun
     predictors that step past the window.
     """
-    box = Rect(*cf.patch.window)
+    box = cf.patch.window
     window = window or box
     corners = ((window.eta[0], window.tau[0]), (window.eta[1], window.tau[1]))
     if not all(box.contains(*c) for c in corners):

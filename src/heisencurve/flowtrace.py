@@ -98,26 +98,16 @@ class PathSample:
     def etas(self) -> np.ndarray:
         return self.eta0 + self.step * np.arange(len(self.values))
 
-    @property
-    def eta_end(self) -> float:
-        return self.eta0 + self.step * (len(self.values) - 1)
-
     def tau_at(self, eta: float) -> float:
         """Piecewise-linear interpolation; eta may exceed the grid by a hair."""
         u = (eta - self.eta0) / self.step
         if u < -1e-9 or u > len(self.values) - 1 + 1e-9:
             raise ValueError(f"eta = {eta!r} outside the sampled range")
-        i = min(max(int(math.floor(u)), 0), len(self.values) - 2) if len(self.values) > 1 else 0
         if len(self.values) == 1:
             return float(self.values[0])
+        i = min(max(int(math.floor(u)), 0), len(self.values) - 2)
         w = u - i
         return float((1.0 - w) * self.values[i] + w * self.values[i + 1])
-
-    def index_of(self, eta: float) -> int:
-        i = round((eta - self.eta0) / self.step)
-        if abs(self.eta0 + i * self.step - eta) > 1e-9 * max(1.0, abs(eta)):
-            raise ValueError(f"eta = {eta!r} is not a grid point")
-        return int(i)
 
     def same_grid(self, other: "PathSample") -> bool:
         return (len(self.values) == len(other.values)
@@ -300,26 +290,30 @@ def extremal_solutions(h, eta_a: float, tau_a: float, window: Rect, step: float,
 
 @dataclass
 class FlowFamily:
-    """Solutions ordered pointwise and parametrized by their integral."""
+    """Solutions ordered pointwise and parametrized by their integral.
+
+    targets[i] is the integral members[i] was built to realize: the midpoint
+    of its bracket's means, or for an endpoint its own mean.
+    """
 
     members: list[tuple[float, PathSample]]
+    targets: list[float]
+
+    def _steps(self) -> np.ndarray:
+        """Differences between consecutive members, one row per pair."""
+        return np.diff([p.values for _, p in self.members], axis=0)
 
     def monotonicity_violation(self) -> float:
         """Max pointwise drop between consecutive members (should be ~0)."""
-        worst = 0.0
-        for (_, a), (_, b) in zip(self.members, self.members[1:]):
-            worst = max(worst, float(np.max(a.values - b.values, initial=0.0)))
-        return worst
+        return float(np.max(-self._steps(), initial=0.0))
 
     def mean_residuals(self) -> list[float]:
-        return [abs(p.integral() - mu) for mu, p in self.members]
+        """How far each member's integral misses its target."""
+        return [abs(p.integral() - mu_t) for (_, p), mu_t in zip(self.members, self.targets)]
 
     def max_uniform_gap(self) -> float:
         """Largest uniform distance between adjacent members (continuity proxy)."""
-        worst = 0.0
-        for (_, a), (_, b) in zip(self.members, self.members[1:]):
-            worst = max(worst, float(np.max(np.abs(a.values - b.values))))
-        return worst
+        return float(np.max(np.abs(self._steps()), initial=0.0))
 
 
 def _clamped(h, box: Rect):
@@ -426,24 +420,27 @@ def build_family(h, tau_minus: PathSample, tau_plus: PathSample, depth: int,
     mu_minus = tau_minus.integral()
     mu_plus = tau_plus.integral()
     paths = {} if paths is None else paths
+    family = FlowFamily([(mu_minus, tau_minus)], [mu_minus])
 
-    def recurse(lo, mu_lo, hi, mu_hi, d) -> list[tuple[float, PathSample]]:
+    def fill(lo, mu_lo, hi, mu_hi, d):
+        # in order: the lower half's members, this bracket's, the upper half's
         if d == 0:
-            return []
+            return
+        mu_t = 0.5 * (mu_lo + mu_hi)
         if mu_hi - mu_lo <= 2.0 * MEAN_TOL:
             mid = funnel_section(lo, hi, lo)
-            mu_mid = mid.integral()
         else:
-            mid = _find_member_with_mean(h, lo, hi, 0.5 * (mu_lo + mu_hi), paths)
-            mu_mid = mid.integral()
-        return (recurse(lo, mu_lo, mid, mu_mid, d - 1)
-                + [(mu_mid, mid)]
-                + recurse(mid, mu_mid, hi, mu_hi, d - 1))
+            mid = _find_member_with_mean(h, lo, hi, mu_t, paths)
+        mu_mid = mid.integral()
+        fill(lo, mu_lo, mid, mu_mid, d - 1)
+        family.members.append((mu_mid, mid))
+        family.targets.append(mu_t)
+        fill(mid, mu_mid, hi, mu_hi, d - 1)
 
-    members = ([(mu_minus, tau_minus)]
-               + recurse(tau_minus, mu_minus, tau_plus, mu_plus, depth)
-               + [(mu_plus, tau_plus)])
-    return FlowFamily(members)
+    fill(tau_minus, mu_minus, tau_plus, mu_plus, depth)
+    family.members.append((mu_plus, tau_plus))
+    family.targets.append(mu_plus)
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +567,7 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None,
     if not math.isfinite(M):
         raise ValueError(f"the field bound on the window is not finite: M = {M!r}")
     delta = a if M * 2.0 * a <= b else b / (2.0 * M)
-    n_half = max(1, min(int(math.ceil(delta / params.step - 1e-9)),
-                        MAX_NODES // 2))
+    n_half = max(1, min(int(math.ceil(delta / params.step - 1e-9)), MAX_NODES // 2))
     step = delta / n_half
     hc = _clamped(h, Rect.centered(a, b))
     # the clamped field is bounded, so trajectories stay tame without a tau cap
@@ -588,41 +584,29 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None,
     lower = build_family(hc, tau_minus, tau_bar, params.depth, paths)
     upper = build_family(hc, tau_hat, tau_plus, params.depth, paths)
 
-    raw_xi: list[float] = []
-    raw_pts: list[tuple[float, float]] = []
-    margins: list[float] = []
-    kept_paths: list[PathSample] = []
-
-    def harvest(family: FlowFamily):
+    def harvest(family: FlowFamily) -> list[tuple[float, tuple, float, PathSample]]:
+        """(mean, zero, monotonicity margin, path) of each member with a zero."""
+        kept = []
         for mu, path in family.members:
             root, vals = monotone_root(F, path, params.root_tol)
-            if root is None:
-                continue
-            d = np.diff(vals)
-            margins.append(float(np.min(np.abs(d))) / path.step)
-            raw_xi.append(mu)
-            raw_pts.append(root)
-            kept_paths.append(path)
+            if root is not None:
+                kept.append((mu, root, float(np.min(np.abs(np.diff(vals)))) / path.step, path))
+        return kept
 
-    harvest(lower)
-    n_lower = len(raw_xi)
-    harvest(upper)
-
-    if not raw_pts:
+    low, up = harvest(lower), harvest(upper)
+    if not (low or up):
         raise NoZeroFound("no family member produced a zero of F")
+    raw_xi, raw_pts, margins, _ = (list(c) for c in zip(*low, *up))
 
     # rescale the two mean-intervals to a single [0, 1] parameter
-    lo_span = (raw_xi[n_lower - 1] - raw_xi[0]) if n_lower else 0.0
-    up_span = (raw_xi[-1] - raw_xi[n_lower]) if n_lower < len(raw_xi) else 0.0
+    lo_span = low[-1][0] - low[0][0] if low else 0.0
+    up_span = up[-1][0] - up[0][0] if up else 0.0
     total = lo_span + up_span
-    xi01 = []
-    for i, mu in enumerate(raw_xi):
-        if total <= 0.0:
-            xi01.append(0.0 if len(raw_xi) == 1 else i / (len(raw_xi) - 1))
-        elif i < n_lower:
-            xi01.append((mu - raw_xi[0]) / total)
-        else:
-            xi01.append((lo_span + mu - raw_xi[n_lower]) / total)
+    if total <= 0.0:
+        xi01 = [0.0 if len(raw_xi) == 1 else i / (len(raw_xi) - 1) for i in range(len(raw_xi))]
+    else:
+        xi01 = ([(mu - low[0][0]) / total for mu, *_ in low]
+                + [(lo_span + mu - up[0][0]) / total for mu, *_ in up])
 
     # interval collapse: equal consecutive zeros shrink to one sample
     xi_out, pts_out = [], []
@@ -634,8 +618,8 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None,
         pts_out.append(p)
 
     # the inner rectangle certified by the outermost members that have zeros
-    lo_env = kept_paths[0] if n_lower else tau_bar
-    hi_env = kept_paths[-1] if n_lower < len(raw_xi) else tau_hat
+    lo_env = low[0][3] if low else tau_bar
+    hi_env = up[-1][3] if up else tau_hat
     u_lo = float(np.max(lo_env.values))
     u_hi = float(np.min(hi_env.values))
     if u_lo > u_hi:
@@ -646,15 +630,14 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None,
         "monotonicity_margins": margins,
         "raw_xi": raw_xi,
         "raw_zeta": raw_pts,
-        "n_lower": n_lower,
+        "n_lower": len(low),
         "delta": delta,
         "field_bound": M,
         "extremal": ext_diag,
         "family_gap": max(lower.max_uniform_gap(), upper.max_uniform_gap()),
         "family_monotonicity": max(lower.monotonicity_violation(),
                                    upper.monotonicity_violation()),
-        "mean_residual": max(max(lower.mean_residuals(), default=0.0),
-                             max(upper.mean_residuals(), default=0.0)),
+        "mean_residual": max(lower.mean_residuals() + upper.mean_residuals()),
     }
     return TraceResult(xi=xi_out, zeta=pts_out, neighborhood=neighborhood,
                        band=(lo_env, hi_env), diagnostics=diagnostics)

@@ -114,18 +114,13 @@ def inv(x: Point) -> Point:
 
 
 def _hypot(a, b):
-    """math.hypot, per entry on arrays: numpy's hypot is not always correctly rounded."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.asarray(np.frompyfunc(math.hypot, 2, 1)(a, b), dtype=float)
-    return math.hypot(a, b)
+    """math.hypot per entry, as float64: numpy's hypot is not always correctly rounded."""
+    return np.asarray(np.frompyfunc(math.hypot, 2, 1)(a, b), dtype=float)
 
 
 def hnorm(x: Point):
-    """Homogeneous norm max(|x1|, sqrt(|t|)); 1-homogeneous under dilations."""
-    h, t = _hypot(x.x11, x.x12), abs(x.t)
-    if isinstance(h, np.ndarray) or isinstance(t, np.ndarray):
-        return np.maximum(h, np.sqrt(t))
-    return max(h, math.sqrt(t))
+    """Homogeneous norm max(|x1|, sqrt(|t|)), 1-homogeneous; numpy float64 or array."""
+    return np.maximum(_hypot(x.x11, x.x12), np.sqrt(np.abs(x.t)))
 
 
 def dist(x: Point, y: Point):

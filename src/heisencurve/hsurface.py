@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MarginViolated, NoSignChange
-from .flowtrace import _bisect_sign_change
+from .flowtrace import Rect, _bisect_sign_change
 from .hgroup import Frame, Point
 
 __all__ = [
@@ -449,22 +449,21 @@ class GraphPatch:
     ----------
     frame    : Frame with b1 the graph direction.
     f2       : PolySurface of the defining function (the graph is f2 = 0).
-    window   : ((eta_min, eta_max), (tau_min, tau_max)) in N-coordinates.
+    window   : Rect of (eta, tau) ranges in N-coordinates.
     bracket  : (s_min, s_max) allowed range of the graph coordinate.
     """
 
     def __init__(self, frame: Frame, f2: PolySurface,
-                 window=((-0.5, 0.5), (-0.5, 0.5)),
+                 window: Rect = Rect.centered(0.5, 0.5),
                  bracket=(-2.0, 2.0)):
         self.frame = frame
         self.f2 = f2
         line = (*frame.b1, *frame.b2, frame.detC)
-        self.window = (tuple(window[0]), tuple(window[1]))
+        self.window = window
         self.bracket = (float(bracket[0]), float(bracket[1]))
         # the window up to WINDOW_SLACK, as (eta_lo, eta_hi, tau_lo, tau_hi)
-        (emin, emax), (tmin, tmax) = self.window
-        self._bounds = (emin - WINDOW_SLACK, emax + WINDOW_SLACK,
-                        tmin - WINDOW_SLACK, tmax + WINDOW_SLACK)
+        self._bounds = (window.eta[0] - WINDOW_SLACK, window.eta[1] + WINDOW_SLACK,
+                        window.tau[0] - WINDOW_SLACK, window.tau[1] + WINDOW_SLACK)
         self._newton_from = f2.along_line(line, self.bracket)
         # line_coords(eta, tau, s): coordinates of n * (s b1) for n = (eta, tau)
         self.line_coords = _compile_line(line)
@@ -477,8 +476,8 @@ class GraphPatch:
 
     def _certify_margin(self):
         # the samples in the order of nested loops over eta, tau, s
-        samples = np.meshgrid(*(np.linspace(lo, hi, MARGIN_GRID)
-                                for lo, hi in (*self.window, self.bracket)), indexing="ij")
+        samples = np.meshgrid(*(np.linspace(lo, hi, MARGIN_GRID) for lo, hi in
+                                (self.window.eta, self.window.tau, self.bracket)), indexing="ij")
         with np.errstate(over="ignore", invalid="ignore"):
             y1 = y_derivatives(self.f2, self.line_coords(*samples), self.frame)[0]
             y1 = np.broadcast_to(y1, samples[0].shape).ravel()
@@ -499,7 +498,7 @@ class GraphPatch:
         # the largest |x11|, |x12|, |t| of n * (s b1): the line with |b| and -|det C|
         # at the largest |eta|, |tau|, |s|
         reach = _compile_line((*map(abs, line[:4]), -abs(line[4])))(
-            *(max(map(abs, r)) for r in (*self.window, self.bracket)))
+            *(max(map(abs, r)) for r in (self.window.eta, self.window.tau, self.bracket)))
         return self.f2.partial(2).termwise_bound([(0.0, r) for r in reach]) / MARGIN
 
     # -- graph solves ----------------------------------------------------------

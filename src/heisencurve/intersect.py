@@ -179,9 +179,8 @@ def graph_field(f2: PolySurface, p: Point, window_half: float,
     """
     _at_base(f2.value_at, astuple(p), "f2", NotCommonZero)
     f2t = _translated(f2, p, "f2")
-    w = window_half
-    patch = GraphPatch(choose_frame(f2t, ORIGIN), f2t, window=((-w, w), (-w, w)),
-                       bracket=bracket)
+    patch = GraphPatch(choose_frame(f2t, ORIGIN), f2t,
+                       window=Rect.centered(window_half, window_half), bracket=bracket)
     return CharField(patch)
 
 
@@ -209,8 +208,7 @@ def intersect_surfaces(prob: IntersectionProblem) -> Curve:
         # on floats, or on a member's node arrays (GraphPatch.solve_many)
         return f1t.value_at(*cf.graph_coords(eta, tau))
 
-    w = prob.window_half
-    res = level_trace(cf.rhs, F, Rect.centered(w, w), prob.trace,
+    res = level_trace(cf.rhs, F, cf.patch.window, prob.trace,
                       abs(cf.beta) * cf.patch.tau_lipschitz)
 
     planar = [VerticalCoords(e, t) for e, t in res.zeta]
@@ -218,7 +216,7 @@ def intersect_surfaces(prob: IntersectionProblem) -> Curve:
 
     # cumulative homogeneous arc length over its own last entry, so that the
     # last parameter is 1.0 exactly, and the residuals, as array calls
-    xyz = np.array([astuple(q) for q in points]).reshape(-1, 3).T
+    xyz = _coord_array(points).T
     arc = np.cumsum(dist(Point(*xyz[:, :-1]), Point(*xyz[:, 1:])))
     params = [0.0] + (arc / arc[-1] if arc.size and arc[-1] > 0.0 else 0.0 * arc).tolist()
     res1, res2 = (float(np.max(np.abs(f.value_at(*xyz)), initial=0.0))

@@ -87,7 +87,7 @@ class TestCharacteristic:
         # reaches tau = 0.2578, past a patch edge at 0.254 that every node stays below
         f2 = PolySurface({(1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 1): 1.0})
         cf = CharField(GraphPatch(make_frame((1.0, 0.0)), f2,
-                                  window=((-0.5, 0.5), (-0.5, 0.254))))
+                                  window=Rect((-0.5, 0.5), (-0.5, 0.254))))
         p = characteristic(cf, 0.2, step=0.1)
         assert len(p) == 11 and np.max(p.values) <= 0.254
         with pytest.raises(ValueError):  # the field itself rejects the predictor

@@ -195,9 +195,9 @@ class TestExtremalSolutions:
 
     def test_cubic_funnel_forward(self):
         lo, hi, _ = extremal_solutions(cubic_field, 0.0, 0.0, Rect((0.0, 0.5)), 1e-3)
-        i = lo.index_of(0.5)
-        assert abs(lo.values[i] - 0.0) <= 1e-3
-        assert abs(hi.values[i] - 0.5**3) <= 1e-3
+        assert lo.etas[-1] == pytest.approx(0.5)
+        assert abs(lo.values[-1] - 0.0) <= 1e-3
+        assert abs(hi.values[-1] - 0.5**3) <= 1e-3
 
     def test_cubic_maximal_path_misses_less(self):
         # the path of the smallest eps kept, clipped to the natural march,
@@ -348,6 +348,14 @@ class TestBuildFamily:
         # every member is a (possibly spliced) solution
         for _, m in fam.members:
             assert solution_residual(m, cubic_field) <= 10.0 * step
+
+    def test_mean_residuals_measure_the_targets(self, monkeypatch):
+        # a member accepted 1e-2 from its bracket's midpoint mean shows that miss
+        monkeypatch.setattr(flowtrace, "MEAN_TOL", 1e-2)
+        fam = build_family(cubic_field, *funnel_family_ends(), depth=4)
+        assert len(fam.targets) == len(fam.members)
+        assert fam.targets[0] == fam.members[0][0] and fam.targets[-1] == fam.members[-1][0]
+        assert 1e-6 < max(fam.mean_residuals()) <= 1e-2
 
     def test_rejects_misordered_endpoints(self):
         p = path_on(0.0, 0.01, 51, lambda e: 1.0)

@@ -282,6 +282,14 @@ class TestArrays:
         assert same_bits(hnorm(x), [hnorm(a) for a in xs])
         assert same_bits(dist(x, y), [dist(a, b) for a, b in zip(xs, ys)])
 
+    def test_float_points_match_the_math_reference(self):
+        # reference only: the norm on floats through math, ties included
+        xs = [Point(*map(float, col)) for col in _draw_with_ties(7).T]
+        for p in xs:
+            got = hnorm(p)
+            assert type(got) is np.float64
+            assert same_bits(got, max(math.hypot(p.x11, p.x12), math.sqrt(abs(p.t))))
+
     def test_broadcast_shapes(self):
         col = np.array([[0.5], [-1.0]])
         x = Point(col, np.array([0.25, 0.0, 3.0]), 0.0)

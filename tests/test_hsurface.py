@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import heisencurve
 from heisencurve import hsurface
 from heisencurve.errors import MarginViolated, NoSignChange
+from heisencurve.flowtrace import Rect
 from heisencurve.hgroup import Frame, Point, VerticalCoords, make_frame, mul
 from heisencurve.hsurface import (
     GraphPatch,
@@ -339,7 +340,7 @@ class TestGraphSolve:
             GraphPatch(
                 make_frame((1.0, 0.0)),
                 X11_PLUS_T,
-                window=((-1.5, 1.5), (-0.5, 0.5)),
+                window=Rect((-1.5, 1.5), (-0.5, 0.5)),
             )
 
     def test_non_finite_margin_detected(self):
@@ -760,7 +761,7 @@ def patch_or_none(f, line, half=0.3, bracket=(-1.0, 1.0)):
     margin certificate or its base solve fails."""
     try:
         return GraphPatch(Frame(b1=line[:2], b2=line[2:4]), f,
-                          window=((-half, half), (-half, half)), bracket=bracket)
+                          window=Rect.centered(half, half), bracket=bracket)
     except (MarginViolated, NoSignChange):
         return None
 
@@ -883,7 +884,7 @@ def certificate_reference(f, line, window, bracket):
     certificate evaluates on arrays, and numpy's array power may round
     differently from the float x**e in the last bit.
     """
-    axes = [np.linspace(lo, hi, hsurface.MARGIN_GRID) for lo, hi in (*window, bracket)]
+    axes = [np.linspace(lo, hi, hsurface.MARGIN_GRID) for lo, hi in (window.eta, window.tau, bracket)]
     sign = 0.0
     worst = math.inf
     for eta in axes[0]:
@@ -936,7 +937,7 @@ class TestMarginCertificate:
         f = surface_or_overflow(p)
         if f is None:
             return
-        window = ((-we, we), (-wt, wt))
+        window = Rect((-we, we), (-wt, wt))
         expected = certificate_reference(f, line, window, br)
         got = certificate(f, line, window, br)
         assert type(got) is type(expected)
@@ -947,7 +948,7 @@ class TestMarginCertificate:
     def test_matches_the_sample_loop_near_linear(self, pert, line, we, wt, br):
         # the certificate passes on most of these, so the minima are compared
         f = near_linear(pert, line)
-        window = ((-we, we), (-wt, wt))
+        window = Rect((-we, we), (-wt, wt))
         assert certificate(f, line, window, br) == \
             certificate_reference(f, line, window, br)
 

@@ -260,6 +260,21 @@ class TestIntersectSurfaces:
             assert q.x12 == 0.0
             assert abs(q.t - (q.x11**3 - q.x11)) <= 1e-12
 
+    @pytest.mark.parametrize("k, m, half", [(k, m, 0.5) for k in (0.5, 1.0, 2.0)
+                                            for m in (0.0, 1.0)]
+                             + [(k, 2.0, 0.3) for k in (0.5, 1.0, 2.0)])
+    def test_bending_family(self, k, m, half):
+        # Gamma_{k,m}: f1 = t + x11 - m x11^3 and f2 = x12 - k x11^2 meet in
+        # (s, k s^2, -s + m s^3), a curve that bends in x12.  The sample count
+        # is not asserted: the interval collapse leaves 125 on Gamma_{2,1}.
+        f1 = PolySurface({(0, 0, 1): 1.0, (1, 0, 0): 1.0, **({(3, 0, 0): -m} if m else {})})
+        f2 = PolySurface({(0, 1, 0): 1.0, (2, 0, 0): -k})
+        curve = intersect_surfaces(IntersectionProblem(f1, f2, window_half=half))
+        for q in curve.points:
+            assert abs(q.x12 - k * q.x11**2) <= 1e-10
+            assert abs(q.t + q.x11 - m * q.x11**3) <= 1e-10
+        assert all(a != b for a, b in zip(curve.points, curve.points[1:]))
+
 
 def _ref_monotone_root(F, path, root_tol):
     """Reference only: monotone_root with its node values taken float by float."""

@@ -1,14 +1,17 @@
 """Write the outputs that a behaviour-preserving change keeps byte-identical.
 
     python tools/snapshot_outputs.py <checkout> <dir>
+    python tools/snapshot_outputs.py --compare <dir A> <dir B>
 
-imports heisencurve from <checkout>/src and the pair generator from
-<checkout>/bench, and writes these 81 files to <dir>:
+The first form imports heisencurve from <checkout>/src and the pair
+generator from <checkout>/bench, and writes these 83 files to <dir>:
 
-* curve-{A,B,C}-depth{2,6}.json: the points, params and sorted-key JSON
+* curve-{A,B,C,G22}-depth{2,6}.json: the points, params and sorted-key JSON
   meta of intersect_surfaces on A = {x11, x12} and B = {x12, x11 + t}
-  (window 0.5, bracket [-2, 2]), and C = {x12, x11 + t - x11^3} (window
-  0.2, bracket [-0.5, 0.5]);
+  (window 0.5, bracket [-2, 2]), C = {x12, x11 + t - x11^3} (window 0.2,
+  bracket [-0.5, 0.5]), and the bending curve G22 = {t + x11 - 2 x11^3,
+  x12 - 2 x11^2}, whose intersection is (s, 2 s^2, -s + 2 s^3) (window
+  0.5, bracket [-2, 2]);
 * pair-s<seed>-k<k>-depth<d>.csv: `heisencurve intersect` on the cubic
   pairs of bench/pairs.py, seeds 1-3, k = 0-7, depths 1 and 3;
 * char-s<seed>-k<k>.csv: `heisencurve characteristics` of each pair's f2
@@ -19,7 +22,10 @@ imports heisencurve from <checkout>/src and the pair generator from
 * verify.json: the default `heisencurve verify` report.
 
 Floats are written as their shortest round-trip repr, so equal files mean
-equal bits.  Compare two snapshot directories with `diff -r`.
+equal bits.  The second form compares two snapshot directories: for each
+file that differs it prints the largest absolute difference between
+corresponding numbers, or "structure differs" when the text around the
+numbers, or their count, is not the same.  It always exits 0.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +43,8 @@ import numpy as np
 PAIR_SEEDS = (1, 2, 3)
 PAIR_COUNT = 8
 PAIR_DEPTHS = (1, 3)
+# A number in JSON or CSV text, not the digits inside a name such as x11.
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
 
 def _cli(cli, argv: list[str]) -> None:
@@ -52,6 +61,8 @@ def _curves(hc, out: Path) -> None:
         "B": (x12, hc.PolySurface({(1, 0, 0): 1.0, (0, 0, 1): 1.0}), {}),
         "C": (x12, hc.PolySurface({(1, 0, 0): 1.0, (0, 0, 1): 1.0, (3, 0, 0): -1.0}),
               {"window_half": 0.2, "bracket": (-0.5, 0.5)}),
+        "G22": (hc.PolySurface({(0, 0, 1): 1.0, (1, 0, 0): 1.0, (3, 0, 0): -2.0}),
+                hc.PolySurface({(0, 1, 0): 1.0, (2, 0, 0): -2.0}), {}),
     }
     for tag, (f1, f2, kw) in problems.items():
         for depth in (2, 6):
@@ -98,9 +109,34 @@ def _funnel(ft, out: Path) -> None:
         (out / f"{name}.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
+def _move(a: str, b: str) -> str:
+    """The largest move between the numbers of two texts, or "structure differs"."""
+    if NUMBER.split(a) != NUMBER.split(b):
+        return "structure differs"
+    pairs = zip(NUMBER.findall(a), NUMBER.findall(b))
+    return f"largest move {max(abs(float(x) - float(y)) for x, y in pairs)!r}"
+
+
+def compare(dir_a: Path, dir_b: Path) -> None:
+    """Print each file of the two directories that differs and how far it moved."""
+    names = sorted({p.name for p in dir_a.iterdir()} | {p.name for p in dir_b.iterdir()})
+    moved = []
+    for name in names:
+        a, b = dir_a / name, dir_b / name
+        if not (a.exists() and b.exists()):
+            moved.append(f"{name}: only in {a.parent if a.exists() else b.parent}")
+        elif a.read_bytes() != b.read_bytes():
+            moved.append(f"{name}: {_move(a.read_text(), b.read_text())}")
+    print("\n".join(moved + [f"{len(moved)} of {len(names)} files differ"]))
+
+
 def main(argv: list[str]) -> None:
+    if len(argv) == 3 and argv[0] == "--compare":
+        compare(Path(argv[1]), Path(argv[2]))
+        return
     if len(argv) != 2:
-        sys.exit("usage: python tools/snapshot_outputs.py <checkout> <dir>")
+        sys.exit("usage: python tools/snapshot_outputs.py <checkout> <dir>\n"
+                 "       python tools/snapshot_outputs.py --compare <dir A> <dir B>")
     checkout, out = Path(argv[0]).resolve(), Path(argv[1])
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     import heisencurve as hc
