@@ -17,14 +17,15 @@ fails.  Marches solve point after point on floats; a function of the graph
 point, such as the traced F = f1 o Phi2, must accept both forms.
 
 Each polynomial compiles, on first use, into a straight-line evaluator that
-computes each power x**e once and makes the products and sums of the
-term-by-term sum in the same order, so it rounds exactly as that sum does.
-The same code generator gives each graph patch of f2 one kernel, compiled
-when the patch is built: newton(eta, tau, s), the whole scalar Newton
-loop, computing the line coordinates and f2 and Y1 f2 there inline.  It
+forms each power once, x^e as x^(e-1) * x, and makes the products and
+sums of the term-by-term sum in the same order, so it rounds exactly as
+that sum does, on floats and numpy arrays alike.  The same code generator
+gives each graph patch of f2 one kernel, compiled when the patch is built:
+newton(eta, tau, s), the whole scalar Newton loop, computing the line
+coordinates, f2 and the patch's slope polynomial Y1 f2 there inline.  It
 rounds exactly like line_coords followed by the compiled evaluators,
 through which everything else (the array solve, bisection, the margin
-certificate, y_derivatives) evaluates f2 at coordinates, floats or numpy
+certificate) evaluates f2 and Y1 f2 at coordinates, floats or numpy
 arrays.  Kernel sources hold no coefficients, so each is compiled once per
 process (up to 64 kept) and polynomials with the same monomials share it.
 A surface is its PolySurface, with its exact horizontal gradient
@@ -53,7 +54,6 @@ __all__ = [
     "PolySurface",
     "GraphPatch",
     "horiz_grad_poly",
-    "y_derivatives",
 ]
 
 MAX_TOTAL_DEGREE = 16
@@ -122,9 +122,9 @@ class PolySurface:
     def value_at(self) -> Callable[[float, float, float], float]:
         """The evaluator p(x11, x12, t), compiled on first use.
 
-        It runs the operations of the term sum in term order, so it rounds
-        exactly like that sum per argument type: floats and numpy arrays may
-        differ in the last bit, as their x**e do.  On arrays its result
+        It runs the operations of the term sum in term order, each power
+        formed by multiplying left to right, so it rounds exactly like that
+        sum, on floats and on numpy arrays alike.  On arrays its result
         broadcasts against them (a term free of an argument lacks its axes).
         """
         return _compile(self.coefficients)
@@ -147,22 +147,21 @@ class PolySurface:
         x1f, x2f = self.grad_poly
         return (x1f.value_at(x11, x12, t), x2f.value_at(x11, x12, t))
 
-    def along_line(self, line, bracket) -> Callable:
+    def along_line(self, line, bracket, y1: "PolySurface") -> Callable:
         """Newton's method for f = 0 on the graph line, as one compiled kernel.
 
         line is (b1x, b1y, b2x, b2y, detC) and the point is n * (s b1) for
         n = (eta, tau).  newton(eta, tau, s) runs Newton's method on
         s -> f(n * (s b1)) from s within bracket (_newton_lines), with the
-        slope Y1 f = b1 . (X1 f, X2 f), and returns the root or None.  It is
-        straight-line code that computes the line coordinates, f and Y1 f
-        inline, Y1 f sharing the powers of f; it rounds exactly like
-        line_coords followed by value_at and grad_at.
+        slope polynomial y1 of Y1 f (GraphPatch.slope), and returns the root
+        or None.  It is straight-line code that computes the line coordinates,
+        f and y1 inline, y1 sharing the powers of f; it rounds exactly like
+        line_coords followed by value_at of f and of y1.
         """
         consts = {**_newton_consts(bracket), **_line_consts(line)}
-        bound: set = set()
-        evaluate = [*_LINE, *_sum_block({"f": self.coefficients}, consts, bound)]
-        slopes = dict(zip(("g1", "g2"), (q.coefficients for q in self.grad_poly)))
-        slope = [*_sum_block(slopes, consts, bound), "y1 = g1 * b1x + g2 * b1y"]
+        bound: dict = {}
+        evaluate = [*_LINE, *_sum_block("f", self.coefficients, consts, bound)]
+        slope = _sum_block("y1", y1.coefficients, consts, bound)
         return _compile_kernel("newton", "eta, tau, s", _newton_lines(evaluate, slope), consts)
 
     def translated(self, p: Point) -> "PolySurface":
@@ -251,34 +250,35 @@ def _compile(coefficients: dict) -> Callable[[float, float, float], float]:
     """Straight-line evaluator of sum c x11^i x12^j t^k over coefficients."""
     consts: dict = {}
     return _compile_kernel("value_at", "x11, x12, t",
-                           [*_sum_block({"acc": coefficients}, consts, set()), "return acc"],
+                           [*_sum_block("acc", coefficients, consts, {}), "return acc"],
                            consts)
 
 
-def _sum_lines(coefficients: dict, acc: str, powers: dict, consts: dict) -> list[str]:
+def _sum_block(acc: str, coefficients: dict, consts: dict, bound: dict) -> list[str]:
     """Statements that set acc to sum c x11^i x12^j t^k over coefficients.
 
     Each term multiplies its coefficient by its powers of x11, x12, t in that
-    order; e = 1 uses x itself, which x**e equals bit for bit, and each power
-    with e >= 2 goes into powers, to be bound once.  The terms are added left
-    to right onto 0.0, in statements of SUM_CHUNK terms that bound the
-    expression depth the compiler recurses through without changing that
-    order; no terms give the one statement acc = 0.0.  The coefficients go
-    into consts under the names the terms use.
+    order; e = 1 uses x itself.  The powers are bound first, each x^e as
+    x^(e-1) * x from x^1 = x, so that every power up to the highest is bound
+    once and floats and numpy arrays round alike; bound maps each variable to
+    the highest power already bound, and gains the new ones.  The terms are
+    added left to right onto 0.0, in statements of SUM_CHUNK terms that
+    bound the expression depth the compiler recurses through without
+    changing that order; no terms give the one statement acc = 0.0.  The
+    coefficients go into consts under the names the terms use.
     """
-    products = []
+    products, lines = [], []
     for exps, c in coefficients.items():
         name = f"{acc}_c{len(products)}"
         consts[name] = c
         factors = [name]
         for var, e in zip(("x11", "x12", "t"), exps):
-            if e == 1:
-                factors.append(var)
-            elif e:
-                powers.setdefault(f"{var}_{e}", f"{var}**{e}")
-                factors.append(f"{var}_{e}")
+            if e:
+                factors.append(_power(var, e))
+                lines += [f"{_power(var, d)} = {_power(var, d - 1)} * {var}"
+                          for d in range(bound.get(var, 1) + 1, e + 1)]
+                bound[var] = max(bound.get(var, 1), e)
         products.append(" * ".join(factors))
-    lines = []
     total = "0.0"
     for start in range(0, max(len(products), 1), SUM_CHUNK):
         lines.append(f"{acc} = {' + '.join([total, *products[start:start + SUM_CHUNK]])}")
@@ -286,19 +286,8 @@ def _sum_lines(coefficients: dict, acc: str, powers: dict, consts: dict) -> list
     return lines
 
 
-def _sum_block(sums: dict, consts: dict, bound: set) -> list[str]:
-    """Statements that set each accumulator of sums to its polynomial.
-
-    sums maps each accumulator name to the coefficients of its polynomial in
-    the variables x11, x12, t.  The powers the sums use are bound first, once
-    each, skipping those already in bound, which gains them.
-    """
-    powers: dict[str, str] = {}
-    body = [line for acc, coefficients in sums.items()
-            for line in _sum_lines(coefficients, acc, powers, consts)]
-    fresh = [f"{var} = {power}" for var, power in powers.items() if var not in bound]
-    bound.update(powers)
-    return [*fresh, *body]
+def _power(var: str, e: int) -> str:
+    return var if e == 1 else f"{var}_{e}"
 
 
 _compiled = lru_cache(maxsize=64)(compile)  # code objects by source; a verify round has 19
@@ -406,15 +395,6 @@ class SurfaceHandle:
         return p
 
 
-def y_derivatives(f: PolySurface, x: tuple, fr: Frame) -> tuple[float, float]:
-    """(Y1 f, Y2 f) along the frame's b1, b2 at x = (x11, x12, t), floats or arrays."""
-    g1, g2 = f.grad_at(*x)
-    return (
-        g1 * fr.b1[0] + g2 * fr.b1[1],
-        g1 * fr.b2[0] + g2 * fr.b2[1],
-    )
-
-
 # ---------------------------------------------------------------------------
 # Intrinsic graph patches
 # ---------------------------------------------------------------------------
@@ -422,18 +402,19 @@ def y_derivatives(f: PolySurface, x: tuple, fr: Frame) -> tuple[float, float]:
 class GraphPatch:
     """A window of the vertical subgroup over which f2 admits an intrinsic graph.
 
-    Construction certifies, on a MARGIN_GRID sample of window x bracket
-    evaluated in one y_derivatives call on arrays, that the graph direction
-    derivative Y1 f2 keeps one sign and stays above MARGIN in absolute
-    value; that makes the per-point root problem strictly monotone and
-    bisection safe.  It then solves for the root at the origin, the start
-    of every solve given no hint.
+    The graph direction derivative Y1 f2 = b1x X1 f2 + b1y X2 f2, the slope
+    in s of the graph equation g(eta, tau, s) = f2(n * (s b1)), is one
+    polynomial, slope.  Construction certifies, on a MARGIN_GRID sample of
+    window x bracket evaluated in one call of slope on arrays, that Y1 f2
+    keeps one sign and stays above MARGIN in absolute value; that makes the
+    per-point root problem strictly monotone and bisection safe.  It then
+    solves for the root at the origin, the start of every solve given no
+    hint.
 
     The patch compiles one kernel, Newton's method (f2.along_line), which
     solve_scalar runs on floats.  solve_many runs the same Newton steps on
-    float64 arrays, and bisection and the certificate evaluate the graph
-    equation g(eta, tau, s) = f2(n * (s b1)) and its slope Y1 f2, through
-    line_coords and f2's evaluators.
+    float64 arrays, and bisection and the certificate evaluate g and its
+    slope, through line_coords and the evaluators of f2 and slope.
 
     tau_lipschitz bounds |d phi2hat / d tau| over the window, computed once
     here.  The graph function solves g(eta, tau, phi2hat) = 0 with
@@ -464,13 +445,19 @@ class GraphPatch:
         # the window up to WINDOW_SLACK, as (eta_lo, eta_hi, tau_lo, tau_hi)
         self._bounds = (window.eta[0] - WINDOW_SLACK, window.eta[1] + WINDOW_SLACK,
                         window.tau[0] - WINDOW_SLACK, window.tau[1] + WINDOW_SLACK)
-        self._newton_from = f2.along_line(line, self.bracket)
+        self._newton_from = f2.along_line(line, self.bracket, self.slope)
         # line_coords(eta, tau, s): coordinates of n * (s b1) for n = (eta, tau)
         self.line_coords = _compile_line(line)
         self._certify_margin()
         self.tau_lipschitz = self._tau_bound(line)
         # the root at the origin, from which solves without a hint start
         self._s_base = self.solve_scalar((0.0, 0.0), 0.0)
+
+    @cached_property
+    def slope(self) -> PolySurface:
+        """Y1 f2 = b1x X1 f2 + b1y X2 f2 as one polynomial, built once per patch."""
+        x1f, x2f = self.f2.grad_poly
+        return x1f.scaled(self.frame.b1[0]) + x2f.scaled(self.frame.b1[1])
 
     # -- margin certificate --------------------------------------------------
 
@@ -479,7 +466,7 @@ class GraphPatch:
         samples = np.meshgrid(*(np.linspace(lo, hi, MARGIN_GRID) for lo, hi in
                                 (self.window.eta, self.window.tau, self.bracket)), indexing="ij")
         with np.errstate(over="ignore", invalid="ignore"):
-            y1 = y_derivatives(self.f2, self.line_coords(*samples), self.frame)[0]
+            y1 = self.slope.value_at(*self.line_coords(*samples))
             y1 = np.broadcast_to(y1, samples[0].shape).ravel()
         small = ~(np.abs(y1) >= MARGIN)  # NaN is small too
         failed = np.flatnonzero(small | (np.signbit(y1) != np.signbit(y1[0])))
@@ -527,14 +514,13 @@ class GraphPatch:
         """phi2hat at every point of the broadcast float64 arrays eta and tau.
 
         Newton runs from the base root on all lanes at once, through
-        line_coords, f2's evaluators and y_derivatives, with the tests of the
+        line_coords and the evaluators of f2 and slope, with the tests of the
         compiled kernel (_newton_lines) per lane: a lane stops at |f| <= GTOL,
         fails where |Y1 f2| < MARGIN or a step leaves the bracket, and after
         12 steps is accepted at |f| <= NEWTON_ACCEPT.  A lane that fails is
         solved by solve_scalar without a hint, so it bisects as a scalar solve
-        does.  Each lane equals solve_scalar(n) within rounding, bit for bit
-        where the powers of f2 are exact.  The first lane outside the window,
-        or NaN, raises the ValueError of solve_scalar.
+        does.  Each lane equals solve_scalar(n) bit for bit.  The first lane
+        outside the window, or NaN, raises the ValueError of solve_scalar.
         """
         eta, tau = np.broadcast_arrays(np.asarray(eta, dtype=float),
                                        np.asarray(tau, dtype=float))
@@ -558,8 +544,7 @@ class GraphPatch:
                 going = ~(np.abs(f) <= GTOL)
                 roots[lanes[~going]] = s[~going]
                 lanes, s, f = lanes[going], s[going], f[going]
-                y1 = np.broadcast_to(
-                    y_derivatives(self.f2, [c[going] for c in x], self.frame)[0], s.shape)
+                y1 = np.broadcast_to(self.slope.value_at(*(c[going] for c in x)), s.shape)
                 s = s - f / y1
                 moving = (np.abs(y1) >= MARGIN) & (slo <= s) & (s <= shi)
                 lanes, s = lanes[moving], s[moving]
@@ -593,8 +578,7 @@ class GraphPatch:
                 f"[{lo}, {hi}] at n=({eta:.3g},{tau:.3g})"
             )
         for s_end in (lo, hi):
-            if abs(y_derivatives(self.f2, self.line_coords(eta, tau, s_end),
-                                 self.frame)[0]) < MARGIN:
+            if abs(self.slope.value_at(*self.line_coords(eta, tau, s_end))) < MARGIN:
                 raise MarginViolated(
                     f"|Y1 f2| below margin {MARGIN:.3e} inside the solve bracket"
                 )

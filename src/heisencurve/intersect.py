@@ -103,13 +103,13 @@ class IntersectionProblem:
 
 
 def _at_base(fn, x: tuple, what: str, error: type[Exception]):
-    """fn(*x), raising error when it overflows or has a non-finite entry."""
+    """fn(*x), raising error when it overflows: raises OverflowError or is not finite."""
     try:
         v = fn(*x)
     except OverflowError:
-        raise error(f"{what} overflows at the base point") from None
+        v = math.inf
     if not np.isfinite(v).all():
-        raise error(f"{what} is not finite at the base point: {v!r}")
+        raise error(f"{what} overflows at the base point")
     return v
 
 

@@ -48,10 +48,11 @@ from .hgroup import (
     make_frame,
     mul,
 )
-from .hsurface import GraphPatch, PolySurface, y_derivatives
+from .hsurface import GraphPatch, PolySurface
 from .intersect import (
     ConeParams,
     IntersectionProblem,
+    _coord_array,
     brute_force_zero_cloud,
     cone_property_check,
     cone_width_for,
@@ -220,6 +221,12 @@ def horizontal_derivative(f, x: Point, direction: tuple[float, float], h: float 
 CHAIN_RULE_SAMPLES = 5
 
 
+def _y_derivatives(f: PolySurface, x: tuple, fr) -> tuple[float, float]:
+    """(Y1 f, Y2 f) along the frame's b1, b2 at x = (x11, x12, t), floats or arrays."""
+    g1, g2 = f.grad_at(*x)
+    return g1 * fr.b1[0] + g2 * fr.b1[1], g1 * fr.b2[0] + g2 * fr.b2[1]
+
+
 def system_residual(cf: CharField, path: PathSample) -> float:
     """Max defect of the first-order system along a candidate characteristic.
 
@@ -233,15 +240,15 @@ def system_residual(cf: CharField, path: PathSample) -> float:
     nus = cf.phi(path.etas, path.values)
     e_mid = path.eta0 + (np.arange(len(path) - 1) + 0.5) * path.step
     t_mid = 0.5 * (path.values[:-1] + path.values[1:])
-    y1, y2 = y_derivatives(cf.patch.f2, cf.graph_coords(e_mid, t_mid), cf.patch.frame)
+    y1, y2 = _y_derivatives(cf.patch.f2, cf.graph_coords(e_mid, t_mid), cf.patch.frame)
     defect = np.diff(nus) / path.step - (-y2 / y1)
     return float(np.max(np.abs(defect), initial=0.0))
 
 
 def _pair_determinant(f1: PolySurface, cf: CharField, x: tuple) -> tuple[float, float]:
     """det([[Y1 f1, Y2 f1], [Y1 f2, Y2 f2]]) and Y1 f2 at the coordinates x."""
-    y11, y21 = y_derivatives(f1, x, cf.patch.frame)
-    y12, y22 = y_derivatives(cf.patch.f2, x, cf.patch.frame)
+    y11, y21 = _y_derivatives(f1, x, cf.patch.frame)
+    y12, y22 = _y_derivatives(cf.patch.f2, x, cf.patch.frame)
     return y11 * y22 - y21 * y12, y12
 
 
@@ -607,16 +614,16 @@ def suite_intersect(scale: Scale) -> list[dict]:
     spacing = 0.4 / (scale.grid_n - 1)
     checks = []
     worst_violations = 0
-    for tag, pair, line_dist in (
-        ("A", (POLY_X11, POLY_X12),
-         lambda q: math.hypot(q.x11, q.x12)),
+    for tag, pair, nearest in (
+        ("A", (POLY_X11, POLY_X12), lambda x11, x12, t: Point(0.0, 0.0, t)),
         ("B", (POLY_X12, POLY_AFFINE),
-         lambda q: dist(q, Point(-q.t / (1.0 - q.x12), 0.0, q.t / (1.0 - q.x12)))),
+         lambda x11, x12, t: Point(-t / (1.0 - x12), 0.0, t / (1.0 - x12))),
     ):
         curve = intersect_surfaces(IntersectionProblem(*pair))
+        x = _coord_array(curve.points).T  # the samples' coordinates, as rows
         tol = 1e-8 if tag == "A" else 1e-6
         checks.append(_check(f"curve_{tag}_reference_distance",
-                             max(line_dist(q) for q in curve.points), tol))
+                             np.max(dist(Point(*x), nearest(*x))), tol))
         checks.append(_check(f"curve_{tag}_residuals",
                              max(curve.meta["residual_f1"],
                                  curve.meta["residual_f2"]), 1e-8))
@@ -627,7 +634,7 @@ def suite_intersect(scale: Scale) -> list[dict]:
         checks.append(_check(f"curve_{tag}_cloud_agreement",
                              curve_cloud_agreement(curve.points, cloud, box),
                              2.0 * spacing + 1e-12))
-        sep = min(dist(a, b) for a, b in zip(curve.points, curve.points[1:]))
+        sep = np.min(dist(Point(*x[:, :-1]), Point(*x[:, 1:])))
         checks.append(_check(f"curve_{tag}_injectivity", sep, 1e-12,
                              larger_is_better=True))
         lam = gradient_margin(pair, box, grid_n=5)

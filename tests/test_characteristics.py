@@ -10,9 +10,10 @@ from conftest import POLY_X11, POLY_X12, graph_point, solution_residual
 from heisencurve.characteristics import CharField, characteristic
 from heisencurve.flowtrace import PathSample, Rect, integrate_through
 from heisencurve.hgroup import VerticalCoords, dist, make_frame
-from heisencurve.hsurface import WINDOW_SLACK, GraphPatch, PolySurface, y_derivatives
+from heisencurve.hsurface import WINDOW_SLACK, GraphPatch, PolySurface
 from heisencurve.verify import (
     TaylorBasePoint,
+    _y_derivatives,
     chain_rule_check,
     chain_rule_rhs,
     directional_derivative_check,
@@ -142,7 +143,7 @@ def _ref_system_residual(cf, path):
     for i in range(len(path) - 1):
         mid = graph_point(cf.patch, float(path.eta0 + (i + 0.5) * path.step),
                           0.5 * (taus[i] + taus[i + 1]))
-        y1, y2 = y_derivatives(cf.patch.f2, astuple(mid), cf.patch.frame)
+        y1, y2 = _y_derivatives(cf.patch.f2, astuple(mid), cf.patch.frame)
         worst = max(worst, abs((nus[i + 1] - nus[i]) / path.step + y2 / y1))
     return worst
 

@@ -1,11 +1,12 @@
 """Polynomial surfaces, horizontal gradients, and the intrinsic graph solver."""
 
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
 import pytest
-from conftest import graph_point
+from conftest import bench_module, graph_point
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,13 +15,9 @@ from heisencurve import hsurface
 from heisencurve.errors import MarginViolated, NoSignChange
 from heisencurve.flowtrace import Rect
 from heisencurve.hgroup import Frame, Point, VerticalCoords, make_frame, mul
-from heisencurve.hsurface import (
-    GraphPatch,
-    PolySurface,
-    horiz_grad_poly,
-    y_derivatives,
-)
-from heisencurve.verify import embed_N, horizontal_derivative
+from heisencurve.hsurface import GraphPatch, PolySurface, horiz_grad_poly
+from heisencurve.intersect import graph_field
+from heisencurve.verify import _y_derivatives, embed_N, horizontal_derivative
 
 X11 = PolySurface({(1, 0, 0): 1.0})
 X12 = PolySurface({(0, 1, 0): 1.0})
@@ -184,20 +181,20 @@ class TestHorizontalGradient:
 class TestYDerivatives:
     def test_rotated_frame(self):
         fr = make_frame((0.0, 1.0))
-        y1, _ = y_derivatives(X12, (0.2, 0.4, -0.1), fr)
+        y1, _ = _y_derivatives(X12, (0.2, 0.4, -0.1), fr)
         assert abs(y1 - 1.0) <= 1e-14
 
     def test_identity_frame_is_horizontal_gradient(self):
         fr = make_frame((1.0, 0.0))
         f = PolySurface({(2, 0, 0): 1.0, (0, 0, 1): 3.0})
         x = (0.7, -0.2, 0.1)
-        assert y_derivatives(f, x, fr) == f.grad_at(*x)
+        assert _y_derivatives(f, x, fr) == f.grad_at(*x)
 
     def test_affine_surface_value(self):
         fr = make_frame((1.0, 0.0))
         eta = 0.3
         x11 = 0.1
-        y1, y2 = y_derivatives(X11_PLUS_T, (x11, eta, 0.05), fr)
+        y1, y2 = _y_derivatives(X11_PLUS_T, (x11, eta, 0.05), fr)
         assert abs(y1 - (1.0 - eta)) <= 1e-14
         assert abs(y2 - x11) <= 1e-14
 
@@ -409,36 +406,41 @@ class TestFloatEvaluation:
         for a, b in zip(coords, (reference.x11, reference.x12, reference.t)):
             assert_close(a, b)
         assert_close(patch.f2.value_at(*coords), f2(mul(p, reference)))
-        assert_close(y_derivatives(patch.f2, coords, fr)[0],
-                     y_derivatives(f2, astuple(mul(p, reference)), fr)[0])
+        assert_close(_y_derivatives(patch.f2, coords, fr)[0],
+                     _y_derivatives(f2, astuple(mul(p, reference)), fr)[0])
 
     @given(polys, angles, st.lists(st.tuples(*[st.integers(-64, 64)] * 3), min_size=1,
                                    max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_y_derivatives_on_arrays_match_per_point_floats(self, f, theta, lattice):
-        # The coordinates are multiples of 1/64, so every power of a cubic is
-        # exact and numpy's array power, which may round differently from the
-        # scalar power, computes the same powers as it
         fr = make_frame((math.cos(theta), math.sin(theta)))
         x = np.array(lattice, dtype=float).T / 64.0
-        arrays = [np.broadcast_to(a, x[0].shape) for a in y_derivatives(f, tuple(x), fr)]
+        arrays = [np.broadcast_to(a, x[0].shape) for a in _y_derivatives(f, tuple(x), fr)]
         for i, point in enumerate(x.T.tolist()):
-            for a, b in zip(arrays, y_derivatives(f, point, fr)):
+            for a, b in zip(arrays, _y_derivatives(f, point, fr)):
                 assert same_float(float(a[i]), b)
 
 
 # -- the compiled evaluator against the term loop it replaced ------------------
+
+def power(x, e):
+    """x^e for e >= 1, multiplied left to right: ((x * x) * x) ..."""
+    out = x
+    for _ in range(e - 1):
+        out = out * x
+    return out
+
 
 def term_loop(p, x11, x12, t):
     """Reference only: the term-by-term loop that value_at compiles."""
     acc = 0.0
     for (i, j, k), c in p.coefficients.items():
         if i:
-            c = c * x11**i
+            c = c * power(x11, i)
         if j:
-            c = c * x12**j
+            c = c * power(x12, j)
         if k:
-            c = c * t**k
+            c = c * power(t, k)
         acc = acc + c
     return acc
 
@@ -478,12 +480,7 @@ class TestCompiledEvaluator:
     @given(st.one_of(polys, high_polys), coordinates, coordinates, coordinates)
     @settings(max_examples=400, deadline=None)
     def test_scalars_match_term_loop(self, p, x11, x12, t):
-        try:
-            expected = term_loop(p, x11, x12, t)
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                p.value_at(x11, x12, t)
-            return
+        expected = term_loop(p, x11, x12, t)
         assert same_float(p.value_at(x11, x12, t), expected)
         if all(map(math.isfinite, (x11, x12, t))):
             assert same_float(p(Point(x11, x12, t)), expected)
@@ -497,14 +494,25 @@ class TestCompiledEvaluator:
         x11 = np.array(a)[:, None]
         t = np.array(c)[None, :]
         with np.errstate(all="ignore"):
-            try:
-                expected = term_loop(p, x11, b, t)
-            except OverflowError:  # the scalar b overflows a power
-                with pytest.raises(OverflowError):
-                    p.value_at(x11, b, t)
-                return
+            expected = term_loop(p, x11, b, t)
             got = p.value_at(x11, b, t)
         assert same_array(got, expected)
+
+    @given(st.one_of(polys, high_polys), st.lists(st.tuples(coordinates, coordinates,
+                                                            coordinates), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    # float pow and numpy's array power round this x11^4 apart in the last bit
+    @example(p=PolySurface({(1, 0, 0): 0.9999825122717138, (0, 1, 0): -0.005913979265422965,
+                            (4, 0, 0): -0.08846883487279719,
+                            (0, 4, 0): -0.031572430908438864}),
+             points=[(1.4265989352804613, 0.20180754867081085, 0.0),
+                     (1.04487362482518, 0.5813515954055384, 0.0)])
+    def test_arrays_match_per_entry_floats(self, p, points):
+        x = np.array(points).T
+        with np.errstate(all="ignore"):
+            got = np.broadcast_to(p.value_at(*x), x[0].shape)
+        for a, point in zip(got.tolist(), points):
+            assert same_float(a, p.value_at(*point))
 
     def test_zero_polynomial(self):
         zero = PolySurface({})
@@ -521,11 +529,25 @@ class TestCompiledEvaluator:
         assert same_array(p.value_at(*grid), term_loop(p, *grid))
 
     def test_overflow_raises_like_the_loop(self):
+        # t^3 overflows to inf on floats and arrays alike, as in the loop
         p = PolySurface({(0, 0, 3): 1.0, (1, 0, 0): 1.0})
-        with pytest.raises(OverflowError):
-            term_loop(p, 0.0, 0.0, 1e300)
-        with pytest.raises(OverflowError):
-            p.value_at(0.0, 0.0, 1e300)
+        assert term_loop(p, 0.0, 0.0, 1e300) == p.value_at(0.0, 0.0, 1e300) == math.inf
+        t = np.array([1e300, -1e300])
+        with np.errstate(over="ignore"):
+            assert same_array(p.value_at(0.0, 0.0, t), [math.inf, -math.inf])
+
+    def test_no_source_forms_a_power_operator(self, monkeypatch):
+        # every power is a product, in value_at, line_coords and the Newton kernel
+        sources = []
+        compiled = hsurface._compiled
+        monkeypatch.setattr(hsurface, "_compiled",
+                            lambda source, *args: sources.append(source) or compiled(source, *args))
+        patch = GraphPatch(make_frame((1.0, 0.0)), X11_PLUS_T + full_degree_16().scaled(1e-10))
+        patch.solve_many(np.array([0.1, -0.2]), np.array([0.3, 0.0]))
+        names = {name for source in sources for name in re.findall(r"^    def (\w+)", source, re.M)}
+        assert names == {"value_at", "line_coords", "newton"}
+        assert "x11_16 = x11_15 * x11" in "\n".join(sources)
+        assert not any("**" in source for source in sources)
 
     def test_compiled_once_on_first_use(self):
         p = PolySurface({(2, 1, 0): 1.5})
@@ -570,10 +592,16 @@ def g_reference(f, line, eta, tau, s):
     return f.value_at(*line_reference(line, eta, tau, s))
 
 
-def y1_reference(f, line, eta, tau, s):
-    """Reference only: Y1 f on the graph line, through grad_at."""
-    g1, g2 = f.grad_at(*line_reference(line, eta, tau, s))
-    return g1 * line[0] + g2 * line[1]
+def slope_of(f, line):
+    """The slope polynomial Y1 f of a graph patch of f in the frame of line."""
+    patch = GraphPatch.__new__(GraphPatch)
+    patch.f2, patch.frame = f, Frame(b1=line[:2], b2=line[2:4])
+    return patch.slope
+
+
+def y1_reference(slope, line, eta, tau, s):
+    """Reference only: Y1 f on the graph line, as the slope polynomial's value_at."""
+    return slope.value_at(*line_reference(line, eta, tau, s))
 
 
 def frame_line(a, b):
@@ -607,8 +635,8 @@ class TestLineKernels:
         assert all(map(same_float, got, line_reference(line, eta, tau, s)))
 
     def test_sums_longer_than_a_chunk(self):
-        # the Newton kernel holds the sums of f, X1 f and X2 f, each longer
-        # than one statement
+        # the Newton kernel holds the sums of f and of its slope, built from
+        # X1 f and X2 f, each longer than one statement
         f = full_degree_16()
         assert min(len(f.coefficients), *(len(q.coefficients) for q in f.grad_poly)) \
             > hsurface.SUM_CHUNK
@@ -635,6 +663,7 @@ class TestLineKernels:
 
 def newton_reference(f, line, bracket, eta, tau, s):
     """Reference only: the Newton loop of graph solves before it was compiled."""
+    slope_poly = slope_of(f, line)
     smin, smax = bracket
     if not (smin - 1e-9 <= s <= smax + 1e-9):
         return None
@@ -642,7 +671,7 @@ def newton_reference(f, line, bracket, eta, tau, s):
         gv = g_reference(f, line, eta, tau, s)
         if abs(gv) <= hsurface.GTOL:
             return s
-        slope = y1_reference(f, line, eta, tau, s)
+        slope = y1_reference(slope_poly, line, eta, tau, s)
         if abs(slope) < hsurface.MARGIN:
             return None
         s_next = s - gv / slope
@@ -652,21 +681,13 @@ def newton_reference(f, line, bracket, eta, tau, s):
     return s if abs(g_reference(f, line, eta, tau, s)) <= 1e-10 else None
 
 
-def outcome(fn, *args):
-    """fn(*args), or the type of the exception it raises."""
-    try:
-        return fn(*args)
-    except OverflowError as e:  # a power overflows
-        return type(e)
-
-
 def assert_newton_matches(f, line, bracket, eta, tau, s):
     """f's kernel and the reference on g_reference and y1_reference agree bit
     for bit, None with None."""
     if f is None:
         return None
-    got = outcome(f.along_line(line, bracket), eta, tau, s)
-    expected = outcome(newton_reference, f, line, bracket, eta, tau, s)
+    got = f.along_line(line, bracket, slope_of(f, line))(eta, tau, s)
+    expected = newton_reference(f, line, bracket, eta, tau, s)
     if isinstance(expected, float):
         assert isinstance(got, float) and same_float(got, expected)
     else:
@@ -870,6 +891,20 @@ class TestSolveMany:
         assert got.tolist() == [patch.solve_scalar((edge, -edge)),
                                 patch.solve_scalar((-edge, edge))]
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lanes_are_cold_scalar_solves_on_the_benchmark_pairs(self, seed):
+        # bit for bit on the cubic pairs of bench/pairs.py, at random window points
+        pairs = bench_module("pairs")
+        rng = np.random.default_rng([28, seed])
+        for k in range(8):
+            pair = pairs.draw_pair(seed, k)
+            patch = graph_field(PolySurface(pair["f2"]), Point(*pair["p"]), pairs.WINDOW,
+                                pairs.BRACKET).patch
+            eta, tau = rng.uniform(-pairs.WINDOW, pairs.WINDOW, (2, 300))
+            many = patch.solve_many(eta, tau)
+            scalar = [patch.solve_scalar(n) for n in zip(eta.tolist(), tau.tolist())]
+            assert all(map(same_float, many.tolist(), scalar))
+
     def test_window_test_has_one_home(self):
         assert not hasattr(GraphPatch, "contains")
 
@@ -879,21 +914,17 @@ class TestSolveMany:
 def certificate_reference(f, line, window, bracket):
     """Reference only: the margin certificate's loop over its samples.
 
-    The smallest sampled |Y1 f2|, or the message of the first failing sample.
-    Each sample's line coordinates go to grad_at as 0-d arrays: the
-    certificate evaluates on arrays, and numpy's array power may round
-    differently from the float x**e in the last bit.
+    The smallest sampled |Y1 f2|, or the message of the first failing sample,
+    each sample's Y1 f2 the slope polynomial's value_at on floats.
     """
+    slope = slope_of(f, line)
     axes = [np.linspace(lo, hi, hsurface.MARGIN_GRID) for lo, hi in (window.eta, window.tau, bracket)]
     sign = 0.0
     worst = math.inf
     for eta in axes[0]:
         for tau in axes[1]:
             for s in axes[2]:
-                coords = line_reference(line, float(eta), float(tau), float(s))
-                with np.errstate(over="ignore", invalid="ignore"):
-                    g1, g2 = f.grad_at(*map(np.array, coords))
-                    v = float(g1 * line[0] + g2 * line[1])
+                v = y1_reference(slope, line, float(eta), float(tau), float(s))
                 worst = min(worst, abs(v))
                 if not abs(v) >= hsurface.MARGIN:
                     return (f"|Y1 f2| = {abs(v):.3e} < margin {hsurface.MARGIN:.3e} "
@@ -925,7 +956,6 @@ class TestMarginCertificate:
     @given(st.one_of(polys, high_polys, polys.map(lambda p: p.scaled(1e-6))), frame_lines,
            half_widths, half_widths, brackets)
     @settings(max_examples=300, deadline=None)
-    # the float x**e and numpy's array power round this x11^4 apart in the last bit
     @example(p=PolySurface({(1, 0, 0): 0.9999825122717138, (0, 1, 0): -0.005913979265422965,
                             (4, 0, 0): -0.08846883487279719,
                             (0, 4, 0): -0.031572430908438864}),
@@ -953,14 +983,19 @@ class TestMarginCertificate:
             certificate_reference(f, line, window, br)
 
     def test_one_kernel_call(self, monkeypatch):
-        # one y_derivatives call on the sample arrays
+        # one call of the slope polynomial's evaluator, on the sample arrays
         calls = []
-        y_derivatives = hsurface.y_derivatives
-        monkeypatch.setattr(hsurface, "y_derivatives",
-                            lambda f, x, fr: calls.append(x) or y_derivatives(f, x, fr))
+        compile_poly = hsurface._compile
+
+        def counted(coefficients):
+            evaluate = compile_poly(coefficients)
+            return lambda *x: calls.append((coefficients, x)) or evaluate(*x)
+
+        monkeypatch.setattr(hsurface, "_compile", counted)
         patch = patch_affine()
-        assert [np.shape(a) for a in calls[0]] == [(hsurface.MARGIN_GRID,) * 3] * 3
-        assert len(calls) == 1
+        slope_calls = [x for coefficients, x in calls if coefficients is patch.slope.coefficients]
+        assert [np.shape(a) for a in slope_calls[0]] == [(hsurface.MARGIN_GRID,) * 3] * 3
+        assert len(slope_calls) == 1
         assert patch.y1_min_sampled == 0.5
 
     def test_constant_slope_is_broadcast(self):

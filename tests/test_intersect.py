@@ -753,6 +753,8 @@ def _ref_gradient_margin(pair, box, grid_n=5):
             for t in np.linspace(*box[2], grid_n):
                 q = Point(float(x), float(y), float(t))
                 rows = np.array([f.grad_at(q.x11, q.x12, q.t) for f in pair])
+                if not np.isfinite(rows).all():
+                    raise OverflowError("a horizontal gradient overflows")
                 worst = min(worst, float(np.linalg.svd(rows, compute_uv=False)[-1]))
     return worst
 
