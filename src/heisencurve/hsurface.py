@@ -406,8 +406,8 @@ class GraphPatch:
     in s of the graph equation g(eta, tau, s) = f2(n * (s b1)), is one
     polynomial, slope.  Construction certifies, on a MARGIN_GRID sample of
     window x bracket evaluated in one call of slope on arrays, that Y1 f2
-    keeps one sign and stays above MARGIN in absolute value; that makes the
-    per-point root problem strictly monotone and bisection safe.  It then
+    keeps one sign and stays finite and above MARGIN in absolute value; that
+    makes the per-point root problem strictly monotone and bisection safe.  It then
     solves for the root at the origin, the start of every solve given no
     hint.
 
@@ -468,18 +468,18 @@ class GraphPatch:
         with np.errstate(over="ignore", invalid="ignore"):
             y1 = self.slope.value_at(*self.line_coords(*samples))
             y1 = np.broadcast_to(y1, samples[0].shape).ravel()
-        small = ~(np.abs(y1) >= MARGIN)  # NaN is small too
-        failed = np.flatnonzero(small | (np.signbit(y1) != np.signbit(y1[0])))
+        mag = np.abs(y1)
+        bad = ~(mag >= MARGIN) | np.isinf(mag)  # NaN fails too
+        failed = np.flatnonzero(bad | (np.signbit(y1) != np.signbit(y1[0])))
         if failed.size:
             i = failed[0]
-            if not small[i]:
+            if not bad[i]:
                 raise MarginViolated("Y1 f2 changes sign on the sampled window")
             eta, tau, s = (float(a.flat[i]) for a in samples)
+            what = "is not finite" if np.isinf(mag[i]) else f"< margin {MARGIN:.3e}"
             raise MarginViolated(
-                f"|Y1 f2| = {abs(y1[i]):.3e} < margin {MARGIN:.3e} "
-                f"at n=({eta:.3g},{tau:.3g}), s={s:.3g}"
-            )
-        self.y1_min_sampled = float(np.abs(y1).min())
+                f"|Y1 f2| = {mag[i]:.3e} {what} at n=({eta:.3g},{tau:.3g}), s={s:.3g}")
+        self.y1_min_sampled = float(mag.min())
 
     def _tau_bound(self, line) -> float:
         # the largest |x11|, |x12|, |t| of n * (s b1): the line with |b| and -|det C|

@@ -13,12 +13,19 @@ too: the dilations, the factorizing projections and finite-difference
 derivatives of the group, the first-order system residual, the chain rule
 and the Taylor-type expansion of f1 o Phi2 along the characteristics, and
 the coverage of a traced zero set.  The pipeline itself does not call them.
+
+Each check computes its value once, over many points in one array call: the
+group law and the symbolic-vs-FD gradient, the graph grid and section, the
+system residual, the Taylor boxes and coverage_gap.  Floats stay for the
+chain rule's marches and endpoint solves, its exact value and the directional
+probes: a march goes point by point, a float solve starts warm from the last
+root, and on 6 points or fewer an array solve costs more than the float solves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -271,15 +278,20 @@ class SweepReport:
     h_values: tuple[float, ...]
     max_abs_errors: list[float]
     max_rel_errors: list[float]
-    observed_orders: list[float] = field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.observed_orders:
-            self.observed_orders = [
-                math.log(self.max_abs_errors[i] / max(self.max_abs_errors[i + 1], 1e-300))
-                / math.log(self.h_values[i] / self.h_values[i + 1])
-                for i in range(len(self.h_values) - 1)
-            ]
+    @property
+    def observed_orders(self) -> list[float]:
+        """log(error ratio) / log(step ratio) between consecutive steps."""
+        e, h = self.max_abs_errors, self.h_values
+        return [math.log(e[i] / max(e[i + 1], 1e-300)) / math.log(h[i] / h[i + 1])
+                for i in range(len(h) - 1)]
+
+
+def _sweep(name: str, h_sweep, fd, formula) -> SweepReport:
+    """The report of difference quotients fd, one row per step, against formula."""
+    err = np.abs(np.asarray(fd) - formula)
+    rel = err / np.maximum(1.0, np.abs(formula))
+    return SweepReport(name, tuple(h_sweep), err.max(axis=1).tolist(), rel.max(axis=1).tolist())
 
 
 def chain_rule_check(f1: PolySurface, cf: CharField, path: PathSample,
@@ -291,32 +303,20 @@ def chain_rule_check(f1: PolySurface, cf: CharField, path: PathSample,
     the curve itself rather than the path's linear interpolation.
     """
     rhs = _clamped(cf.rhs, cf.patch.window)
-    h_sweep = tuple(h_sweep)
     h_max = max(h_sweep)
-    lo = path.eta0 + h_max * 1.01
-    hi = path.etas[-1] - h_max * 1.01
-    etas = np.linspace(lo, hi, CHAIN_RULE_SAMPLES)
-    abs_errs = []
-    rel_errs = []
-    for h in h_sweep:
-        worst_abs = 0.0
-        worst_rel = 0.0
-        for eta in etas:
-            eta = float(eta)
-            formula = chain_rule_rhs(f1, cf, eta, path)
-            # tau(eta + h) and tau(eta - h), eight Heun steps each way on the
-            # field clamped into the patch window
-            local = integrate_through(rhs, eta, path.tau_at(eta),
-                                      (eta - h, h / 8, 17))
-            gp = f1.value_at(*cf.graph_coords(eta + h, float(local.values[-1])))
-            gm = f1.value_at(*cf.graph_coords(eta - h, float(local.values[0])))
-            fd = (gp - gm) / (2.0 * h)
-            err = abs(fd - formula)
-            worst_abs = max(worst_abs, err)
-            worst_rel = max(worst_rel, err / max(1.0, abs(formula)))
-        abs_errs.append(worst_abs)
-        rel_errs.append(worst_rel)
-    return SweepReport("chain_rule", h_sweep, abs_errs, rel_errs)
+    etas = np.linspace(path.eta0 + h_max * 1.01, path.etas[-1] - h_max * 1.01,
+                       CHAIN_RULE_SAMPLES).tolist()
+    formula = np.array([chain_rule_rhs(f1, cf, eta, path) for eta in etas])
+
+    def fd(h, eta):
+        # tau(eta + h) and tau(eta - h), eight Heun steps each way on the
+        # field clamped into the patch window
+        local = integrate_through(rhs, eta, path.tau_at(eta), (eta - h, h / 8, 17))
+        gp = f1.value_at(*cf.graph_coords(eta + h, float(local.values[-1])))
+        gm = f1.value_at(*cf.graph_coords(eta - h, float(local.values[0])))
+        return (gp - gm) / (2.0 * h)
+
+    return _sweep("chain_rule", h_sweep, [[fd(h, eta) for eta in etas] for h in h_sweep], formula)
 
 
 # ---------------------------------------------------------------------------
@@ -376,20 +376,13 @@ def directional_derivative_check(f1: PolySurface, cf: CharField,
     moves along (1, 2 eta1_bar det C).
     """
     det, y1f2 = _pair_determinant(f1, cf, astuple(base.x_bar))
-    formula = -det / y1f2
     slope = 2.0 * base.eta1_bar * cf.patch.frame.detC
-    abs_errs = []
-    rel_errs = []
-    for h in h_sweep:
-        vals = []
-        for s in (h, -h):
-            vals.append(f1.value_at(*cf.graph_coords(base.n_bar.eta + s,
-                                                     base.n_bar.tau + slope * s)))
-        fd = (vals[0] - vals[1]) / (2.0 * h)
-        err = abs(fd - formula)
-        abs_errs.append(err)
-        rel_errs.append(err / max(1.0, abs(formula)))
-    return SweepReport("directional_derivative", tuple(h_sweep), abs_errs, rel_errs)
+
+    def g(s):  # f1 o Phi2 at the probe s along the direction
+        return f1.value_at(*cf.graph_coords(base.n_bar.eta + s, base.n_bar.tau + slope * s))
+
+    fd = [[(g(h) - g(-h)) / (2.0 * h)] for h in h_sweep]
+    return _sweep("directional_derivative", h_sweep, fd, -det / y1f2)
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +443,12 @@ def suite_group(scale: Scale) -> list[dict]:
     v = VerticalCoords(x.x11 / 10.0, x.t / 10.0)
     w = coords_N(embed_N(v, fr), fr)
     embed = float(np.max((np.abs(w.eta - v.eta), np.abs(w.tau - v.tau)), initial=0.0))
-    fields = 0.0
     poly = PolySurface({(2, 1, 0): 0.7, (0, 1, 1): -1.2, (1, 0, 2): 0.4})
-    for q in (Point(*(row / 10.0)) for row in rows[0][:50]):
-        g1, g2 = poly.grad_at(q.x11, q.x12, q.t)
-        fields = max(
-            fields,
-            abs(g1 - horizontal_derivative(poly, q, (1.0, 0.0), 1e-5)),
-            abs(g2 - horizontal_derivative(poly, q, (0.0, 1.0), 1e-5)),
-        )
+    q = Point(*(rows[0][:50].T / 10.0))
+    g1, g2 = poly.grad_at(q.x11, q.x12, q.t)
+    fields = float(np.max((np.abs(g1 - horizontal_derivative(poly, q, (1.0, 0.0), 1e-5)),
+                           np.abs(g2 - horizontal_derivative(poly, q, (0.0, 1.0), 1e-5))),
+                          initial=0.0))
     return [
         _check("associativity", assoc, 1e-12),
         _check("identity_inverse", inverse, 1e-12),
@@ -488,12 +478,10 @@ def suite_graph(scale: Scale) -> list[dict]:
         s = patch.solve_many(eta, tau)
         res = max(res, float(np.max(np.abs(patch.f2.value_at(*patch.line_coords(eta, tau, s))))))
         closed = max(closed, float(np.max(np.abs(s - exact))))
-    section = 0.0
     etas = np.linspace(-0.4, 0.4, 9)
     coords = affine.line_coords(etas, etas / 2.0, affine.solve_many(etas, etas / 2.0))
-    for eta, *q in zip(etas.tolist(), *(c.tolist() for c in coords)):
-        back = coords_N(project_N(Point(*q), affine.frame), affine.frame)
-        section = max(section, abs(back.eta - eta), abs(back.tau - eta / 2.0))
+    back = coords_N(project_N(Point(*coords), affine.frame), affine.frame)
+    section = float(np.max((np.abs(back.eta - etas), np.abs(back.tau - etas / 2.0)), initial=0.0))
     poly = PolySurface({(3, 0, 0): 1.0, (0, 2, 1): -1.0})
     x = Point(0.4, -0.3, 0.2)
     g1 = poly.grad_at(x.x11, x.x12, x.t)[0]
@@ -544,29 +532,21 @@ def suite_calculus(scale: Scale) -> list[dict]:
     path = characteristic(cf, 0.2, window=window, step=1e-3)
     rep = chain_rule_check(POLY_X12, cf, path, h_sweep=(1e-2, 1e-3, 1e-4))
     exact = max(abs(chain_rule_rhs(POLY_X12, cf, eta, path) - 1.0) for eta in (0.1, 0.3))
-    rand_poly = PolySurface({
-        (0, 1, 0): 1.0,
-        (2, 0, 0): float(rng.uniform(0.2, 0.6)),
-        (0, 0, 1): float(rng.uniform(-0.5, -0.1)),
-        (1, 1, 0): float(rng.uniform(0.1, 0.4)),
-    })
+    rand_poly = PolySurface({(0, 1, 0): 1.0, (2, 0, 0): float(rng.uniform(0.2, 0.6)),
+                             (0, 0, 1): float(rng.uniform(-0.5, -0.1)),
+                             (1, 1, 0): float(rng.uniform(0.1, 0.4))})
     rep_rand = chain_rule_check(rand_poly, cf, path, h_sweep=(1e-2, 5e-3, 2.5e-3))
     base = TaylorBasePoint.from_patch(affine, VerticalCoords(0.0, 0.0))
     quad = PolySurface({(0, 1, 0): 1.0, (2, 0, 0): 1.0})
-    u = np.linspace(-1.0, 1.0, scale.taylor_n)
-    ratios = []
-    for k in range(2, 9):
-        r = 2.0**-k
-        # the four sides of the box max(|eta|, sqrt|tau|) = r
-        ends, sides = np.full_like(u, r), u * r
-        rem, size = taylor_remainder(quad, cf, base,
-                                     np.concatenate([ends, -ends, sides, sides]),
-                                     np.concatenate([sides * r, sides * r, ends * r, -ends * r]))
-        ratios.append(float(np.max(np.abs(rem) / size)))
+    # the four sides of the boxes max(|eta|, sqrt|tau|) = r = 2^-k, k = 2..8, a row each
+    r = np.ldexp(1.0, -np.arange(2, 9))[:, None]
+    ends, sides = np.repeat(r, scale.taylor_n, axis=1), np.linspace(-1.0, 1.0, scale.taylor_n) * r
+    rem, size = taylor_remainder(quad, cf, base, np.hstack([ends, -ends, sides, sides]),
+                                 np.hstack([sides * r, sides * r, ends * r, -ends * r]))
+    ratios = np.max(np.abs(rem) / size, axis=1).tolist()
     violations = sum(1 for a, b in zip(ratios, ratios[1:]) if b > a)
     shifted = TaylorBasePoint.from_patch(affine, VerticalCoords(0.0, 0.2))
-    rep_dir = directional_derivative_check(quad, cf, shifted,
-                                           h_sweep=(1e-2, 1e-3, 1e-4))
+    rep_dir = directional_derivative_check(quad, cf, shifted, h_sweep=(1e-2, 1e-3, 1e-4))
     return [
         _check("chain_rule_exact_value", exact, 1e-12),
         _check("chain_rule_fd_rel_error", rep.max_rel_errors[-1], 1e-5),

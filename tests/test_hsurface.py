@@ -348,6 +348,13 @@ class TestGraphSolve:
         with pytest.raises(MarginViolated, match=r"\|Y1 f2\| = nan"):
             GraphPatch(make_frame((1.0, 0.0)), p)
 
+    def test_infinite_margin_detected(self):
+        # Y1 f2 = 1.7e308 (b1x + b1y) overflows to inf at every sample; Newton
+        # could not move from there (s - f/inf = s), so the patch is refused
+        p = PolySurface({(1, 0, 0): 1.7e308, (0, 1, 0): 1.7e308})
+        with pytest.raises(MarginViolated, match=r"\|Y1 f2\| = inf is not finite"):
+            GraphPatch(make_frame((1.0, 1.0)), p)
+
     def test_non_finite_bracket_fails_the_margin(self):
         # the Newton kernel relies on a finite bracket: a NaN or infinite step
         # then fails its bracket test.  An infinite end gives NaN samples.
@@ -926,9 +933,10 @@ def certificate_reference(f, line, window, bracket):
             for s in axes[2]:
                 v = y1_reference(slope, line, float(eta), float(tau), float(s))
                 worst = min(worst, abs(v))
-                if not abs(v) >= hsurface.MARGIN:
-                    return (f"|Y1 f2| = {abs(v):.3e} < margin {hsurface.MARGIN:.3e} "
-                            f"at n=({eta:.3g},{tau:.3g}), s={s:.3g}")
+                if not hsurface.MARGIN <= abs(v) < math.inf:
+                    what = ("is not finite" if abs(v) == math.inf
+                            else f"< margin {hsurface.MARGIN:.3e}")
+                    return f"|Y1 f2| = {abs(v):.3e} {what} at n=({eta:.3g},{tau:.3g}), s={s:.3g}"
                 if sign == 0.0:
                     sign = math.copysign(1.0, v)
                 elif math.copysign(1.0, v) != sign:

@@ -86,3 +86,30 @@ def test_pipeline_names_serve_the_pipeline(name):
               if not any(n in _used_names(tree, n if m == name else None)
                          for m, tree in trees.items())]
     assert not unused, f"{name}: used outside the pipeline only: {unused}"
+
+
+def _definitions(tree) -> dict[str, ast.AST]:
+    """The module's top-level functions, classes and assigned names, by name."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defs.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return defs
+
+
+def test_verify_names_serve_a_check():
+    # every public top-level name of verify is reached from run_suites (and
+    # so the suites) or the CLI, so a reference definition cannot outlive its check
+    defs = _definitions(ast.parse((SRC / "verify.py").read_text()))
+    todo = ["run_suites", *_used_names(ast.parse((SRC / "cli.py").read_text())) & defs.keys()]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(_used_names(defs[name]) & defs.keys())
+    public = [n for n in defs if not n.startswith("_")]
+    assert public and not [n for n in public if n not in reached]

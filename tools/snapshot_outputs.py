@@ -25,7 +25,9 @@ Floats are written as their shortest round-trip repr, so equal files mean
 equal bits.  The second form compares two snapshot directories: for each
 file that differs it prints the largest absolute difference between
 corresponding numbers, or "structure differs" when the text around the
-numbers, or their count, is not the same.  It always exits 0.
+numbers, or their count, is not the same.  Below a verify.json that differs
+it lists each check whose value or verdict differs, as suite/check with its
+value and verdict in <dir A> and then in <dir B>.  It always exits 0.
 """
 
 from __future__ import annotations
@@ -117,8 +119,26 @@ def _move(a: str, b: str) -> str:
     return f"largest move {max(abs(float(x) - float(y)) for x, y in pairs)!r}"
 
 
+def _checks(report: str) -> dict:
+    """suite/check -> "value verdict" of a verify report, or {} if it is none."""
+    try:
+        suites = json.loads(report)["suites"]
+        return {f"{name}/{c['name']}": f"{c['value']!r} {'passed' if c['passed'] else 'FAILED'}"
+                for name, suite in suites.items() for c in suite["checks"]}
+    except (ValueError, KeyError, TypeError):
+        return {}
+
+
+def _moved_checks(a: str, b: str) -> list[str]:
+    """Each check of two verify reports whose value or verdict differs."""
+    ca, cb = _checks(a), _checks(b)
+    return [f"  {name}: {ca.get(name, 'absent')} -> {cb.get(name, 'absent')}"
+            for name in sorted(ca.keys() | cb.keys()) if ca.get(name) != cb.get(name)]
+
+
 def compare(dir_a: Path, dir_b: Path) -> None:
-    """Print each file of the two directories that differs and how far it moved."""
+    """Print each file of the two directories that differs and how far it moved,
+    and below verify.json each check that moved."""
     names = sorted({p.name for p in dir_a.iterdir()} | {p.name for p in dir_b.iterdir()})
     moved = []
     for name in names:
@@ -126,7 +146,9 @@ def compare(dir_a: Path, dir_b: Path) -> None:
         if not (a.exists() and b.exists()):
             moved.append(f"{name}: only in {a.parent if a.exists() else b.parent}")
         elif a.read_bytes() != b.read_bytes():
-            moved.append(f"{name}: {_move(a.read_text(), b.read_text())}")
+            text_a, text_b = a.read_text(), b.read_text()
+            checks = _moved_checks(text_a, text_b) if name == "verify.json" else []
+            moved.append("\n".join([f"{name}: {_move(text_a, text_b)}", *checks]))
     print("\n".join(moved + [f"{len(moved)} of {len(names)} files differ"]))
 
 
