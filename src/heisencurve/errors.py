@@ -18,7 +18,7 @@ class MonotonicityViolated(HeisencurveError):
 
 
 class NotCommonZero(HeisencurveError):
-    """The base point does not lie on both surfaces to within the zero tolerance."""
+    """The base point, or the trace's starting point, misses zero beyond the tolerance."""
 
 
 class DependentNormals(HeisencurveError):

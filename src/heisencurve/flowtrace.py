@@ -26,6 +26,7 @@ from .errors import (
     GridMismatch,
     MeanBisectionFailure,
     MonotonicityViolated,
+    NotCommonZero,
     NoZeroFound,
     OrderingViolation,
     WindowExit,
@@ -538,23 +539,23 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None,
                 tau_lipschitz: float | None = None) -> TraceResult:
     """Trace the zero set of F near the origin along a monotone flow of h.
 
-    F must vanish at the origin and be strictly monotone along every
-    solution of dtau/deta = h.  h and F are called on floats and on
-    broadcasting float64 arrays: h once, on the SAMPLE_GRID x SAMPLE_GRID
-    grid of the field bound (ValueError if it is not finite), and F once per
-    member on its node arrays (monotone_root).  The construction integrates
-    the extremal solutions through the origin, flanks them by solutions
-    through (0, +-b/2), fills both gaps with integral-parametrized families,
-    takes the unique zero of F along each member, and collapses parameter
-    intervals on which the zero stalls, so consecutive samples are distinct.
-    tau_lipschitz is a bound on |dh/dtau| over the window, or None; a
-    finite one makes the extremal solutions the one march through the
-    origin (extremal_solutions).
+    F must vanish at the origin (NotCommonZero beyond max(root_tol, 1e-10))
+    and be strictly monotone along every solution of dtau/deta = h.  h and F
+    are called on floats and on broadcasting float64 arrays: h once, on the
+    SAMPLE_GRID x SAMPLE_GRID grid of the field bound (ValueError if it is
+    not finite), and F once per member on its node arrays (monotone_root).
+    The construction integrates the extremal solutions through the origin,
+    flanks them by solutions through (0, +-b/2), fills both gaps with
+    integral-parametrized families, takes the unique zero of F along each
+    member, and collapses parameter intervals on which the zero stalls, so
+    consecutive samples are distinct.  tau_lipschitz is a bound on |dh/dtau|
+    over the window, or None; a finite one makes the extremal solutions the
+    one march through the origin (extremal_solutions).
     """
     params = params or TraceParams()
     f0 = F(0.0, 0.0)
     if not abs(f0) <= max(params.root_tol, 1e-10):  # NaN fails too
-        raise ValueError(f"F(0,0) = {f0!r}: the trace must start at a zero")
+        raise NotCommonZero(f"F(0,0) = {f0!r}: the trace must start at a zero")
     a = min(-window.eta[0], window.eta[1])
     b = min(-window.tau[0], window.tau[1])
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):

@@ -12,9 +12,9 @@ as the fallback when Newton fails.
 The graph line n * (s b1) has a closed form in coordinates.  A solve runs on
 plain floats (GraphPatch.solve_scalar), or on all points of broadcasting
 float64 arrays at once (GraphPatch.solve_many): Newton from the root at the
-origin on every lane, with the scalar solve as the fallback of a lane that
-fails.  Marches solve point after point on floats; a function of the graph
-point, such as the traced F = f1 o Phi2, must accept both forms.
+origin on every lane, with the same fallback for a lane that fails.  Marches
+solve point after point on floats; a function of the graph point, such as
+the traced F = f1 o Phi2, must accept both forms.
 
 Each polynomial compiles, on first use, into a straight-line evaluator that
 forms each power once, x^e as x^(e-1) * x, and makes the products and
@@ -494,21 +494,16 @@ class GraphPatch:
         """The graph coordinate phi2hat(n): unique root of s -> f2(n * s b1).
 
         n is the pair (eta, tau) of floats.  Newton runs from the hint, or
-        from the base root without one; only when Newton fails is the whole
-        bracket bisected (_bisect) and the result polished by Newton.  A point
-        outside the window (up to WINDOW_SLACK), or a NaN one, raises
-        ValueError.
+        from the base root without one, and its root is returned; only when
+        Newton fails is the root _bisect's.  A point outside the window (up
+        to WINDOW_SLACK), or a NaN one, raises ValueError.
         """
         eta, tau = n
         elo, ehi, tlo, thi = self._bounds
         if not (elo <= eta <= ehi and tlo <= tau <= thi):
             raise ValueError(f"n = ({eta!r}, {tau!r}) outside the patch window")
         s = self._newton_from(eta, tau, self._s_base if hint is None else hint)
-        if s is not None:
-            return s
-        s = self._bisect(eta, tau)
-        polished = self._newton_from(eta, tau, s)
-        return polished if polished is not None else s
+        return s if s is not None else self._bisect(eta, tau)
 
     def solve_many(self, eta, tau) -> np.ndarray:
         """phi2hat at every point of the broadcast float64 arrays eta and tau.
@@ -517,10 +512,10 @@ class GraphPatch:
         line_coords and the evaluators of f2 and slope, with the tests of the
         compiled kernel (_newton_lines) per lane: a lane stops at |f| <= GTOL,
         fails where |Y1 f2| < MARGIN or a step leaves the bracket, and after
-        12 steps is accepted at |f| <= NEWTON_ACCEPT.  A lane that fails is
-        solved by solve_scalar without a hint, so it bisects as a scalar solve
-        does.  Each lane equals solve_scalar(n) bit for bit.  The first lane
-        outside the window, or NaN, raises the ValueError of solve_scalar.
+        12 steps is accepted at |f| <= NEWTON_ACCEPT.  A lane that fails has
+        failed solve_scalar's Newton run, and goes straight to _bisect, so
+        each lane equals solve_scalar(n) bit for bit.  The first lane outside
+        the window, or NaN, raises the ValueError of solve_scalar.
         """
         eta, tau = np.broadcast_arrays(np.asarray(eta, dtype=float),
                                        np.asarray(tau, dtype=float))
@@ -554,13 +549,14 @@ class GraphPatch:
             accepted = np.broadcast_to(np.abs(f) <= NEWTON_ACCEPT, s.shape)
             roots[lanes[accepted]] = s[accepted]
         for i in np.flatnonzero(np.isnan(roots)).tolist():
-            roots[i] = self.solve_scalar((float(eta[i]), float(tau[i])))
+            roots[i] = self._bisect(float(eta[i]), float(tau[i]))
         return roots.reshape(shape)
 
     def _bisect(self, eta: float, tau: float) -> float:
-        """Bisection for the root of s -> g(eta, tau, s) over the whole bracket.
+        """The one fallback of a failed Newton solve: bisection over the whole bracket.
 
-        Ends where g has one sign (or is NaN) raise NoSignChange, and an end
+        Its root is polished by the Newton kernel, unless the polish fails.  Ends
+        where g has one sign (or is NaN) raise NoSignChange, and an end
         where |Y1 f2| is below MARGIN raises MarginViolated.
         """
         def g(s):
@@ -582,4 +578,6 @@ class GraphPatch:
                 raise MarginViolated(
                     f"|Y1 f2| below margin {MARGIN:.3e} inside the solve bracket"
                 )
-        return _bisect_sign_change(g, lo, hi, glo, GTOL, 1e-15)
+        s = _bisect_sign_change(g, lo, hi, glo, GTOL, 1e-15)
+        polished = self._newton_from(eta, tau, s)
+        return polished if polished is not None else s

@@ -65,6 +65,7 @@ from .intersect import (
     cone_width_for,
     curve_cloud_agreement,
     gradient_margin,
+    graph_field,
     intersect_surfaces,
     pair_lipschitz_bound,
 )
@@ -72,6 +73,7 @@ from .intersect import (
 POLY_X11 = PolySurface({(1, 0, 0): 1.0})
 POLY_X12 = PolySurface({(0, 1, 0): 1.0})
 POLY_AFFINE = PolySurface({(1, 0, 0): 1.0, (0, 0, 1): 1.0})
+GRAPH_GRID = 50  # the graph suite's least window grid points per axis
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ class Scale:
     """The seed, the oracle grid and the input counts of one run of the suites."""
 
     seed: int
-    grid_n: int                       # zero-cloud oracle points per axis
+    grid_n: int                       # zero-cloud oracle and graph-grid points per axis
     group_samples: int                # random triples for the group algebra
     projection_samples: int           # of those, points projected on a random frame
     steps: int                        # characteristic steps 1e-2 * 2^-k, k < steps
@@ -463,15 +465,16 @@ def suite_group(scale: Scale) -> list[dict]:
     ]
 
 
-def _patches():
-    flat = GraphPatch(make_frame((0.0, 1.0)), POLY_X12)
-    affine = GraphPatch(make_frame((1.0, 0.0)), POLY_AFFINE)
-    return flat, affine
+def _field(f2: PolySurface) -> CharField:
+    """The pipeline's field of f2 at the origin, at IntersectionProblem's defaults."""
+    return graph_field(f2, ORIGIN, IntersectionProblem.window_half, IntersectionProblem.bracket)
 
 
 def suite_graph(scale: Scale) -> list[dict]:
-    flat, affine = _patches()
-    grid = np.linspace(-0.5, 0.5, 50)
+    """x12 and x11 + t on max(GRAPH_GRID, scale.grid_n)^2 window points; the 9
+    section points and the one derivative-order point are fixed probes."""
+    flat, affine = (_field(f).patch for f in (POLY_X12, POLY_AFFINE))
+    grid = np.linspace(-0.5, 0.5, max(GRAPH_GRID, scale.grid_n))
     eta, tau = np.meshgrid(grid, grid, indexing="ij")
     res = closed = 0.0
     for patch, exact in ((flat, 0.0), (affine, -tau / (1.0 - eta))):
@@ -497,8 +500,7 @@ def suite_graph(scale: Scale) -> list[dict]:
 
 
 def suite_characteristics(scale: Scale) -> list[dict]:
-    _, affine = _patches()
-    cf = CharField(affine)
+    cf = _field(POLY_AFFINE)
     window = Rect((0.0, 0.5), (-0.5, 0.5))
     errs_by_step = []
     for step in (1e-2 * 0.5**k for k in range(scale.steps)):
@@ -526,8 +528,7 @@ def suite_characteristics(scale: Scale) -> list[dict]:
 
 def suite_calculus(scale: Scale) -> list[dict]:
     rng = np.random.default_rng(scale.seed)
-    _, affine = _patches()
-    cf = CharField(affine)
+    cf = _field(POLY_AFFINE)
     window = Rect((0.0, 0.5), (-0.5, 0.5))
     path = characteristic(cf, 0.2, window=window, step=1e-3)
     rep = chain_rule_check(POLY_X12, cf, path, h_sweep=(1e-2, 1e-3, 1e-4))
@@ -536,7 +537,7 @@ def suite_calculus(scale: Scale) -> list[dict]:
                              (0, 0, 1): float(rng.uniform(-0.5, -0.1)),
                              (1, 1, 0): float(rng.uniform(0.1, 0.4))})
     rep_rand = chain_rule_check(rand_poly, cf, path, h_sweep=(1e-2, 5e-3, 2.5e-3))
-    base = TaylorBasePoint.from_patch(affine, VerticalCoords(0.0, 0.0))
+    base = TaylorBasePoint.from_patch(cf.patch, VerticalCoords(0.0, 0.0))
     quad = PolySurface({(0, 1, 0): 1.0, (2, 0, 0): 1.0})
     # the four sides of the boxes max(|eta|, sqrt|tau|) = r = 2^-k, k = 2..8, a row each
     r = np.ldexp(1.0, -np.arange(2, 9))[:, None]
@@ -545,7 +546,7 @@ def suite_calculus(scale: Scale) -> list[dict]:
                                  np.hstack([sides * r, sides * r, ends * r, -ends * r]))
     ratios = np.max(np.abs(rem) / size, axis=1).tolist()
     violations = sum(1 for a, b in zip(ratios, ratios[1:]) if b > a)
-    shifted = TaylorBasePoint.from_patch(affine, VerticalCoords(0.0, 0.2))
+    shifted = TaylorBasePoint.from_patch(cf.patch, VerticalCoords(0.0, 0.2))
     rep_dir = directional_derivative_check(quad, cf, shifted, h_sweep=(1e-2, 1e-3, 1e-4))
     return [
         _check("chain_rule_exact_value", exact, 1e-12),

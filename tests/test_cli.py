@@ -463,3 +463,65 @@ class TestOtherCommands:
         cfg.write_text(json.dumps({"command": "intersect",
                                    "surfaces": [SURF_X11], "depth": 4}))
         assert cli.main(["intersect", "--config", str(cfg)]) == 2
+
+
+# f1 = x11 + x12 + 1e-11 and f2 = 0.001 x12 + 1e-11 vanish at the origin
+# within the tolerance, but the graph of f2 passes over it at s = -1e-8, so
+# the traced F = f1 o Phi2 misses zero there by about 1e-8
+MISSED_START = {"command": "intersect",
+                "surfaces": [[[1, 0, 0, 1.0], [0, 1, 0, 1.0], [0, 0, 0, 1e-11]],
+                             [[0, 1, 0, 0.001], [0, 0, 0, 1e-11]]],
+                "base_point": [0, 0, 0]}
+
+
+def test_trace_start_off_zero_exit_one(tmp_path, capsys):
+    cfg = tmp_path / "start.json"
+    cfg.write_text(json.dumps(MISSED_START))
+    code = cli.main(["intersect", "--config", str(cfg), "--out", str(tmp_path / "c.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "mathematical failure (NotCommonZero)" in err and "Traceback" not in err
+
+
+CUBIC_EXPONENTS = [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)]
+
+
+def draw_surface(rng) -> list:
+    """Linear parts in [-2, 2], up to four cubic terms, in about a third of
+    the surfaces a constant of size 1e-14 to 1e-10, in some a scale 10^+-8."""
+    rows = [[*e, float(rng.uniform(-2.0, 2.0))] for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    for k in rng.choice(len(CUBIC_EXPONENTS), size=rng.integers(0, 5), replace=False):
+        rows.append([*CUBIC_EXPONENTS[k], float(rng.uniform(-2.0, 2.0))])
+    if rng.random() < 1 / 3:
+        rows.append([0, 0, 0, float(rng.choice([-1, 1]) * 10.0 ** rng.uniform(-14, -10))])
+    if rng.random() < 0.2:
+        scale = 10.0 ** rng.choice([-8, 8])
+        rows = [[*row[:3], scale * row[3]] for row in rows]
+    return rows
+
+
+def draw_config(rng) -> dict:
+    """An intersect or characteristics config at the origin, with a window,
+    bracket, depth and step each drawn from a few extremes."""
+    command = str(rng.choice(["intersect", "characteristics"]))
+    window = float(rng.choice([0.5, 0.1, 1e-3, 5.0]))
+    doc = {"command": command,
+           "surfaces": [draw_surface(rng) for _ in range(2 if command == "intersect" else 1)],
+           "base_point": [0, 0, 0], "window": window,
+           "bracket": [[-2.0, 2.0], [-1e-6, 1e-6], [-100.0, 100.0]][rng.integers(3)],
+           "depth": int(rng.integers(0, 4)), "step": float(rng.choice([1e-3, 1e-2, 0.3]))}
+    if command == "characteristics":
+        doc["tau0"] = [-window / 2.0, window / 2.0]
+    return doc
+
+
+def test_seeded_configs_end_in_an_exit_code(tmp_path):
+    rng = np.random.default_rng(2026)
+    cfg, out = tmp_path / "c.json", tmp_path / "out.csv"
+    for doc in [MISSED_START, *(draw_config(rng) for _ in range(100))]:
+        cfg.write_text(json.dumps(doc))
+        try:
+            code = cli.main([doc["command"], "--config", str(cfg), "--out", str(out)])
+        except Exception as e:
+            raise AssertionError(f"{type(e).__name__} on {json.dumps(doc)}") from e
+        assert code in (0, 1, 2), json.dumps(doc)

@@ -15,6 +15,7 @@ from heisencurve.errors import (
     GridMismatch,
     MeanBisectionFailure,
     MonotonicityViolated,
+    NotCommonZero,
     NoZeroFound,
     OrderingViolation,
 )
@@ -666,7 +667,7 @@ class TestLevelTrace:
     @pytest.mark.parametrize("F", [lambda e, t: e + 1.0, lambda e, t: math.nan * (e + 1.0)],
                              ids=["one", "nan"])
     def test_rejects_nonzero_origin(self, F):
-        with pytest.raises(ValueError, match="the trace must start at a zero"):
+        with pytest.raises(NotCommonZero, match="the trace must start at a zero"):
             level_trace(lambda e, t: 0.0, F, Rect.centered(0.5, 1.0))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])

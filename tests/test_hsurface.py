@@ -859,9 +859,15 @@ class TestSolveMany:
         bisect = GraphPatch._bisect
         monkeypatch.setattr(GraphPatch, "_bisect",
                             lambda patch, *n: bisected.append(n) or bisect(patch, *n))
+        kernel_calls = []
+        newton = patch._newton_from
+        patch._newton_from = lambda *args: kernel_calls.append(args) or newton(*args)
         eta = np.linspace(-0.5, 0.1, 7)
         tau = np.array([-0.5, -0.49, -0.3, 0.0, 0.2, -0.5, -0.45])
         many = patch.solve_many(eta, tau)
+        # a failed lane goes straight to _bisect: one kernel call, the polish,
+        # and no second Newton run from the base root
+        assert [args[:2] for args in kernel_calls] == bisected
         in_many, bisected[:] = list(bisected), []
         scalar = [patch.solve_scalar(n) for n in zip(eta.tolist(), tau.tolist())]
         assert in_many == bisected and len(bisected) >= 2

@@ -113,3 +113,13 @@ def test_verify_names_serve_a_check():
             todo.extend(_used_names(defs[name]) & defs.keys())
     public = [n for n in defs if not n.startswith("_")]
     assert public and not [n for n in public if n not in reached]
+
+
+def test_verify_builds_fields_through_the_pipeline():
+    # the suites check the graph_field set-up the library and the CLI run,
+    # not patches or fields built by hand
+    tree = ast.parse((SRC / "verify.py").read_text())
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not called & {"GraphPatch", "CharField"}
+    assert "graph_field" in called

@@ -94,6 +94,22 @@ def test_group_suite_matches_the_per_triple_loop(scale):
     assert got == _ref_suite_group_values(scale)
 
 
+@pytest.mark.parametrize("scale, n", [(verify.INTERACTIVE, 50), (ACCEPTANCE, 201)],
+                         ids=["interactive", "acceptance"])
+def test_graph_suite_samples_the_window_at_its_scale(scale, n, monkeypatch):
+    shapes = []
+    solve_many = GraphPatch.solve_many
+
+    def record(patch, eta, tau):
+        shapes.append(np.broadcast(eta, tau).shape)
+        return solve_many(patch, eta, tau)
+
+    monkeypatch.setattr(GraphPatch, "solve_many", record)
+    verify.suite_graph(scale)
+    # a grid for each of the two patches, and the 9 fixed section points
+    assert shapes == [(n, n), (n, n), (9,)]
+
+
 def _ref_section_property():
     """suite_graph's graph_section_property as its per-point loop over scalar Points computed it."""
     affine = GraphPatch(make_frame((1.0, 0.0)), verify.POLY_AFFINE)

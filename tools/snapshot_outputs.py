@@ -22,7 +22,10 @@ generator from <checkout>/bench, and writes these 83 files to <dir>:
 * verify.json: the default `heisencurve verify` report.
 
 Floats are written as their shortest round-trip repr, so equal files mean
-equal bits.  The second form compares two snapshot directories: for each
+equal bits.  CI writes the snapshot under PYTHONHASHSEED=1 and
+PYTHONHASHSEED=2 and fails unless `diff -r` finds the two directories
+identical: identical configs give byte-identical outputs whatever the
+string hashing.  The second form compares two snapshot directories: for each
 file that differs it prints the largest absolute difference between
 corresponding numbers, or "structure differs" when the text around the
 numbers, or their count, is not the same.  Below a verify.json that differs
