@@ -137,15 +137,31 @@ def _heun_march(h, eta_a: float, tau_a: float, direction: int, n_steps: int,
     """March n_steps Heun steps; stop early if tau leaves [tau_lo, tau_hi].
 
     Returns the accepted values including the start, ordered in march order.
+    A field clamped by _clamped is clamped here, inline (any other field has
+    the whole plane as its box), and a field with a march method
+    (characteristics.CharField) marches itself.
     """
+    if not isinstance(h, _Clamped):
+        h = _Clamped(h, Rect((-math.inf, math.inf)))
+    if hasattr(h.field, "march"):
+        return h.field.march(h.box, eta_a, tau_a, direction, n_steps, step, tau_lo, tau_hi)
+    h, (emin, emax), (tmin, tmax) = h.field, h.box.eta, h.box.tau
     dt = direction * step
     vals = [tau_a]
     eta, tau = eta_a, tau_a
     for j in range(1, n_steps + 1):
         # node etas from the anchor, so rounding does not drift along the march
         eta_next = eta_a + j * dt
-        k1 = h(eta, tau)
-        k2 = h(eta_next, tau + dt * k1)
+        # each evaluation as _Clamped.__call__ makes it
+        if emin <= eta <= emax and tmin <= tau <= tmax:
+            k1 = h(eta, tau)
+        else:
+            k1 = h(min(max(eta, emin), emax), min(max(tau, tmin), tmax))
+        tau_p = tau + dt * k1
+        if emin <= eta_next <= emax and tmin <= tau_p <= tmax:
+            k2 = h(eta_next, tau_p)
+        else:
+            k2 = h(min(max(eta_next, emin), emax), min(max(tau_p, tmin), tmax))
         tau_next = tau + 0.5 * dt * (k1 + k2)
         if not (tau_lo <= tau_next <= tau_hi) or not math.isfinite(tau_next):
             break
@@ -173,8 +189,9 @@ def integrate_through(h, eta_c: float, tau_c: float, grid: tuple[float, float, i
     """Solution through (eta_c, tau_c) sampled on a prescribed uniform grid.
 
     grid is (eta0, step, n); eta_c must be one of its nodes.  Both directions
-    are marched from the anchor; a trajectory that cannot cover the whole
-    grid raises WindowExit.
+    are marched from the anchor (_heun_march, where a CharField marches
+    itself); a trajectory that cannot cover the whole grid raises
+    WindowExit.
     """
     eta0, step, n = grid
     k = round((eta_c - eta0) / step)
@@ -317,15 +334,27 @@ class FlowFamily:
         return float(np.max(np.abs(self._steps()), initial=0.0))
 
 
-def _clamped(h, box: Rect):
-    """h continued past box by clamping (eta, tau) into it; the only such extension."""
-    (emin, emax), (tmin, tmax) = box.eta, box.tau
+@dataclass(frozen=True)
+class _Clamped:
+    """The field continued past box by clamping (eta, tau) into it (_clamped)."""
 
-    def hc(eta, tau):
+    field: object
+    box: Rect
+
+    def __call__(self, eta, tau):
+        (emin, emax), (tmin, tmax) = self.box.eta, self.box.tau
         if emin <= eta <= emax and tmin <= tau <= tmax:  # min/max would pass it as is
-            return h(eta, tau)
-        return h(min(max(eta, emin), emax), min(max(tau, tmin), tmax))
-    return hc
+            return self.field(eta, tau)
+        return self.field(min(max(eta, emin), emax), min(max(tau, tmin), tmax))
+
+
+def _clamped(h, box: Rect) -> _Clamped:
+    """h continued past box by clamping (eta, tau) into it; the only such extension.
+
+    The result carries h and box: _heun_march unwraps it and clamps inline,
+    with the same comparisons, so a march hands h the bits a call would.
+    """
+    return _Clamped(h, box)
 
 
 def _find_member_with_mean(h, lo: PathSample, hi: PathSample, mu_t: float,
@@ -550,7 +579,9 @@ def level_trace(h, F, window: Rect, params: TraceParams | None = None,
     member, and collapses parameter intervals on which the zero stalls, so
     consecutive samples are distinct.  tau_lipschitz is a bound on |dh/dtau|
     over the window, or None; a finite one makes the extremal solutions the
-    one march through the origin (extremal_solutions).
+    one march through the origin (extremal_solutions).  h is clamped into
+    the window (_clamped); a CharField h therefore marches itself
+    (CharField.march), one kernel call per field evaluation.
     """
     params = params or TraceParams()
     f0 = F(0.0, 0.0)

@@ -208,7 +208,7 @@ def intersect_surfaces(prob: IntersectionProblem) -> Curve:
         # on floats, or on a member's node arrays (GraphPatch.solve_many)
         return f1t.value_at(*cf.graph_coords(eta, tau))
 
-    res = level_trace(cf.rhs, F, cf.patch.window, prob.trace,
+    res = level_trace(cf, F, cf.patch.window, prob.trace,
                       abs(cf.beta) * cf.patch.tau_lipschitz)
 
     planar = [VerticalCoords(e, t) for e, t in res.zeta]

@@ -5,11 +5,20 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from conftest import POLY_X11, POLY_X12, graph_point, solution_residual
+from conftest import (
+    POLY_X11,
+    POLY_X11_PLUS_T,
+    POLY_X12,
+    bench_module,
+    graph_point,
+    solution_residual,
+)
 
+from heisencurve import flowtrace, intersect
 from heisencurve.characteristics import CharField, characteristic
-from heisencurve.flowtrace import PathSample, Rect, integrate_through
-from heisencurve.hgroup import VerticalCoords, dist, make_frame
+from heisencurve.errors import NoSignChange
+from heisencurve.flowtrace import PathSample, Rect, _clamped, _heun_march, integrate_through
+from heisencurve.hgroup import ORIGIN, Point, VerticalCoords, dist, make_frame
 from heisencurve.hsurface import WINDOW_SLACK, GraphPatch, PolySurface
 from heisencurve.verify import (
     TaylorBasePoint,
@@ -93,6 +102,144 @@ class TestCharacteristic:
         assert len(p) == 11 and np.max(p.values) <= 0.254
         with pytest.raises(ValueError):  # the field itself rejects the predictor
             integrate_through(cf.rhs, 0.0, 0.2, (-0.5, 0.1, 11))
+
+
+def _march_cases():
+    """(name, window half-width, bracket, f2, base point) of the graph fields marched."""
+    pair = bench_module("pairs").draw_pair(1, 0)
+    return [
+        ("A", 0.5, (-2.0, 2.0), POLY_X12, ORIGIN),
+        ("B", 0.5, (-2.0, 2.0), POLY_X11_PLUS_T, ORIGIN),
+        ("C", 0.2, (-0.5, 0.5), PolySurface({(1, 0, 0): 1.0, (0, 0, 1): 1.0, (3, 0, 0): -1.0}),
+         ORIGIN),
+        ("G22", 0.5, (-2.0, 2.0), PolySurface({(0, 1, 0): 1.0, (2, 0, 0): -2.0}), ORIGIN),
+        ("pair-s1-k0", 0.5, (-2.0, 2.0), PolySurface(pair["f2"]), Point(*pair["p"])),
+    ]
+
+
+def _twin_fields(case, hint):
+    """Two equal fields of the case, both with the given hint."""
+    _, half, bracket, f2, p = case
+    fields = [intersect.graph_field(f2, p, half, bracket) for _ in range(2)]
+    for cf in fields:
+        cf._hint = hint
+    return fields
+
+
+def _generic_march(cf, box, *args):
+    """The generic Heun loop over the clamped rhs, a plain function, never cf.march."""
+    return _heun_march(_clamped(lambda e, t: cf.rhs(e, t), box), *args)
+
+
+def _outcome(march, *args):
+    try:
+        return march(*args)
+    except (ValueError, NoSignChange) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _bits_equal(a, b) -> bool:
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestGraphMarch:
+    """CharField.march against the generic loop of flowtrace._heun_march, bit for bit."""
+
+    @pytest.mark.parametrize("case", _march_cases(), ids=lambda c: c[0])
+    @pytest.mark.parametrize("hint", [None, 0.01])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_values_and_hint_equal_the_generic_march(self, case, hint, direction):
+        half = case[1]
+        box = Rect.centered(half, half)
+        for tau0 in (-0.6 * half, 0.0, 0.3 * half):
+            graph, generic = _twin_fields(case, hint)
+            args = (0.0, tau0, direction, 200, half / 200, -math.inf, math.inf)
+            ours = _heun_march(_clamped(graph, box), *args)
+            ref = _generic_march(generic, box, *args)
+            assert len(ours) == 201 and _bits_equal(ours, ref)
+            assert graph._hint == generic._hint and graph._hint is not None
+
+    def test_predictor_past_the_box(self):
+        # the patch of test_heun_predictor_past_patch_edge: a predictor reaches
+        # tau = 0.2578, past the box edge 0.254, and is clamped back
+        f2 = PolySurface({(1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 1): 1.0})
+        window = Rect((-0.5, 0.5), (-0.5, 0.254))
+        graph, generic = (CharField(GraphPatch(make_frame((1.0, 0.0)), f2, window=window))
+                          for _ in range(2))
+        seen = []
+        hc = _clamped(generic.rhs, window)
+
+        def recorded(e, t):
+            seen.append(t)
+            return hc(e, t)
+
+        args = (0.0, 0.2, -1, 5, 0.1, *window.tau)
+        ours = _heun_march(_clamped(graph, window), *args)
+        ref = _heun_march(recorded, *args)
+        assert max(seen) > 0.254 and len(ours) == 6
+        assert _bits_equal(ours, ref) and graph._hint == generic._hint
+
+    @pytest.mark.parametrize("box", [Rect.centered(1.0, 1.0), Rect((-math.inf, math.inf))])
+    def test_window_error_leaves_the_generic_hint(self, box):
+        # a box wider than the patch window, or a field not clamped at all:
+        # eta = 0.55 is outside the patch
+        case = _march_cases()[1]
+        for hint in (None, 0.01):
+            graph, generic = _twin_fields(case, hint)
+            args = (0.35, 0.1, 1, 5, 0.1, -math.inf, math.inf)
+            field = graph if math.isinf(box.eta[1]) else _clamped(graph, box)
+            ours = _outcome(lambda *a: _heun_march(field, *a), *args)
+            ref = _outcome(lambda *a: _generic_march(generic, box, *a), *args)
+            assert ours.startswith("ValueError: n = (0.55") and ours == ref
+            assert graph._hint == generic._hint and graph._hint is not None
+
+    def test_failed_bisection_leaves_the_generic_hint(self):
+        # f2 = x11 + t on the bracket [-0.1, 0.1]: phi2hat = -tau / (1 - eta)
+        # leaves the bracket backward from (0, 0.09), where Newton and _bisect fail
+        box = Rect.centered(0.5, 0.5)
+        for hint in (None, -0.05):
+            graph, generic = (CharField(GraphPatch(make_frame((1.0, 0.0)), POLY_X11_PLUS_T,
+                                                   bracket=(-0.1, 0.1))) for _ in range(2))
+            graph._hint = generic._hint = hint
+            args = (0.0, 0.09, -1, 100, 5e-3, -math.inf, math.inf)
+            ours = _outcome(lambda *a: _heun_march(_clamped(graph, box), *a), *args)
+            ref = _outcome(lambda *a: _generic_march(generic, box, *a), *args)
+            assert ours.startswith("NoSignChange") and ours == ref
+            assert graph._hint == generic._hint and graph._hint is not None
+
+    def test_no_march_calls_rhs_or_solve_scalar(self, monkeypatch):
+        # the marches solve through the Newton kernel alone; rhs sees only the
+        # field bound's array call, and solve_scalar only the harvest and the lift
+        calls = {"rhs": [], "solve_scalar": [], "march": 0}
+        in_march = [False]
+        rhs, solve, heun = CharField.rhs, GraphPatch.solve_scalar, flowtrace._heun_march
+
+        def counted_rhs(cf, eta, tau):
+            calls["rhs"].append((in_march[0], isinstance(eta, np.ndarray)))
+            return rhs(cf, eta, tau)
+
+        def counted_solve(patch, n, hint=None):
+            calls["solve_scalar"].append(in_march[0])
+            return solve(patch, n, hint)
+
+        def flagged_march(*args):
+            calls["march"] += 1
+            in_march[0] = True
+            try:
+                return heun(*args)
+            finally:
+                in_march[0] = False
+
+        monkeypatch.setattr(CharField, "rhs", counted_rhs)
+        monkeypatch.setattr(GraphPatch, "solve_scalar", counted_solve)
+        monkeypatch.setattr(flowtrace, "_heun_march", flagged_march)
+        curve = intersect.intersect_surfaces(intersect.IntersectionProblem(
+            POLY_X12, POLY_X11_PLUS_T, trace=flowtrace.TraceParams(depth=2)))
+        assert calls["march"] > 0 and len(curve) > 0
+        assert calls["rhs"] == [(False, True)]
+        assert calls["solve_scalar"] and not any(calls["solve_scalar"])
 
 
 class TestCharFieldWindow:

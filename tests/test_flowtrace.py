@@ -595,6 +595,20 @@ class TestClamped:
         expected = [min(max(x, lo), hi) for x, (lo, hi) in zip(point, (box.eta, box.tau))]
         assert [_bits(x) for x in seen[0]] == [_bits(x) for x in expected]
 
+    @given(box_and_point())
+    @settings(max_examples=200)
+    def test_march_clamps_with_the_same_bits(self, case):
+        # _heun_march unwraps the clamped field and clamps inline: the anchor
+        # and the predictor reach the field as min(max(.)) clamps them
+        box, point = case
+        seen = []
+        field = flowtrace._clamped(lambda e, t: seen.append((e, t)) or 0.0, box)
+        flowtrace._heun_march(field, *point, 1, 1, 0.5, -math.inf, math.inf)
+        predictor = (point[0] + 0.5, point[1] + 0.5 * 0.0)
+        expected = [[min(max(x, lo), hi) for x, (lo, hi) in zip(p, (box.eta, box.tau))]
+                    for p in (point, predictor)]
+        assert [[_bits(x) for x in p] for p in seen] == [[_bits(x) for x in p] for p in expected]
+
 
 class TestLevelTrace:
     def test_field_gets_floats_and_F_node_arrays(self, monkeypatch):

@@ -61,6 +61,12 @@ def problem_b(**kw):
     return IntersectionProblem(POLY_X12, POLY_X11_PLUS_T, **kw)
 
 
+def _bending(k, m):
+    """Gamma_{k,m} as (f1, f2): f1 = t + x11 - m x11^3 and f2 = x12 - k x11^2."""
+    return (PolySurface({(0, 0, 1): 1.0, (1, 0, 0): 1.0, **({(3, 0, 0): -m} if m else {})}),
+            PolySurface({(0, 1, 0): 1.0, (2, 0, 0): -k}))
+
+
 def dist_to_vertical_axis(q):
     # the vertical coordinate is free along the axis, so only |x1| counts
     return math.hypot(q.x11, q.x12)
@@ -264,12 +270,10 @@ class TestIntersectSurfaces:
                                             for m in (0.0, 1.0)]
                              + [(k, 2.0, 0.3) for k in (0.5, 1.0, 2.0)])
     def test_bending_family(self, k, m, half):
-        # Gamma_{k,m}: f1 = t + x11 - m x11^3 and f2 = x12 - k x11^2 meet in
-        # (s, k s^2, -s + m s^3), a curve that bends in x12.  The sample count
-        # is not asserted: the interval collapse leaves 125 on Gamma_{2,1}.
-        f1 = PolySurface({(0, 0, 1): 1.0, (1, 0, 0): 1.0, **({(3, 0, 0): -m} if m else {})})
-        f2 = PolySurface({(0, 1, 0): 1.0, (2, 0, 0): -k})
-        curve = intersect_surfaces(IntersectionProblem(f1, f2, window_half=half))
+        # Gamma_{k,m} meets in (s, k s^2, -s + m s^3), a curve that bends in
+        # x12.  The sample count is not asserted: the interval collapse leaves
+        # 125 on Gamma_{2,1}.
+        curve = intersect_surfaces(IntersectionProblem(*_bending(k, m), window_half=half))
         for q in curve.points:
             assert abs(q.x12 - k * q.x11**2) <= 1e-10
             assert abs(q.t + q.x11 - m * q.x11**3) <= 1e-10
@@ -323,6 +327,32 @@ def cubic_problem(seed, k, depth):
     f1, f2 = (PolySurface(pair[f]) for f in ("f1", "f2"))
     return IntersectionProblem(f1, f2, p=Point(*pair["p"]), window_half=PAIRS.WINDOW,
                                bracket=PAIRS.BRACKET, trace=TraceParams(depth=depth))
+
+
+def _nesting_gap(coarse, fine) -> float:
+    """Largest distance (max norm) from a sample of coarse to the nearest of fine."""
+    a, b = _coord_array(coarse.points), _coord_array(fine.points)
+    return float(np.max(np.min(np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2), axis=1)))
+
+
+class TestSamplesNest:
+    """A dyadic family of depth d is part of the family of depth d + 2, so
+    every sample of the coarser curve is a sample of the finer one."""
+
+    @pytest.mark.parametrize("pair, d, fine", [
+        ((POLY_X12, POLY_X11_PLUS_T), 2, 6),
+        (_bending(2.0, 2.0), 2, 6),
+        (_bending(4.0, 0.0), 2, 6),
+    ], ids=["B", "G22", "G40"])
+    def test_reference_curves(self, pair, d, fine):
+        coarse, finer = (intersect_surfaces(IntersectionProblem(*pair, trace=TraceParams(depth=n)))
+                         for n in (d, fine))
+        assert _nesting_gap(coarse, finer) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_cubic_pairs(self, k):
+        coarse, fine = (intersect_surfaces(cubic_problem(1, k, depth)) for depth in (1, 3))
+        assert _nesting_gap(coarse, fine) <= 1e-12
 
 
 STEEP = PolySurface({(1, 0, 0): 1.0, (2, 0, 0): 1e20})

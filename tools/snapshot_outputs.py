@@ -1,6 +1,7 @@
 """Write the outputs that a behaviour-preserving change keeps byte-identical.
 
     python tools/snapshot_outputs.py <checkout> <dir>
+    python tools/snapshot_outputs.py --times <checkout>
     python tools/snapshot_outputs.py --compare <dir A> <dir B>
 
 The first form imports heisencurve from <checkout>/src and the pair
@@ -31,6 +32,9 @@ corresponding numbers, or "structure differs" when the text around the
 numbers, or their count, is not the same.  Below a verify.json that differs
 it lists each check whose value or verdict differs, as suite/check with its
 value and verdict in <dir A> and then in <dir B>.  It always exits 0.
+The --times form prints the wall time of each of the curves A, B, C and
+G22 at the default depth, best of three untraced runs, with heisencurve
+imported from <checkout>/src.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import json
 import re
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -59,9 +64,10 @@ def _cli(cli, argv: list[str]) -> None:
         sys.exit(f"heisencurve {' '.join(argv)} exited with {code}")
 
 
-def _curves(hc, out: Path) -> None:
+def _problems(hc) -> dict:
+    """The reference problems A, B, C and G22, as tag -> (f1, f2, problem keywords)."""
     x11, x12 = hc.PolySurface({(1, 0, 0): 1.0}), hc.PolySurface({(0, 1, 0): 1.0})
-    problems = {
+    return {
         "A": (x11, x12, {}),
         "B": (x12, hc.PolySurface({(1, 0, 0): 1.0, (0, 0, 1): 1.0}), {}),
         "C": (x12, hc.PolySurface({(1, 0, 0): 1.0, (0, 0, 1): 1.0, (3, 0, 0): -1.0}),
@@ -69,7 +75,10 @@ def _curves(hc, out: Path) -> None:
         "G22": (hc.PolySurface({(0, 0, 1): 1.0, (1, 0, 0): 1.0, (3, 0, 0): -2.0}),
                 hc.PolySurface({(0, 1, 0): 1.0, (2, 0, 0): -2.0}), {}),
     }
-    for tag, (f1, f2, kw) in problems.items():
+
+
+def _curves(hc, out: Path) -> None:
+    for tag, (f1, f2, kw) in _problems(hc).items():
         for depth in (2, 6):
             curve = hc.intersect_surfaces(hc.IntersectionProblem(
                 f1, f2, trace=hc.TraceParams(depth=depth), **kw))
@@ -155,14 +164,29 @@ def compare(dir_a: Path, dir_b: Path) -> None:
     print("\n".join(moved + [f"{len(moved)} of {len(names)} files differ"]))
 
 
+def times(hc) -> str:
+    """Wall time of each reference curve at the default depth, best of three."""
+    best = {}
+    for tag, (f1, f2, kw) in _problems(hc).items():
+        prob = hc.IntersectionProblem(f1, f2, **kw)
+        runs = []
+        for _ in range(3):
+            start = time.perf_counter()
+            hc.intersect_surfaces(prob)
+            runs.append(time.perf_counter() - start)
+        best[tag] = min(runs)
+    return ", ".join(f"{tag} {s:.3f} s" for tag, s in best.items())
+
+
 def main(argv: list[str]) -> None:
     if len(argv) == 3 and argv[0] == "--compare":
         compare(Path(argv[1]), Path(argv[2]))
         return
     if len(argv) != 2:
         sys.exit("usage: python tools/snapshot_outputs.py <checkout> <dir>\n"
+                 "       python tools/snapshot_outputs.py --times <checkout>\n"
                  "       python tools/snapshot_outputs.py --compare <dir A> <dir B>")
-    checkout, out = Path(argv[0]).resolve(), Path(argv[1])
+    checkout = Path(argv[-1] if argv[0] == "--times" else argv[0]).resolve()
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     import heisencurve as hc
     import pairs
@@ -170,6 +194,10 @@ def main(argv: list[str]) -> None:
 
     if checkout not in Path(hc.__file__).resolve().parents:
         sys.exit(f"heisencurve imported from {hc.__file__}, not from {checkout}")
+    if argv[0] == "--times":
+        print(times(hc))
+        return
+    out = Path(argv[1])
     out.mkdir(parents=True, exist_ok=True)
     _curves(hc, out)
     with tempfile.TemporaryDirectory() as work:
